@@ -11,7 +11,10 @@ blocks by a partition of the eigenvalue indices.  Everything downstream
 
 Blocks that are absent from the mask are exact zeros, and block products
 skip absent operands; the numeric payload is kept dense so that products
-and norms run at numpy speed.
+and norms run at numpy speed.  Per-block spectral norms take no Python
+loop over blocks: a block with one row or one column is a vector, whose
+spectral norm is its Frobenius norm, and the other blocks go through one
+batched SVD per pair of width classes.
 """
 
 from __future__ import annotations
@@ -496,34 +499,28 @@ class BlockMatrix:
         return float(np.linalg.norm(self.data))
 
     def block_spectral_sq(self) -> np.ndarray:
-        """G x G matrix of squared per-block spectral norms (absent -> 0)."""
+        """G x G matrix of squared per-block spectral norms (absent -> 0).
+
+        A block with one row or one column is a vector, whose spectral
+        norm is its Frobenius norm, so one ``reduceat`` pass covers every
+        such block.  Blocks with both widths above 1 are then overwritten
+        by one gather and one batched SVD per pair of width classes.
+        """
         part = self.partition
-        out = np.zeros((part.n_groups, part.n_groups))
-        if not self.mask.any():
-            return out
-        if np.all(part.dims == 1):
-            # every block is a single entry
-            perm, _ = part.grouping_permutation()
-            absq = self.data.real**2 + self.data.imag**2
-            if not np.array_equal(perm, np.arange(perm.size)):
-                absq = absq[np.ix_(perm, perm)]
-            return np.where(self.mask, absq, 0.0)
-        pairs = np.nonzero(self.mask)
-        shapes = {}
-        for gi, gj in zip(*pairs):
-            shapes.setdefault((part.dims[gi], part.dims[gj]), []).append((gi, gj))
-        for (di, dj), where in shapes.items():
-            if di == 1 or dj == 1:
-                for gi, gj in where:
-                    blk = self.data[np.ix_(part.positions[gi], part.positions[gj])]
-                    out[gi, gj] = (blk.real**2 + blk.imag**2).sum()
-            else:
-                stack = np.stack(
-                    [self.data[np.ix_(part.positions[gi], part.positions[gj])] for gi, gj in where]
-                )
+        out = np.where(self.mask, _block_frobenius_sq(self.data, part), 0.0)
+        # (group ids, stacked positions) per width class above 1
+        wide = []
+        for w in np.unique(part.dims[part.dims > 1]):
+            gids = np.flatnonzero(part.dims == w)
+            wide.append((gids, np.stack([part.positions[g] for g in gids])))
+        for gi, rows in wide:
+            for gj, cols in wide:
+                bi, bj = np.nonzero(self.mask[np.ix_(gi, gj)])
+                if bi.size == 0:
+                    continue
+                stack = self.data[rows[bi][:, :, None], cols[bj][:, None, :]]
                 svals = np.linalg.svd(stack, compute_uv=False)[:, 0]
-                for (gi, gj), s in zip(where, svals):
-                    out[gi, gj] = s * s
+                out[gi[bi], gj[bj]] = svals * svals
         return out
 
     def hs_sigma(self) -> float:

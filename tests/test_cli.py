@@ -167,6 +167,8 @@ class TestAnalyzeCommand:
             assert key in report
         assert report["pipeline"] == "mt1"
         assert all(g["satisfied"] for g in report["invariant_gates"].values())
+        # small eigenvalues keep the absolute floor of the spectral gate
+        assert report["invariant_gates"]["spectra_agree"]["threshold"] == 1e-8
         # complex numbers are [re, im] pairs
         first = report["eigenvalue_estimates"][0]
         assert isinstance(first[0], int) and len(first[1]) == 2
@@ -186,6 +188,21 @@ class TestAnalyzeCommand:
         a = (tmp_path / "a" / "report.json").read_bytes()
         b = (tmp_path / "b" / "report.json").read_bytes()
         assert a == b
+
+    def test_spectral_gate_scales_with_eigenvalues(self, tmp_path):
+        # hill eigenvalues grow like N^2; at N=64 max|lambda| is about 1.6e5
+        path = write_config(tmp_path, {
+            "model": {"family": "hill", "theta": 0.5,
+                      "coeffs": {"1": 5.0, "-1": 5.0}},
+            "truncation": {"half_width": 64},
+        })
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        gate = report["invariant_gates"]["spectra_agree"]
+        top = max(abs(complex(*z)) for _, z in report["eigenvalue_estimates"])
+        assert top > 1e5
+        assert gate["threshold"] == pytest.approx(1e-12 * top, rel=1e-9)
+        assert gate["satisfied"]
 
     def test_auto_rule_picks_coarse_for_strong_coupling(self, tmp_path):
         path = write_config(tmp_path, {

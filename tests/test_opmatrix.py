@@ -161,6 +161,52 @@ class TestNorms:
         assert operator_norm_estimate(a) == pytest.approx(3.0, rel=1e-10)
 
 
+def reference_block_spectral_sq(x):
+    """Per-block squared spectral norms, one dense 2-norm per present block."""
+    part = x.partition
+    out = np.zeros((part.n_groups, part.n_groups))
+    for gi, gj in zip(*np.nonzero(x.mask)):
+        blk = x.data[np.ix_(part.positions[gi], part.positions[gj])]
+        out[gi, gj] = np.linalg.norm(blk, 2) ** 2
+    return out
+
+
+@st.composite
+def partitions(draw):
+    """Trivial, uniform width 2, coarse, or mixed widths {1, 2, 3} in a
+    shuffled group order (so blocks pair different widths, e.g. 2 x 3)."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["trivial", "width2", "coarse", "mixed"]))
+    if kind == "trivial":
+        return Partition.trivial(simple_spectrum(n))
+    if kind == "width2":
+        return Partition.trivial(simple_spectrum(n, mults=[2] * (2 * n + 1)))
+    if kind == "coarse":
+        return Partition.coarse(simple_spectrum(n), draw(st.integers(0, n)))
+    mults = draw(st.lists(st.integers(1, 3), min_size=2 * n + 1, max_size=2 * n + 1))
+    spec = simple_spectrum(n, mults=mults)
+    order = draw(st.permutations(list(spec.indices)))
+    return Partition(spec, [(int(i),) for i in order], order)
+
+
+class TestBlockSpectralSq:
+    @settings(deadline=None, max_examples=60)
+    @given(part=partitions(), seed=st.integers(0, 10_000), sparse=st.booleans())
+    def test_matches_per_block_reference(self, part, seed, sparse):
+        rng = np.random.default_rng(seed)
+        d, g = part.spectrum.dim, part.n_groups
+        data = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mask = rng.random((g, g)) < 0.5 if sparse else np.ones((g, g), dtype=bool)
+        x = BlockMatrix(part, data, mask)
+        got = x.block_spectral_sq()
+        np.testing.assert_allclose(got, reference_block_spectral_sq(x), rtol=1e-12, atol=0.0)
+        assert np.all(got[~mask] == 0.0)
+
+    def test_zero_matrix(self):
+        part = Partition.coarse(simple_spectrum(3), 1)
+        assert not BlockMatrix.zeros(part).block_spectral_sq().any()
+
+
 class TestBlockMatrix:
     def test_dense_round_trip(self):
         rng = np.random.default_rng(7)
