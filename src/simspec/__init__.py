@@ -16,7 +16,6 @@ from .errors import (
     MethodConditionError,
     NonConvergenceError,
     NotInvertibleError,
-    NotSupportedError,
     OracleFailureError,
     ParseError,
     PartitionMismatchError,
@@ -86,9 +85,7 @@ from .verify import (
     SpectrumReport,
     build_spectrum_report,
     charpoly_eigenvalues,
-    eigen_projection,
     match_spectra,
-    oracle_eigenpairs,
     oracle_eigenvalues,
     projection_compare,
     tail_factor_inequality,

@@ -25,7 +25,6 @@ from .errors import (
     InvalidInputError,
     InvariantBreachError,
     MethodConditionError,
-    NotSupportedError,
     OracleFailureError,
     ParseError,
     SimspecError,
@@ -53,6 +52,7 @@ from .splitting import (
 )
 from .transforms import TransformContext, commutator_inverse, commutator_residual
 from .verify import (
+    _pair_values_to_positions,
     build_spectrum_report,
     charpoly_eigenvalues,
     match_spectra,
@@ -117,9 +117,14 @@ def _expect(cond: bool, message: str, cfg_path):
         raise ParseError(message, path=cfg_path)
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; json accepts NaN and Infinity, simspec does not."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _as_number(value, name, cfg_path) -> float:
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"'{name}' must be a number", cfg_path)
+    _expect(_is_number(value), f"'{name}' must be a finite number", cfg_path)
     return float(value)
 
 
@@ -205,15 +210,13 @@ def _parse_coeff_map(obj, where: str, cfg_path) -> dict:
             k = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"'{where}' key {key!r} is not an integer index", path=cfg_path)
-        if isinstance(val, (int, float)) and not isinstance(val, bool):
+        if _is_number(val):
             out[k] = complex(val)
-        elif isinstance(val, list) and len(val) == 2 and all(
-            isinstance(p, (int, float)) and not isinstance(p, bool) for p in val
-        ):
+        elif isinstance(val, list) and len(val) == 2 and all(_is_number(p) for p in val):
             out[k] = complex(val[0], val[1])
         else:
             raise ParseError(
-                f"'{where}.{key}' must be a number or a [re, im] pair", path=cfg_path
+                f"'{where}.{key}' must be a finite number or a [re, im] pair", path=cfg_path
             )
     return out
 
@@ -403,7 +406,7 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
         oracle_vals = oracle_eigenvalues(a_minus_b)
         shifted = oracle_eigenvalues(a_minus_v)
         dev = match_spectra(oracle_vals, shifted).max_abs_deviation
-        # eigenvalues grow like N^2, so the QR rounding grows with max|lambda|
+        # eigenvalues grow like N^2, so the solver rounding grows with max|lambda|
         spec_tol = max(1e-8, 1e-12 * float(np.abs(oracle_vals).max()))
         gates["spectra_agree"] = {
             "measured": float(dev),
@@ -413,25 +416,13 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
     return gates, oracle_vals
 
 
-def _estimates_by_position(spectrum, estimates) -> np.ndarray:
-    vals = np.array([z for _, z in estimates], dtype=complex)
-    m = match_spectra(spectrum.position_values, vals)
-    out = np.empty(spectrum.dim, dtype=complex)
-    for i, j in m.pairs:
-        out[i] = vals[j]
-    return out
-
-
 def _write_series(csv_dir, model, result, weights, oracle_vals, report_obj):
     os.makedirs(csv_dir, exist_ok=True)
     spectrum = model.spectrum
-    est = _estimates_by_position(spectrum, result.eigenvalue_estimates)
+    est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
     ora = None
     if oracle_vals is not None:
-        m = match_spectra(spectrum.position_values, oracle_vals)
-        ora = np.empty(spectrum.dim, dtype=complex)
-        for i, j in m.pairs:
-            ora[i] = oracle_vals[j]
+        ora = _pair_values_to_positions(spectrum, oracle_vals)
     path = os.path.join(csv_dir, "spectrum_scatter.csv")
     with open(path, "w") as fh:
         cols = "index,free_re,free_im,estimate_re,estimate_im"
@@ -584,7 +575,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     svg = cfg["output"].get("svg")
     if svg is not None:
         spectrum = model.spectrum
-        est = _estimates_by_position(spectrum, result.eigenvalue_estimates)
+        est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
         series = [
             ("unperturbed", "#777777",
              [(z.real, z.imag) for z in spectrum.position_values]),
@@ -899,7 +890,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, NotSupportedError) as exc:
+    except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MethodConditionError as exc:

@@ -94,10 +94,6 @@ class ResolutionError(MethodConditionError):
     """Quadrature grid too coarse for the requested coefficient range."""
 
 
-class NotSupportedError(SimspecError):
-    """Input is outside the implemented scope (documented limitation)."""
-
-
 class OracleFailureError(SimspecError):
     """The reference eigensolver failed to converge or to cross-check."""
 

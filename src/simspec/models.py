@@ -122,6 +122,8 @@ def coeffs_from_csv(path) -> dict:
                 z = complex(float(row[1]), float(row[2]))
             except ValueError as exc:
                 raise ParseError(f"bad field: {exc}", path=path, line=ln) from None
+            if not cmath.isfinite(z):
+                raise ParseError(f"coefficient {k} is not finite", path=path, line=ln)
             if k in out:
                 raise ParseError(f"duplicate coefficient {k}", path=path, line=ln)
             out[k] = z

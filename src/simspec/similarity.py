@@ -111,13 +111,6 @@ def contraction_step(x: BlockMatrix, b: BlockMatrix, ctx: TransformContext) -> B
     return bgx - gx @ block_diagonal(ctx, b) - gx @ block_diagonal(ctx, bgx) + b
 
 
-def _contraction_step_offdiag(x: BlockMatrix, b: BlockMatrix, ctx: TransformContext) -> BlockMatrix:
-    """Phi for JB = 0, where the map loses its (GX) JB term."""
-    gx = commutator_inverse(ctx, x)
-    bgx = b @ gx
-    return bgx - gx @ block_diagonal(ctx, bgx) + b
-
-
 @dataclass
 class FixedPointResult:
     x_star: BlockMatrix
@@ -138,19 +131,16 @@ def fixed_point(
     tol: float = 1e-12,
     max_iter: int = 200,
     enforce: bool = True,
-    offdiag: bool = False,
 ) -> FixedPointResult:
     """Iterate Phi from X0 = 0 until the step norm stalls below `tol`.
 
-    The a priori certificate is q = 4 * gamma * ||B|| < 1 (3 * gamma *
-    ||B|| when the diagonal blocks of B vanish); with ``enforce`` the
-    iteration refuses to start without it.  Convergence lands X* in the
-    ball ||X* - B|| <= 3 ||B||, and the diagonal identity
-    J X* = J(B G X*) + J B holds exactly; both are re-checked.
+    The a priori certificate is q = 4 * gamma * ||B|| < 1; with
+    ``enforce`` the iteration refuses to start without it.  Convergence
+    lands X* in the ball ||X* - B|| <= 3 ||B||, and the diagonal
+    identity J X* = J(B G X*) + J B holds exactly; both are re-checked.
     """
     norm_b = norm_fn(b)
-    factor = 3.0 if offdiag else 4.0
-    q_bound = factor * gamma * norm_b
+    q_bound = 4.0 * gamma * norm_b
     certificate = {
         "norm": norm_name,
         "gamma": float(gamma),
@@ -158,23 +148,17 @@ def fixed_point(
         "contraction_q": float(q_bound),
         "satisfied": bool(q_bound < 1.0),
     }
-    if offdiag:
-        jb_mass = block_diagonal(ctx, b).hs()
-        if jb_mass > 1e-12 * max(1.0, b.hs()):
-            raise InvalidInputError("offdiag iteration requires vanishing diagonal blocks")
     if enforce and not q_bound < 1.0:
         raise ContractionViolationError(
-            f"contraction certificate fails: {factor:g} * gamma * norm = {q_bound!r} >= 1"
+            f"contraction certificate fails: 4 * gamma * norm = {q_bound!r} >= 1"
         )
-    step = _contraction_step_offdiag if offdiag else contraction_step
-
     x = BlockMatrix.zeros(ctx.partition)
     steps = []
     ratio = 0.0
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        x_next = step(x, b, ctx)
+        x_next = contraction_step(x, b, ctx)
         s = norm_fn(x_next - x)
         if steps and steps[-1] > 1e-300:
             ratio = max(ratio, s / steps[-1])

@@ -1,8 +1,8 @@
 """Independent eigenvalue oracle and comparison harness.
 
-Nothing here shares code with the similarity pipelines: eigenvalues
-come from a hand-rolled Hessenberg reduction followed by an explicitly
-shifted QR iteration with Wilkinson shifts, and small matrices are
+Nothing here shares code with the similarity pipelines: each spectrum
+is solved from scratch on the dense matrix by LAPACK's zgeev (Hessenberg
+reduction and shifted QR, backward stable), and small matrices are
 cross-checked against a second, entirely different oracle
 (characteristic polynomial by the trace recursion, roots by a
 simultaneous Newton iteration).  The harness side pairs computed
@@ -12,7 +12,6 @@ projections against their similarity bound.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -24,11 +23,9 @@ from .opmatrix import BlockMatrix, Partition, Spectrum
 
 __all__ = [
     "oracle_eigenvalues",
-    "oracle_eigenpairs",
     "charpoly_coefficients",
     "polynomial_roots",
     "charpoly_eigenvalues",
-    "eigen_projection",
     "SpectrumMatch",
     "match_spectra",
     "tail_weight_check",
@@ -39,125 +36,8 @@ __all__ = [
 ]
 
 _ORACLE_DIM_CAP = 4096
-_DEFLATE = 1e-14
 _DUAL_TOL = 1e-10
 _CROSS_CHECK_DIM = 8
-
-
-# -- QR oracle ---------------------------------------------------------------
-
-
-def _hessenberg(a: np.ndarray):
-    """Householder reduction a = q h q^H with h upper Hessenberg."""
-    h = np.array(a, dtype=complex)
-    n = h.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            continue
-        alpha = -nx if x[0] == 0.0 else -cmath.exp(1j * cmath.phase(complex(x[0]))) * nx
-        v = x.copy()
-        v[0] -= alpha
-        nv = float(np.linalg.norm(v))
-        if nv <= 1e-300:
-            continue
-        v = v / nv
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        q[:, k + 1 :] -= 2.0 * np.outer(q[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h, q
-
-
-def _eig2(a, b, c, d):
-    mid = 0.5 * (a + d)
-    disc = cmath.sqrt(0.25 * (a - d) ** 2 + b * c)
-    return mid + disc, mid - disc
-
-
-def _wilkinson_shift(h, hi):
-    e1, e2 = _eig2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-    return e1 if abs(e1 - h[hi, hi]) <= abs(e2 - h[hi, hi]) else e2
-
-
-def _shifted_qr_sweep(h, lo, hi, mu):
-    """One explicit step h <- R Q + mu on the active window lo..hi."""
-    for d in range(lo, hi + 1):
-        h[d, d] -= mu
-    rots = []
-    for i in range(lo, hi):
-        a = h[i, i]
-        b = h[i + 1, i]
-        r = math.hypot(abs(a), abs(b))
-        if r == 0.0:
-            c, s = 1.0 + 0.0j, 0.0 + 0.0j
-        else:
-            c, s = a / r, b / r
-        rots.append((c, s))
-        r1 = h[i, i : hi + 1].copy()
-        r2 = h[i + 1, i : hi + 1]
-        h[i, i : hi + 1] = np.conj(c) * r1 + np.conj(s) * r2
-        h[i + 1, i : hi + 1] = -s * r1 + c * r2
-    for i in range(lo, hi):
-        c, s = rots[i - lo]
-        top = min(i + 2, hi)
-        c1 = h[lo : top + 1, i].copy()
-        c2 = h[lo : top + 1, i + 1]
-        h[lo : top + 1, i] = c * c1 + s * c2
-        h[lo : top + 1, i + 1] = -np.conj(s) * c1 + np.conj(c) * c2
-    for d in range(lo, hi + 1):
-        h[d, d] += mu
-
-
-def _qr_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hessenberg matrix by shifted QR with deflation."""
-    h = h.copy()
-    n = h.shape[0]
-    vals = []
-    hi = n - 1
-    sweeps = 0
-    stalled = 0
-    budget = max(200, 50 * n)
-    while hi >= 0:
-        if hi == 0:
-            vals.append(complex(h[0, 0]))
-            break
-        # deflate negligible subdiagonals inside the active tail
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = float(np.abs(np.diag(h[: hi + 1, : hi + 1])).max() + 1.0)
-            if abs(h[lo, lo - 1]) <= _DEFLATE * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            vals.append(complex(h[hi, hi]))
-            hi -= 1
-            stalled = 0
-            continue
-        if lo == hi - 1:
-            e1, e2 = _eig2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            vals.extend([complex(e1), complex(e2)])
-            hi -= 2
-            stalled = 0
-            continue
-        if stalled and stalled % 10 == 0:
-            # deterministic exceptional shift to break limit cycles
-            mu = h[hi, hi] + 1.5 * (abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2]))
-        else:
-            mu = _wilkinson_shift(h, hi)
-        _shifted_qr_sweep(h, lo, hi, mu)
-        sweeps += 1
-        stalled += 1
-        if sweeps > budget:
-            raise OracleFailureError(
-                f"QR iteration exceeded {budget} sweeps with {hi + 1} eigenvalues left"
-            )
-    return np.array(vals, dtype=complex)
 
 
 # -- polynomial oracle --------------------------------------------------------
@@ -239,8 +119,10 @@ def charpoly_eigenvalues(a: np.ndarray) -> np.ndarray:
 def oracle_eigenvalues(a, cross_check: bool = True) -> np.ndarray:
     """Eigenvalue multiset of a dense complex matrix, sorted by (re, im).
 
-    Dimension <= 8 runs the polynomial oracle as well and any
-    disagreement beyond 1e-10 (scaled) is an oracle failure.
+    The spectrum comes from LAPACK's zgeev (backward stable); a LAPACK
+    failure is an oracle failure.  Dimension <= 8 runs the polynomial
+    oracle as well and any disagreement beyond 1e-10 (scaled) is an
+    oracle failure.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -250,11 +132,10 @@ def oracle_eigenvalues(a, cross_check: bool = True) -> np.ndarray:
         return np.array([], dtype=complex)
     if n > _ORACLE_DIM_CAP:
         raise InvalidInputError(f"oracle dimension cap is {_ORACLE_DIM_CAP}")
-    if n == 1:
-        vals = np.array([complex(a[0, 0])])
-    else:
-        h, _ = _hessenberg(a)
-        vals = _qr_eigenvalues(h)
+    try:
+        vals = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise OracleFailureError(f"LAPACK eigensolver failed at dimension {n}: {exc}")
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     if cross_check and 2 <= n <= _CROSS_CHECK_DIM:
@@ -266,73 +147,6 @@ def oracle_eigenvalues(a, cross_check: bool = True) -> np.ndarray:
                 f"oracles disagree by {m.max_abs_deviation:.3e} at dimension {n}"
             )
     return vals
-
-
-def _hessenberg_solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve m x = rhs for Hessenberg m by Givens elimination, O(n^2)."""
-    m = m.copy()
-    b = np.asarray(rhs, dtype=complex).copy()
-    n = m.shape[0]
-    for i in range(n - 1):
-        a_, c_ = m[i, i], m[i + 1, i]
-        r = math.hypot(abs(a_), abs(c_))
-        if r == 0.0:
-            continue
-        c, s = a_ / r, c_ / r
-        r1 = m[i, i:].copy()
-        r2 = m[i + 1, i:]
-        m[i, i:] = np.conj(c) * r1 + np.conj(s) * r2
-        m[i + 1, i:] = -s * r1 + c * r2
-        b1 = b[i]
-        b[i] = np.conj(c) * b1 + np.conj(s) * b[i + 1]
-        b[i + 1] = -s * b1 + c * b[i + 1]
-    x = np.zeros(n, dtype=complex)
-    for i in range(n - 1, -1, -1):
-        z = b[i] - m[i, i + 1 :] @ x[i + 1 :]
-        d = m[i, i]
-        if abs(d) < 1e-300:
-            d = 1e-300
-        x[i] = z / d
-    return x
-
-
-def oracle_eigenpairs(a):
-    """Eigenvalues plus eigenvectors via inverse iteration on the
-    Hessenberg form; returns (values, vectors) with vectors as columns."""
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([complex(a[0, 0])]), np.ones((1, 1), dtype=complex)
-    h, q = _hessenberg(a)
-    vals = _qr_eigenvalues(h.copy())
-    order = np.lexsort((vals.imag, vals.real))
-    vals = vals[order]
-    scale = max(1.0, float(np.abs(h).max()))
-    vecs = np.empty((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    start = np.ones(n, dtype=complex) / math.sqrt(n)
-    for j, lam in enumerate(vals):
-        shifted = h - (lam + 1e-12 * scale * (1.0 + 1.0j)) * eye
-        y = _hessenberg_solve(shifted, start)
-        y /= np.linalg.norm(y)
-        y = _hessenberg_solve(shifted, y)
-        ny = np.linalg.norm(y)
-        if ny == 0.0 or not np.isfinite(ny):
-            raise OracleFailureError(f"inverse iteration failed for eigenvalue {lam!r}")
-        vecs[:, j] = q @ (y / ny)
-    return vals, vecs
-
-
-def eigen_projection(vals: np.ndarray, vecs: np.ndarray, select: np.ndarray) -> np.ndarray:
-    """Spectral projection onto the selected eigenvalues, along the rest."""
-    select = np.asarray(select, dtype=bool)
-    if select.shape != vals.shape:
-        raise InvalidInputError("selector must align with the eigenvalues")
-    cond = float(np.linalg.cond(vecs))
-    if not math.isfinite(cond) or cond > 1e10:
-        raise NotInvertibleError("eigenvector basis too ill-conditioned", cond=cond)
-    vinv = np.linalg.inv(vecs)
-    return vecs[:, select] @ vinv[select, :]
 
 
 # -- spectrum comparison -------------------------------------------------------

@@ -22,6 +22,7 @@ iteration of the coarse pipelines contracts in that norm.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,18 +264,18 @@ def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, st
     """Smallest coarsening radius whose contraction certificate clears `margin`.
 
     Returns ``(m, info)`` with the certificate numbers; raises
-    :class:`WindowTooSmallError` (carrying the best certificate seen)
-    when no radius inside the window works.
+    :class:`WindowTooSmallError` (carrying the best certificate seen,
+    inf when ``start`` leaves no radius to try) when no radius inside
+    the window works.
     """
     if not (0.0 < margin < 1.0):
         raise InvalidInputError("margin must lie in (0, 1)")
     wnorm = factorize(x, w).norm
     tilde = w.alpha_tilde
-    best = None
+    best = math.inf
     for m in range(start, w.max_level):
         q = 4.0 * tilde[m + 1] * wnorm
-        if best is None or q < best:
-            best = q
+        best = min(best, q)
         if q <= margin:
             return m, {
                 "radius": m,

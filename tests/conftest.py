@@ -10,7 +10,7 @@ _ORACLE_CACHE = {}
 
 @pytest.fixture(scope="session")
 def oracle_cache():
-    """Memoized (model, eigenvalues) per problem key; the large QR runs
+    """Memoized (model, eigenvalues) per problem key; the large oracle solves
     are shared between acceptance criteria instead of repeated."""
 
     def get(key, builder):

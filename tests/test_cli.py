@@ -156,6 +156,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "lhs=" in err and "rhs=" in err
 
+    @pytest.mark.parametrize("payload, csv_text", [
+        ({"model": {"family": "involution", "theta": float("nan"),
+                    "coeffs": {"0": 0.3}}}, None),
+        ({"model": {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.5, "-1": 0.5}},
+          "tolerances": {"fixed_point_tol": float("inf")}}, None),
+        ({"model": {"family": "hill", "theta": 0.5,
+                    "coeffs": {"1": float("nan"), "-1": 0.5}}}, None),
+        ({"model": {"family": "hill", "theta": 0.5,
+                    "coeffs": {"1": [0.5, float("-inf")], "-1": 0.5}}}, None),
+        ({"model": {"family": "hill", "theta": 0.5, "coeffs_file": "v.csv"}},
+         "k,re,im\n1,nan,0.0\n-1,0.5,0.0\n"),
+    ], ids=["theta-nan", "tol-infinity", "coeff-nan", "coeff-pair-inf", "csv-nan"])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, payload, csv_text):
+        # json writes and reads NaN / Infinity; the config must refuse them
+        if csv_text is not None:
+            (tmp_path / "v.csv").write_text(csv_text)
+        payload = {**payload, "truncation": {"half_width": 6}, "pipeline": "mt3"}
+        path = write_config(tmp_path, payload)
+        code = main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
+    def test_window_with_no_coarsening_radius_exits_3(self, tmp_path, capsys):
+        # coupling so strong that the smoothing scan leaves no radius to try
+        path = write_config(tmp_path, {
+            "model": {"family": "hill", "theta": 0.5,
+                      "coeffs": {"1": 1e3, "-1": 1e3}},
+            "truncation": {"half_width": 8},
+            "pipeline": "mt3",
+        })
+        code = main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 3
+        assert "best product inf" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     def test_default_run_and_report_shape(self, tmp_path):

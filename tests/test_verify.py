@@ -11,9 +11,7 @@ from simspec.verify import (
     SpectrumReport,
     build_spectrum_report,
     charpoly_eigenvalues,
-    eigen_projection,
     match_spectra,
-    oracle_eigenpairs,
     oracle_eigenvalues,
     projection_compare,
     tail_factor_inequality,
@@ -71,22 +69,6 @@ class TestOracle:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidInputError):
             oracle_eigenvalues(np.zeros((2, 3)))
-
-    def test_eigenpairs_residual(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(15, 15)) + 1j * rng.normal(size=(15, 15))
-        vals, vecs = oracle_eigenpairs(a)
-        res = np.abs(a @ vecs - vecs * vals[None, :]).max()
-        assert res < 1e-8 * np.abs(a).max()
-
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
-        vals, vecs = oracle_eigenpairs(a)
-        sel = vals.real > np.median(vals.real)
-        p = eigen_projection(vals, vecs, sel)
-        assert np.abs(p @ p - p).max() < 1e-8
-        assert np.trace(p).real == pytest.approx(sel.sum(), abs=1e-8)
 
 
 class TestMatchSpectra:
