@@ -46,9 +46,7 @@ from .similarity import (
 from .splitting import (
     certificate_from_constants,
     operator_norm_condition,
-    split_certificate,
     split_eigenpair,
-    split_system,
 )
 from .transforms import TransformContext, commutator_inverse, commutator_residual
 from .verify import (
@@ -62,6 +60,9 @@ from .weighted import decay_weights, weights_to_csv
 
 _SCHEMA_VERSION = 1
 _ORACLE_GATE_DIM = 600
+# every pipeline holds several dense d x d complex arrays (16 d^2 bytes
+# each); a config whose one such array exceeds this is refused up front
+_DENSE_ARRAY_CAP_MIB = 128
 _DEFAULT_SEED = 2026
 
 _PIPELINE_CHOICES = ("auto", "mt1", "mt2", "mt3", "mt4", "split")
@@ -186,6 +187,12 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
             _expect(fi["corrupt_v"] >= 0.0, "'fault_injection.corrupt_v' must be >= 0", cfg_path)
     family = cfg["model"].get("family")
     _expect(family in MODELS, f"'model.family' must be one of {', '.join(sorted(MODELS))}", cfg_path)
+    # dirac carries two coordinates per index, the other families one
+    dim = (2 * trunc["half_width"] + 1) * (2 if family == "dirac" else 1)
+    _expect(16 * dim * dim <= _DENSE_ARRAY_CAP_MIB * 2**20,
+            f"model dimension {dim} is too large: one dense d x d complex array "
+            f"(16 d^2 bytes) would exceed the {_DENSE_ARRAY_CAP_MIB} MiB cap; "
+            f"lower 'truncation.half_width'", cfg_path)
     return cfg
 
 
@@ -453,14 +460,19 @@ def _svg_scatter(series, path, title):
     ys = [p[1] for _, _, pts in series for p in pts]
     if not xs:
         xs, ys = [0.0, 1.0], [0.0, 1.0]
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
-    xpad = (xmax - xmin) or 1.0
-    ypad = (ymax - ymin) or 1.0
-    xmin -= 0.05 * xpad
-    xmax += 0.05 * xpad
-    ymin -= 0.05 * ypad
-    ymax += 0.05 * ypad
+    # an axis span below 1e-6 max|coordinate| is rounding noise (the
+    # imaginary parts of a real spectrum): widen it about its midpoint,
+    # so that the noise neither sets the scale nor moves a point
+    floor = 1e-6 * max(max(map(abs, xs)), max(map(abs, ys)))
+
+    def axis_range(vals):
+        lo, hi = min(vals), max(vals)
+        pad = max(hi - lo, floor) or 1.0
+        grow = 0.5 * (pad - (hi - lo))
+        return lo - grow - 0.05 * pad, hi + grow + 0.05 * pad
+
+    xmin, xmax = axis_range(xs)
+    ymin, ymax = axis_range(ys)
 
     def sx(x):
         return margin + (x - xmin) / (xmax - xmin) * (width - 2 * margin)
@@ -611,8 +623,6 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     model = build_model(cfg)
     k = cfg["split_k"]
     tols = cfg["tolerances"]
-    op = split_system(model.spectrum, model.perturbation, k)
-    window_bounds = split_certificate(op)
     published = None
     if model.name == "kernel":
         published = certificate_from_constants(**kernel_split_constants(k))
@@ -620,7 +630,6 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
         model.spectrum, model.perturbation, k,
         tol=min(tols["fixed_point_tol"], 1e-13),
         max_iter=tols["max_iter"],
-        bounds=window_bounds,
     )
     oracle_info = None
     t_oracle = 0.0
@@ -650,9 +659,9 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
         "residual_scale": result.residual_scale,
         "correction_norm": result.correction_norm,
         "normalized_deviation_bound": result.normalized_deviation_bound,
-        "window_bounds": window_bounds.to_dict(),
+        "window_bounds": result.bounds.to_dict(),
         "published_bounds": None if published is None else published.to_dict(),
-        "operator_norm_condition": operator_norm_condition(model.perturbation, op.s_max),
+        "operator_norm_condition": operator_norm_condition(model.perturbation, result.bounds.s),
         "oracle": oracle_info,
         "timings": {
             "dimension": model.spectrum.dim,

@@ -91,7 +91,7 @@ class Spectrum:
         produce the symmetric range -N..N; internally re-derived spectra
         may be off-center by one.
     values : array of complex
-        Pairwise distinct eigenvalues, one per index.
+        Finite, pairwise distinct eigenvalues, one per index.
     mults : array of int, optional
         Multiplicities (default all 1).
     window : TruncationWindow, optional
@@ -113,11 +113,10 @@ class Spectrum:
             mults = np.asarray(mults, dtype=int)
             if mults.shape != indices.shape or np.any(mults < 1):
                 raise InvalidInputError("mults must be positive, one per index")
-        if indices.size > 1:
-            diff = np.abs(values[:, None] - values[None, :])
-            np.fill_diagonal(diff, np.inf)
-            if diff.min() == 0.0:
-                raise InvalidInputError("eigenvalues must be pairwise distinct")
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("eigenvalues must be finite")
+        if np.unique(values).size < values.size:
+            raise InvalidInputError("eigenvalues must be pairwise distinct")
         if window is None:
             window = TruncationWindow(max(1, int(max(-indices[0], indices[-1]))))
         self.indices = indices

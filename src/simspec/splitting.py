@@ -24,6 +24,12 @@ The certified bounds are ||e - e'|| <= s r ||B21|| and
 |b2| <= r ||B12 S|| ||B21||; first-order Taylor forms of both are
 reported alongside since published reference values are usually quoted
 that way.
+
+m is computed exactly, not estimated.  A complement coordinate whose
+row and column of B22 are both zero (free) is its own 1 x 1 diagonal
+block b1 s_j of (b1 - B22) S, so only the remaining (live) coordinates
+need a dense singular value decomposition.  A cross-shaped perturbation
+such as the kernel family's leaves B22 = 0 and needs none.
 """
 
 from __future__ import annotations
@@ -186,15 +192,26 @@ def split_certificate(op: SplitOperator) -> SplitBounds:
     """Certificate from the honest norms of the truncated system.
 
     ||B21|| and ||B12 S|| are rank-one pieces, hence exact column and
-    row norms; m is the largest singular value of (b1 - B22) S.
+    row norms; m is the largest singular value of (b1 - B22) S.  A
+    complement coordinate j whose row and column of B22 are both zero
+    is free: it is a 1 x 1 diagonal block b1 s_j of (b1 - B22) S under
+    a permutation, so
+
+        m = max(|b1| max_{j free} |s_j|, sigma_max(core on the live j)),
+
+    exactly, and the dense SVD runs only on the live coordinates.
     """
     b21_norm = float(np.linalg.norm(op.b21))
     b12s_norm = float(np.linalg.norm(op.b12 * op.s_diag))
-    core = op.b1 * np.diag(op.s_diag) - op.b22 * op.s_diag[None, :]
-    if core.size:
-        m = float(np.linalg.svd(core, compute_uv=False)[0])
-    else:
-        m = 0.0
+    nonzero = op.b22 != 0.0
+    live = nonzero.any(axis=0) | nonzero.any(axis=1)
+    m = abs(op.b1) * float(np.abs(op.s_diag[~live]).max(initial=0.0))
+    if live.any():
+        s_live = op.s_diag[live]
+        b22_live = op.b22[np.ix_(live, live)]
+        core = op.b1 * np.diag(s_live) - b22_live * s_live[None, :]
+        # sigma first, so that a NaN singular value is not dropped by max
+        m = max(float(np.linalg.svd(core, compute_uv=False)[0]), m)
     return certificate_from_constants(
         s=op.s_max, m=m, b21_norm=b21_norm, b12s_norm=b12s_norm, b1=op.b1
     )

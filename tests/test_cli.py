@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from simspec.cli import (
+    _svg_scatter,
     build_model,
     default_config,
     load_config,
@@ -55,6 +57,21 @@ class TestConfigValidation:
     def test_family_checked(self):
         with pytest.raises(ParseError):
             validate_config({"model": {"family": "unknown"}})
+
+    @pytest.mark.parametrize("family, half_width", [
+        ("kernel", 1448),  # dim 2897
+        ("dirac", 724),  # two coordinates per index: dim 2898
+        ("kernel", 10**12),
+    ])
+    def test_dimension_cap_refused(self, family, half_width):
+        dim = (2 * half_width + 1) * (2 if family == "dirac" else 1)
+        with pytest.raises(ParseError, match=f"model dimension {dim} "):
+            validate_config({"model": {"family": family},
+                             "truncation": {"half_width": half_width}})
+
+    def test_dimension_cap_admits_largest_array(self):
+        cfg = validate_config({"truncation": {"half_width": 1447}})  # dim 2895
+        assert cfg["truncation"]["half_width"] == 1447
 
 
 class TestModelBuilding:
@@ -179,6 +196,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
 
+    def test_oversize_dimension_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"truncation": {"half_width": 100_000}})
+        code = main(["split", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "model dimension 200001" in capsys.readouterr().err
+
     def test_window_with_no_coarsening_radius_exits_3(self, tmp_path, capsys):
         # coupling so strong that the smoothing scan leaves no radius to try
         path = write_config(tmp_path, {
@@ -275,6 +298,25 @@ class TestAnalyzeCommand:
             assert (series / name).exists(), name
         svg = (tmp_path / "s.svg").read_text()
         assert svg.startswith("<svg") and "circle" in svg
+
+    def test_svg_ignores_rounding_noise_off_the_axis(self, tmp_path):
+        # a real spectrum with imaginary parts below 1e-12 max|lambda|
+        n = np.arange(-10, 11)
+        lam = (np.pi * (2 * n - 0.5)) ** 2
+        rng = np.random.default_rng(5)
+        noise = 1e-12 * lam.max() * rng.uniform(-0.5, 0.5, n.size)
+        moved = noise + 5e-13 * rng.choice([-1.0, 1.0], n.size)
+        paths = []
+        for i, imag in enumerate((noise, moved)):
+            pts = list(zip(lam, imag))
+            paths.append(tmp_path / f"s{i}.svg")
+            _svg_scatter([("a", "#777777", pts), ("b", "#c0392b", pts[::-1])],
+                         paths[-1], "spectrum")
+        svg = paths[0].read_text()
+        assert svg == paths[1].read_text()
+        # every data point at one y coordinate (the legend dots have r="4")
+        cys = set(re.findall(r'cy="([^"]+)" r="3"', svg))
+        assert len(cys) == 1
 
     def test_oracle_off_skips_spectrum_report(self, tmp_path):
         path = write_config(tmp_path, {"truncation": {"half_width": 8},

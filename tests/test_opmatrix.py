@@ -67,6 +67,19 @@ class TestSpectrum:
         with pytest.raises(InvalidInputError):
             Spectrum(np.array([0, 1]), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("values", [
+        [2j, 1.0, 2j],
+        [complex(0.0, 1.0), complex(-0.0, 1.0)],
+    ], ids=["apart", "signed-zero"])
+    def test_rejects_equal_values_anywhere(self, values):
+        with pytest.raises(InvalidInputError, match="pairwise distinct"):
+            Spectrum(np.arange(len(values)), np.array(values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Spectrum(np.arange(3), np.array([0.0, bad, 1.0]))
+
     def test_rejects_gapped_indices(self):
         with pytest.raises(InvalidInputError):
             Spectrum(np.array([0, 2]), np.array([0.0, 1.0]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simspec.errors import ConditionViolationError, InvalidInputError
 from simspec.models import kernel_model, kernel_split_constants
@@ -133,6 +135,58 @@ class TestSplitEigenpair:
         assert wb.b21_norm < limit
         assert wb.b21_norm == pytest.approx(limit, abs=2e-3)
         assert wb.m == pytest.approx(1 / (2 * np.pi), rel=1e-12)
+
+
+def full_svd_m(op):
+    """Reference m: the top singular value of all of (b1 - B22) S."""
+    core = op.b1 * np.diag(op.s_diag) - op.b22 * op.s_diag[None, :]
+    return float(np.linalg.svd(core, compute_uv=False)[0])
+
+
+@st.composite
+def split_operators(draw):
+    # dim 2 leaves a complement of one coordinate
+    dim = draw(st.integers(2, 12))
+    idx = np.arange(dim) - dim // 2
+    spec = Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(int(np.abs(idx).max())))
+    k = int(draw(st.sampled_from(list(idx))))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    dense = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    pos = spec.positions_of(k)[0]
+    rest = np.arange(dim) != pos
+    pattern = draw(st.sampled_from(["random", "all_live", "zero"]))
+    if pattern == "random":
+        rows = rest & (rng.random(dim) < 0.5)
+        cols = rest & (rng.random(dim) < 0.5)
+        dense[np.ix_(rows, rest)] = 0.0
+        dense[np.ix_(rest, cols)] = 0.0
+    elif pattern == "zero":
+        dense[np.ix_(rest, rest)] = 0.0
+    if draw(st.booleans()):
+        dense[pos, pos] = 0.0
+    b = BlockMatrix(Partition.trivial(spec), dense)
+    return split_system(spec, b, k)
+
+
+class TestCertificateM:
+    @settings(deadline=None, max_examples=150)
+    @given(op=split_operators())
+    def test_matches_full_svd(self, op):
+        ref = full_svd_m(op)
+        assert abs(split_certificate(op).m - ref) <= 1e-13 * ref
+
+    def test_bitwise_when_no_coordinate_is_free(self):
+        rng = np.random.default_rng(3)
+        spec = spectrum(6)
+        dense = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
+        op = split_system(spec, BlockMatrix(Partition.trivial(spec), dense), 2)
+        assert split_certificate(op).m == full_svd_m(op)
+
+    def test_kernel_cross_needs_no_svd(self):
+        # the cross leaves B22 = 0, so every complement coordinate is free
+        mdl = kernel_model(512)
+        op = split_system(mdl.spectrum, mdl.perturbation, 0)
+        assert split_certificate(op).m == abs(op.b1) * np.abs(op.s_diag).max()
 
 
 def test_operator_norm_condition_report():
