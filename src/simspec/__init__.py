@@ -97,7 +97,6 @@ from .weighted import (
     decay_weights,
     factorize,
     select_coarsening,
-    weighted_norm,
     weights_from_csv,
     weights_to_csv,
 )

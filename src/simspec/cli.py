@@ -204,6 +204,10 @@ def load_config(path) -> dict:
         raise ParseError(f"cannot read config: {exc}", path=path)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", path=path, line=exc.lineno)
+    except ValueError as exc:  # undecodable bytes, or an integer past the digit limit
+        raise ParseError(f"config is not valid JSON: {exc}", path=path)
+    except RecursionError:
+        raise ParseError("config is not valid JSON: nested too deeply", path=path)
     cfg = validate_config(raw, cfg_path=path)
     cfg["_base_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg

@@ -7,19 +7,20 @@ blocks by a partition of the eigenvalue indices.  Everything downstream
 
 * :class:`Spectrum` -- eigenvalues, multiplicities and the window,
 * :class:`Partition` -- ordered disjoint groups of spectrum indices,
-* :class:`BlockMatrix` -- a matrix plus a presence mask at block level.
+* :class:`BlockMatrix` -- a dense matrix read block by block.
 
-Blocks that are absent from the mask are exact zeros, and block products
-skip absent operands; the numeric payload is kept dense so that products
-and norms run at numpy speed.  Per-block spectral norms take no Python
-loop over blocks: a block with one row or one column is a vector, whose
-spectral norm is its Frobenius norm, and the other blocks go through one
-batched SVD per pair of width classes.
+A block operator has one representation, its dense matrix, so products
+and norms run at numpy speed.  A block is absent exactly when all its
+entries are exact zeros; no separate record of presence is kept, and the
+algebra keeps absent blocks absent because sums and products of exact
+zeros are exact zeros.  Per-block spectral norms take no Python loop
+over blocks: a block with one row or one column is a vector, whose
+spectral norm is its Frobenius norm, and the nonzero other blocks go
+through one batched SVD per pair of width classes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ from .errors import (
     InvalidInputError,
     InvariantBreachError,
     NotInvertibleError,
-    ParseError,
     PartitionMismatchError,
 )
 
@@ -302,16 +302,6 @@ class Partition:
                 return False
         return True
 
-    def coarse_map(self, coarser: "Partition") -> np.ndarray:
-        """For each group of self, the group id it occupies in `coarser`."""
-        if not self.refines(coarser):
-            raise PartitionMismatchError("target partition is not a coarsening")
-        owner = {}
-        for g, grp in enumerate(coarser.groups):
-            for i in grp:
-                owner[i] = g
-        return np.array([owner[grp[0]] for grp in self.groups])
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -380,80 +370,40 @@ def _block_frobenius_sq(data: np.ndarray, partition: Partition) -> np.ndarray:
 
 
 class BlockMatrix:
-    """Complex matrix on a partition with exact-zero absent blocks."""
+    """Dense complex d x d matrix read in blocks of a partition.
 
-    __slots__ = ("partition", "data", "mask")
+    ``data`` is the whole representation.  A block is absent exactly
+    when its entries are all exact zeros; nothing else records presence.
+    """
 
-    def __init__(self, partition: Partition, data, mask=None, *, validate=True):
+    __slots__ = ("partition", "data")
+
+    def __init__(self, partition: Partition, data):
         data = np.asarray(data, dtype=complex)
         d = partition.spectrum.dim
         if data.shape != (d, d):
             raise InvalidInputError(f"data must be {d} x {d}")
-        if mask is None:
-            mask = _block_frobenius_sq(data, partition) > 0.0
-            validate = False  # mask freshly derived from the data
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            if mask.shape != (partition.n_groups, partition.n_groups):
-                raise InvalidInputError("mask shape must be (groups, groups)")
-        if validate:
-            gid = partition.gid_of_position
-            allowed = mask[np.ix_(gid, gid)]
-            data = np.where(allowed, data, 0.0)
         self.partition = partition
         self.data = data
-        self.mask = mask
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, partition: Partition) -> "BlockMatrix":
         d = partition.spectrum.dim
-        g = partition.n_groups
-        return cls(partition, np.zeros((d, d), dtype=complex), np.zeros((g, g), dtype=bool), validate=False)
+        return cls(partition, np.zeros((d, d), dtype=complex))
 
     @classmethod
     def identity(cls, partition: Partition) -> "BlockMatrix":
         d = partition.spectrum.dim
-        return cls(partition, np.eye(d, dtype=complex), np.eye(partition.n_groups, dtype=bool), validate=False)
+        return cls(partition, np.eye(d, dtype=complex))
 
     @classmethod
     def from_dense(cls, partition: Partition, array) -> "BlockMatrix":
-        """Wrap a dense matrix; blocks that are exactly zero become absent."""
+        """Wrap a copy of a dense matrix."""
         return cls(partition, np.array(array, dtype=complex))
 
-    @classmethod
-    def from_blocks(cls, partition: Partition, blocks: dict) -> "BlockMatrix":
-        """Assemble from ``{(row_label, col_label): block}``; rest absent."""
-        d = partition.spectrum.dim
-        data = np.zeros((d, d), dtype=complex)
-        mask = np.zeros((partition.n_groups, partition.n_groups), dtype=bool)
-        for (li, lj), blk in blocks.items():
-            gi, gj = partition.gid(li), partition.gid(lj)
-            blk = np.asarray(blk, dtype=complex)
-            want = (partition.dims[gi], partition.dims[gj])
-            if blk.shape != want:
-                raise InvalidInputError(
-                    f"block ({li},{lj}) has shape {blk.shape}, expected {want}"
-                )
-            data[np.ix_(partition.positions[gi], partition.positions[gj])] = blk
-            mask[gi, gj] = True
-        return cls(partition, data, mask, validate=False)
-
     # -- structure ----------------------------------------------------
-
-    def block(self, row_label: int, col_label: int):
-        """Copy of one block, or None when absent."""
-        gi, gj = self.partition.gid(row_label), self.partition.gid(col_label)
-        if not self.mask[gi, gj]:
-            return None
-        return self.data[np.ix_(self.partition.positions[gi], self.partition.positions[gj])].copy()
-
-    def present_blocks(self):
-        """Iterate (row_label, col_label) of present blocks, row-major."""
-        labels = self.partition.labels
-        for gi, gj in zip(*np.nonzero(self.mask)):
-            yield labels[gi], labels[gj]
 
     def dense(self) -> np.ndarray:
         return self.data.copy()
@@ -466,14 +416,14 @@ class BlockMatrix:
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._require_same(other)
-        return BlockMatrix(self.partition, self.data + other.data, self.mask | other.mask, validate=False)
+        return BlockMatrix(self.partition, self.data + other.data)
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._require_same(other)
-        return BlockMatrix(self.partition, self.data - other.data, self.mask | other.mask, validate=False)
+        return BlockMatrix(self.partition, self.data - other.data)
 
     def __mul__(self, c) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data * complex(c), self.mask.copy(), validate=False)
+        return BlockMatrix(self.partition, self.data * complex(c))
 
     __rmul__ = __mul__
 
@@ -482,15 +432,13 @@ class BlockMatrix:
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._require_same(other)
-        # presence propagates only through chains of present blocks
-        mask = (self.mask.astype(np.uint16) @ other.mask.astype(np.uint16)) > 0
-        return BlockMatrix(self.partition, self.data @ other.data, mask, validate=False)
+        return BlockMatrix(self.partition, self.data @ other.data)
 
     def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data.conj().T.copy(), self.mask.T.copy(), validate=False)
+        return BlockMatrix(self.partition, self.data.conj().T.copy())
 
     def copy(self) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data.copy(), self.mask.copy(), validate=False)
+        return BlockMatrix(self.partition, self.data.copy())
 
     # -- norms ----------------------------------------------------------
 
@@ -502,11 +450,12 @@ class BlockMatrix:
 
         A block with one row or one column is a vector, whose spectral
         norm is its Frobenius norm, so one ``reduceat`` pass covers every
-        such block.  Blocks with both widths above 1 are then overwritten
-        by one gather and one batched SVD per pair of width classes.
+        such block.  Nonzero blocks with both widths above 1 are then
+        overwritten by one gather and one batched SVD per pair of width
+        classes.
         """
         part = self.partition
-        out = np.where(self.mask, _block_frobenius_sq(self.data, part), 0.0)
+        out = _block_frobenius_sq(self.data, part)
         # (group ids, stacked positions) per width class above 1
         wide = []
         for w in np.unique(part.dims[part.dims > 1]):
@@ -514,7 +463,7 @@ class BlockMatrix:
             wide.append((gids, np.stack([part.positions[g] for g in gids])))
         for gi, rows in wide:
             for gj, cols in wide:
-                bi, bj = np.nonzero(self.mask[np.ix_(gi, gj)])
+                bi, bj = np.nonzero(out[np.ix_(gi, gj)] > 0.0)
                 if bi.size == 0:
                     continue
                 stack = self.data[rows[bi][:, :, None], cols[bj][:, None, :]]
@@ -534,68 +483,16 @@ class BlockMatrix:
     # -- regrouping -----------------------------------------------------
 
     def coarsen(self, target: Partition) -> "BlockMatrix":
-        """Same matrix on a coarser partition (presence is aggregated)."""
-        cmap = self.partition.coarse_map(target)
-        mask = np.zeros((target.n_groups, target.n_groups), dtype=bool)
-        src = np.nonzero(self.mask)
-        np.logical_or.at(mask, (cmap[src[0]], cmap[src[1]]), True)
-        return BlockMatrix(target, self.data.copy(), mask, validate=False)
+        """Same matrix on a coarser partition."""
+        if not self.partition.refines(target):
+            raise PartitionMismatchError("target partition is not a coarsening")
+        return BlockMatrix(target, self.data.copy())
 
     def refine(self, target: Partition) -> "BlockMatrix":
-        """Same matrix on a refinement; presence is re-derived per fine block."""
+        """Same matrix on a refinement."""
         if not target.refines(self.partition):
             raise PartitionMismatchError("target partition is not a refinement")
-        fine_nonzero = _block_frobenius_sq(self.data, target) > 0.0
-        cmap = target.coarse_map(self.partition)
-        allowed = self.mask[np.ix_(cmap, cmap)]
-        return BlockMatrix(target, self.data.copy(), fine_nonzero & allowed, validate=False)
-
-    # -- serialization --------------------------------------------------
-
-    def to_csv(self, path):
-        """Write present blocks as rows (m_group, n_group, row, col, re, im)."""
-        part = self.partition
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m_group", "n_group", "row", "col", "re", "im"])
-            for gi, gj in zip(*np.nonzero(self.mask)):
-                blk = self.data[np.ix_(part.positions[gi], part.positions[gj])]
-                li, lj = part.labels[gi], part.labels[gj]
-                for r in range(blk.shape[0]):
-                    for c in range(blk.shape[1]):
-                        z = blk[r, c]
-                        writer.writerow([li, lj, r, c, repr(float(z.real)), repr(float(z.imag))])
-
-    @classmethod
-    def from_csv(cls, partition: Partition, path) -> "BlockMatrix":
-        d = partition.spectrum.dim
-        data = np.zeros((d, d), dtype=complex)
-        mask = np.zeros((partition.n_groups, partition.n_groups), dtype=bool)
-        seen = set()
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            for ln, row in enumerate(reader, start=1):
-                if ln == 1 and row and row[0].strip() == "m_group":
-                    continue
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 6:
-                    raise ParseError(f"expected 6 fields, got {len(row)}", path=path, line=ln)
-                try:
-                    li, lj, r, c = (int(row[i]) for i in range(4))
-                    re, im = float(row[4]), float(row[5])
-                except ValueError as exc:
-                    raise ParseError(f"bad field: {exc}", path=path, line=ln) from None
-                key = (li, lj, r, c)
-                if key in seen:
-                    raise ParseError(f"duplicate entry {key}", path=path, line=ln)
-                seen.add(key)
-                gi, gj = partition.gid(li), partition.gid(lj)
-                if not (0 <= r < partition.dims[gi] and 0 <= c < partition.dims[gj]):
-                    raise ParseError(f"entry {key} outside block shape", path=path, line=ln)
-                data[partition.positions[gi][r], partition.positions[gj][c]] = re + 1j * im
-                mask[gi, gj] = True
-        return cls(partition, data, mask, validate=False)
+        return BlockMatrix(target, self.data.copy())
 
 
 def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
@@ -618,5 +515,4 @@ def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} above {_INV_RESIDUAL_LIMIT:g}", cond=cond
         )
-    g = x.partition.n_groups
-    return BlockMatrix(x.partition, inv, np.ones((g, g), dtype=bool), validate=False)
+    return BlockMatrix(x.partition, inv)

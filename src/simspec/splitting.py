@@ -244,18 +244,15 @@ def split_eigenpair(
     tol: float = 1e-13,
     max_iter: int = 200,
     enforce: bool = True,
-    bounds: SplitBounds | None = None,
 ) -> SplitResult:
     """Correct e_k into an eigenvector of the truncated problem.
 
-    ``bounds`` may carry a precomputed certificate (for instance from
-    closed-form constants); otherwise the window certificate is
-    computed here.  With ``enforce`` the iteration refuses to run past
-    a failed certificate, raising with both sides of the condition.
+    The window certificate is computed here.  With ``enforce`` the
+    iteration refuses to run past a failed certificate, raising with
+    both sides of the condition.
     """
     op = split_system(spectrum, b, k)
-    if bounds is None:
-        bounds = split_certificate(op)
+    bounds = split_certificate(op)
     cert = bounds.certificate
     if enforce and not cert["satisfied"]:
         raise ConditionViolationError(

@@ -89,8 +89,7 @@ def block_diagonal(ctx: TransformContext, x: BlockMatrix) -> BlockMatrix:
     ctx._require(x)
     same = ctx.partition.same_group_mask()
     data = np.where(same, x.data, 0.0)
-    mask = x.mask & np.eye(ctx.partition.n_groups, dtype=bool)
-    return BlockMatrix(ctx.partition, data, mask, validate=False)
+    return BlockMatrix(ctx.partition, data)
 
 
 def off_diagonal_part(ctx: TransformContext, x: BlockMatrix) -> BlockMatrix:
@@ -98,8 +97,7 @@ def off_diagonal_part(ctx: TransformContext, x: BlockMatrix) -> BlockMatrix:
     ctx._require(x)
     same = ctx.partition.same_group_mask()
     data = np.where(same, 0.0, x.data)
-    mask = x.mask & ~np.eye(ctx.partition.n_groups, dtype=bool)
-    return BlockMatrix(ctx.partition, data, mask, validate=False)
+    return BlockMatrix(ctx.partition, data)
 
 
 def commutator_inverse(ctx: TransformContext, x: BlockMatrix) -> BlockMatrix:
@@ -111,8 +109,7 @@ def commutator_inverse(ctx: TransformContext, x: BlockMatrix) -> BlockMatrix:
     ctx._require(x)
     same = ctx.partition.same_group_mask()
     data = np.where(same, 0.0, x.data / ctx.divisors())
-    mask = x.mask & ~np.eye(ctx.partition.n_groups, dtype=bool)
-    return BlockMatrix(ctx.partition, data, mask, validate=False)
+    return BlockMatrix(ctx.partition, data)
 
 
 def commutator_residual(ctx: TransformContext, x: BlockMatrix) -> float:

@@ -40,9 +40,6 @@ __all__ = [
     "WeightedFactorization",
     "decay_weights",
     "factorize",
-    "weighted_norm",
-    "weight_operator",
-    "mass_weight_sum",
     "select_coarsening",
     "weights_to_csv",
     "weights_from_csv",
@@ -216,48 +213,9 @@ def factorize(x: BlockMatrix, w: WeightSequence) -> WeightedFactorization:
         if np.any(x.data[:, dead] != 0.0) or np.any(x.data[dead, :] != 0.0):
             raise DegenerateWeightError("matrix has mass on zero-weight levels")
     inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, apos))
-    left = BlockMatrix(x.partition, x.data * inv[None, :], x.mask.copy(), validate=False)
-    right = BlockMatrix(x.partition, x.data * inv[:, None], x.mask.copy(), validate=False)
+    left = BlockMatrix(x.partition, x.data * inv[None, :])
+    right = BlockMatrix(x.partition, x.data * inv[:, None])
     return WeightedFactorization(left, right, max(left.hs_sigma(), right.hs_sigma()))
-
-
-def weighted_norm(x: BlockMatrix, w: WeightSequence) -> float:
-    return factorize(x, w).norm
-
-
-def weight_operator(w: WeightSequence, partition: Partition) -> BlockMatrix:
-    """f(A) = sum_h alpha_h P_h as a diagonal block matrix."""
-    apos = w.position_weights(partition.spectrum)
-    g = partition.n_groups
-    return BlockMatrix(
-        partition, np.diag(apos.astype(complex)), np.eye(g, dtype=bool), validate=False
-    )
-
-
-def mass_weight_sum(x: BlockMatrix, w: WeightSequence) -> float:
-    """sum_n max(row_n, col_n)^2 / alpha_n^2 over the index rows and columns.
-
-    Finiteness of this sum is membership in the weighted class; zero
-    mass on a zero-weight level contributes zero.
-    """
-    spec = x.partition.spectrum
-    base = Partition.trivial(spec)
-    if not x.partition.equivalent(base):
-        x = x.refine(base)
-    bss = x.block_spectral_sq()
-    row2 = bss.sum(axis=1)
-    col2 = bss.sum(axis=0)
-    peak = np.maximum(row2, col2)
-    lev = np.abs(base.label_array())
-    a2 = w.alpha[np.minimum(lev, w.max_level)] ** 2
-    out = 0.0
-    for p, a in zip(peak, a2):
-        if p == 0.0:
-            continue
-        if a == 0.0:
-            return float("inf")
-        out += p / a
-    return float(out)
 
 
 def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, start: int = 0):

@@ -135,9 +135,16 @@ class TestExitCodes:
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_invalid_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        assert main(["analyze", "--config", str(p)]) == 2
+        payloads = {
+            "syntax": b"{not json",
+            "long_integer": b'{"truncation": {"half_width": 1' + b"0" * 5000 + b"}}",
+            "deep_nesting": b"[" * 200000 + b"]" * 200000,
+            "undecodable": b"\xff\xfe{",
+        }
+        for name, payload in payloads.items():
+            p = tmp_path / f"{name}.json"
+            p.write_bytes(payload)
+            assert main(["analyze", "--config", str(p)]) == 2, name
 
     def test_method_condition_exit(self, tmp_path, capsys):
         path = write_config(tmp_path, {

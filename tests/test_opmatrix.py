@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from simspec.errors import (
     InvalidInputError,
     NotInvertibleError,
-    ParseError,
     PartitionMismatchError,
 )
 from simspec.opmatrix import (
@@ -19,6 +18,7 @@ from simspec.opmatrix import (
     operator_norm_estimate,
     spectral_gap,
 )
+from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
 
 
 def simple_spectrum(n=4, mults=None):
@@ -175,13 +175,47 @@ class TestNorms:
 
 
 def reference_block_spectral_sq(x):
-    """Per-block squared spectral norms, one dense 2-norm per present block."""
+    """Per-block squared spectral norms, one dense 2-norm per block."""
     part = x.partition
     out = np.zeros((part.n_groups, part.n_groups))
-    for gi, gj in zip(*np.nonzero(x.mask)):
-        blk = x.data[np.ix_(part.positions[gi], part.positions[gj])]
-        out[gi, gj] = np.linalg.norm(blk, 2) ** 2
+    for gi in range(part.n_groups):
+        for gj in range(part.n_groups):
+            blk = x.data[np.ix_(part.positions[gi], part.positions[gj])]
+            out[gi, gj] = np.linalg.norm(blk, 2) ** 2
     return out
+
+
+def sparse_block(rng, part, sparse):
+    """Random matrix with about half its blocks zeroed when `sparse`,
+    together with the G x G pattern of the blocks that were kept."""
+    d, g = part.spectrum.dim, part.n_groups
+    data = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    kept = rng.random((g, g)) < 0.5 if sparse else np.ones((g, g), dtype=bool)
+    gid = part.gid_of_position
+    data[~kept[np.ix_(gid, gid)]] = 0.0
+    return BlockMatrix(part, data), kept
+
+
+def apply_op(op, x, kx, y, ky):
+    """One block operation on x (and y), with the pattern of blocks that
+    may be nonzero in its result by block algebra on the operands' patterns."""
+    part = x.partition
+    eye = np.eye(part.n_groups, dtype=bool)
+    if op == "none":
+        return x, kx
+    if op == "matmul":
+        return x @ y, (kx.astype(int) @ ky.astype(int)) > 0
+    if op == "add":
+        return x + y, kx | ky
+    if op == "adjoint":
+        return x.adjoint(), kx.T
+    if op == "commutator_inverse":
+        return commutator_inverse(TransformContext(part), x), kx & ~eye
+    if op == "block_diagonal":
+        return block_diagonal(TransformContext(part), x), kx & eye
+    # coarsen to a single group and back
+    single = Partition(part.spectrum, [tuple(part.spectrum.indices)], [0])
+    return x.coarsen(single).refine(part), kx
 
 
 @st.composite
@@ -204,16 +238,23 @@ def partitions(draw):
 
 class TestBlockSpectralSq:
     @settings(deadline=None, max_examples=60)
-    @given(part=partitions(), seed=st.integers(0, 10_000), sparse=st.booleans())
-    def test_matches_per_block_reference(self, part, seed, sparse):
+    @given(
+        part=partitions(),
+        seed=st.integers(0, 10_000),
+        sparse=st.booleans(),
+        op=st.sampled_from(
+            ["none", "matmul", "add", "adjoint", "commutator_inverse", "block_diagonal", "regroup"]
+        ),
+    )
+    def test_matches_per_block_reference(self, part, seed, sparse, op):
         rng = np.random.default_rng(seed)
-        d, g = part.spectrum.dim, part.n_groups
-        data = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mask = rng.random((g, g)) < 0.5 if sparse else np.ones((g, g), dtype=bool)
-        x = BlockMatrix(part, data, mask)
-        got = x.block_spectral_sq()
-        np.testing.assert_allclose(got, reference_block_spectral_sq(x), rtol=1e-12, atol=0.0)
-        assert np.all(got[~mask] == 0.0)
+        x, kx = sparse_block(rng, part, sparse)
+        y, ky = sparse_block(rng, part, sparse)
+        z, kz = apply_op(op, x, kx, y, ky)
+        got = z.block_spectral_sq()
+        np.testing.assert_allclose(got, reference_block_spectral_sq(z), rtol=1e-12, atol=0.0)
+        # exact-zero blocks stay exact zeros through the algebra
+        assert np.all(got[~kz] == 0.0)
 
     def test_zero_matrix(self):
         part = Partition.coarse(simple_spectrum(3), 1)
@@ -228,17 +269,6 @@ class TestBlockMatrix:
         x = random_block(rng, part)
         y = BlockMatrix.from_dense(part, x.dense())
         assert np.array_equal(x.dense(), y.dense())
-
-    def test_block_access(self):
-        spec = simple_spectrum(2)
-        part = Partition.coarse(spec, 1)
-        d = np.zeros((5, 5), dtype=complex)
-        d[0, 1] = 2.0  # row -2, column inside the center group
-        x = BlockMatrix.from_dense(part, d)
-        blk = x.block(-2, 0)
-        assert blk.shape == (1, 3)
-        assert blk[0, 0] == 2.0
-        assert x.block(2, 0) is None
 
     def test_matmul_against_dense(self):
         rng = np.random.default_rng(8)
@@ -276,39 +306,6 @@ class TestBlockMatrix:
         x = BlockMatrix.zeros(Partition.coarse(spec, 1))
         with pytest.raises(PartitionMismatchError):
             x.refine(Partition.two_part(spec, 0))
-
-    def test_mask_blocks_absent_products(self):
-        spec = simple_spectrum(1)
-        part = Partition.trivial(spec)
-        x = BlockMatrix.zeros(part)
-        assert list(x.present_blocks()) == []
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        spec = simple_spectrum(2)
-        part = Partition.coarse(spec, 1)
-        x = random_block(rng, part)
-        p = tmp_path / "m.csv"
-        x.to_csv(p)
-        y = BlockMatrix.from_csv(part, p)
-        assert np.allclose(x.dense(), y.dense())
-
-    def test_rejects_short_row(self, tmp_path):
-        spec = simple_spectrum(1)
-        p = tmp_path / "bad.csv"
-        p.write_text("0,0,0,0,1.0\n")
-        with pytest.raises(ParseError) as err:
-            BlockMatrix.from_csv(Partition.trivial(spec), p)
-        assert err.value.line is not None
-
-    def test_rejects_duplicate(self, tmp_path):
-        spec = simple_spectrum(1)
-        p = tmp_path / "dup.csv"
-        p.write_text("0,0,0,0,1.0,0.0\n0,0,0,0,2.0,0.0\n")
-        with pytest.raises(ParseError):
-            BlockMatrix.from_csv(Partition.trivial(spec), p)
 
 
 class TestInverse:

@@ -9,10 +9,7 @@ from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
 from simspec.weighted import (
     decay_weights,
     factorize,
-    mass_weight_sum,
     select_coarsening,
-    weight_operator,
-    weighted_norm,
     weights_from_csv,
     weights_to_csv,
 )
@@ -99,35 +96,21 @@ class TestFactorization:
         x = decaying_matrix(5, seed=2)
         w = decay_weights(x)
         f = factorize(x, w)
-        part = x.partition
-        fa = weight_operator(w, part)
-        assert np.allclose(f.left.dense() @ fa.dense(), x.dense(), atol=1e-12)
-        assert np.allclose(fa.dense() @ f.right.dense(), x.dense(), atol=1e-12)
+        fa = np.diag(w.position_weights(x.partition.spectrum))
+        assert np.allclose(f.left.dense() @ fa, x.dense(), atol=1e-12)
+        assert np.allclose(fa @ f.right.dense(), x.dense(), atol=1e-12)
 
     def test_norm_is_max_of_sides(self):
         x = decaying_matrix(4, seed=4)
         w = decay_weights(x)
         f = factorize(x, w)
         assert f.norm == pytest.approx(max(f.left.hs_sigma(), f.right.hs_sigma()))
-        assert weighted_norm(x, w) == pytest.approx(f.norm)
 
     def test_weighted_norm_dominates_plain(self):
         # weights are <= 1 so dividing by them can only grow the norm
         x = decaying_matrix(4, seed=5)
         w = decay_weights(x)
-        assert weighted_norm(x, w) >= x.hs_sigma() - 1e-12
-
-    def test_mass_weight_sum_infinite_on_dead_level(self):
-        spec = spectrum(2)
-        part = Partition.trivial(spec)
-        data = np.zeros((5, 5), dtype=complex)
-        data[0, 4] = 1.0  # mass only at the outermost level
-        x = BlockMatrix(part, data)
-        inner = BlockMatrix(part, np.eye(5, dtype=complex))
-        w = decay_weights(x)
-        # weights vanish nowhere here; force a dead level manually
-        w.alpha[1] = 0.0
-        assert mass_weight_sum(inner, w) == np.inf
+        assert factorize(x, w).norm >= x.hs_sigma() - 1e-12
 
 
 class TestSelectCoarsening:
