@@ -27,7 +27,6 @@ from .models import (
     MODELS,
     ModelProblem,
     coeffs_from_csv,
-    coeffs_to_csv,
     dirac_model,
     hill_model,
     involution_model,
@@ -51,14 +50,12 @@ from .similarity import (
     SimilarityResult,
     block_eigenvalue_estimates,
     diagonal_asymptotics,
-    equiconvergence_bound,
     fixed_point,
     pipeline_block_norm,
     pipeline_contraction,
     pipeline_coarse,
     pipeline_rebase,
     preliminary_transform,
-    projection_difference,
     similarity_residual,
 )
 from .splitting import (
@@ -71,14 +68,11 @@ from .splitting import (
     split_system,
 )
 from .transforms import (
-    SmoothingBounds,
     TransformContext,
     block_diagonal,
     commutator_inverse,
     commutator_residual,
-    group_coupling,
     off_diagonal_part,
-    smoothing_norm_bounds,
 )
 from .verify import (
     SpectrumMatch,
@@ -88,7 +82,6 @@ from .verify import (
     match_spectra,
     oracle_eigenvalues,
     projection_compare,
-    tail_factor_inequality,
     tail_weight_check,
 )
 from .weighted import (
@@ -97,7 +90,6 @@ from .weighted import (
     decay_weights,
     factorize,
     select_coarsening,
-    weights_from_csv,
     weights_to_csv,
 )
 

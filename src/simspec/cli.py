@@ -174,17 +174,21 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
     trunc["interior_fraction"] = frac
     tols = cfg["tolerances"]
     tols["fixed_point_tol"] = _as_number(tols["fixed_point_tol"], "tolerances.fixed_point_tol", cfg_path)
-    _expect(tols["fixed_point_tol"] > 0.0, "'tolerances.fixed_point_tol' must be positive", cfg_path)
-    _expect(isinstance(tols["max_iter"], int) and tols["max_iter"] > 0,
+    # a looser stop cannot meet the 1e-10 diagonal identity check of the fixed point
+    _expect(0.0 < tols["fixed_point_tol"] <= 1e-10,
+            "'tolerances.fixed_point_tol' must be in (0, 1e-10]", cfg_path)
+    _expect(type(tols["max_iter"]) is int and tols["max_iter"] > 0,  # a bool is no count
             "'tolerances.max_iter' must be a positive integer", cfg_path)
     margin = _as_number(tols["contraction_margin"], "tolerances.contraction_margin", cfg_path)
-    _expect(0.0 < margin <= 1.0, "'tolerances.contraction_margin' must be in (0, 1]", cfg_path)
+    _expect(0.0 < margin < 1.0, "'tolerances.contraction_margin' must be in (0, 1)", cfg_path)
     tols["contraction_margin"] = margin
     if "fault_injection" in cfg:
         fi = cfg["fault_injection"]
         if "corrupt_v" in fi:
             fi["corrupt_v"] = _as_number(fi["corrupt_v"], "fault_injection.corrupt_v", cfg_path)
             _expect(fi["corrupt_v"] >= 0.0, "'fault_injection.corrupt_v' must be >= 0", cfg_path)
+    for key, path in cfg["output"].items():
+        _expect(isinstance(path, str), f"'output.{key}' must be a string", cfg_path)
     family = cfg["model"].get("family")
     _expect(family in MODELS, f"'model.family' must be one of {', '.join(sorted(MODELS))}", cfg_path)
     # dirac carries two coordinates per index, the other families one
@@ -241,6 +245,7 @@ def _coeffs_from_config(model_cfg: dict, base_dir: str, cfg_path, required: bool
     if inline is not None:
         return _parse_coeff_map(inline, "model.coeffs", cfg_path)
     if fname is not None:
+        _expect(isinstance(fname, str), "'model.coeffs_file' must be a string", cfg_path)
         return coeffs_from_csv(os.path.join(base_dir, fname))
     if required:
         raise ParseError("this model family needs 'model.coeffs' or 'model.coeffs_file'",
@@ -283,6 +288,8 @@ def build_model(cfg: dict, cfg_path=None):
         _expect(name in pots, f"'model.potentials.{name}' is required", cfg_path)
         entry = pots[name]
         if isinstance(entry, dict) and set(entry) == {"file"}:
+            _expect(isinstance(entry["file"], str),
+                    f"'model.potentials.{name}.file' must be a string", cfg_path)
             parsed[name] = coeffs_from_csv(os.path.join(base_dir, entry["file"]))
         else:
             parsed[name] = _parse_coeff_map(entry, f"model.potentials.{name}", cfg_path)
@@ -345,10 +352,8 @@ def run_pipeline(model, name: str, tols: dict) -> SimilarityResult:
     margin = tols["contraction_margin"]
     spectrum = model.spectrum
     b = model.perturbation
-    if name == "mt1":
-        return PIPELINES["mt1"](spectrum, b, tol=tol, max_iter=max_iter)
-    if name == "mt2":
-        return PIPELINES["mt2"](spectrum, b, tol=tol, max_iter=max_iter)
+    if name in ("mt1", "mt2"):
+        return PIPELINES[name](spectrum, b, tol=tol, max_iter=max_iter)
     if name == "mt3":
         return PIPELINES["mt3"](spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
     if name == "mt4":
@@ -900,10 +905,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(cfg, args.out, args.quiet)
         return cmd_split(cfg, args.out, args.quiet)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MethodConditionError as exc:

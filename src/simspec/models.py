@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ __all__ = [
     "dirac_model",
     "hill_model",
     "random_trig_coeffs",
-    "coeffs_to_csv",
     "coeffs_from_csv",
     "MODELS",
 ]
@@ -70,6 +70,9 @@ def _clean_coeffs(coeffs, what: str) -> dict:
     for k, z in dict(coeffs).items():
         kk = int(k)
         zz = complex(z)
+        # the models take index sums and products in floating point
+        if abs(kk) > sys.float_info.max:
+            raise InvalidInputError(f"a coefficient index in {what} exceeds the float range")
         if kk in out:
             raise InvalidInputError(f"duplicate coefficient {kk} in {what}")
         if zz != 0.0:
@@ -95,15 +98,6 @@ def random_trig_coeffs(rng, degree: int, scale: float = 1.0, real: bool = True) 
         w = complex(rng.standard_normal(), rng.standard_normal()) * scale
         out[-k] = z.conjugate() if real else w
     return out
-
-
-def coeffs_to_csv(coeffs: dict, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "re", "im"])
-        for k in sorted(coeffs):
-            z = complex(coeffs[k])
-            writer.writerow([k, repr(z.real), repr(z.imag)])
 
 
 def coeffs_from_csv(path) -> dict:
@@ -482,7 +476,7 @@ def hill_model(
     first = np.full(d, coeffs.get(0, 0.0 + 0.0j), dtype=complex)
     second = np.zeros(d, dtype=complex)
     support = sorted(k for k in coeffs if k != 0)
-    for i, n in enumerate(idx):
+    for i, n in enumerate(idx.tolist()):
         z = 0.0 + 0.0j
         for k in support:
             ell = n - k  # then n - ell = k runs over the support

@@ -20,22 +20,35 @@ bring the effective perturbation inside the contraction region; the
 coarse radius is chosen through the decay weights of the transformed
 perturbation.
 
-Pipelines, from cheap to heavy:
+Pipelines, from cheap to heavy, all ``(spectrum, b, *, ...)`` and all
+returning a ``SimilarityResult``; a failed certificate always raises:
 
-* ``pipeline_contraction``: single fixed point in the Frobenius norm.
-* ``pipeline_block_norm``: same, in the blockwise spectral norm.
-* ``pipeline_coarse``: preliminary transform, decay weights, coarse
-  fixed point in the weighted norm.
-* ``pipeline_rebase``: like pipeline_coarse, but between the stages the
-  free operator absorbs a designated diagonal part and the problem is
-  rewritten in its eigenbasis; handles perturbations whose diagonal
-  blocks are too large to treat as a perturbation.
+* ``pipeline_contraction(spectrum, b, *, tol, max_iter)``: single fixed
+  point in the Frobenius norm.
+* ``pipeline_block_norm(spectrum, b, *, tol, max_iter)``: same, in the
+  blockwise spectral norm.
+* ``pipeline_coarse(spectrum, b, *, margin, tol, max_iter)``: two stages
+  in one frame.
+* ``pipeline_rebase(spectrum, b, *, diag_part, margin, tol, max_iter)``:
+  two stages with a change of frame between them: the free operator
+  absorbs a designated diagonal part and stage two runs in its
+  eigenbasis; handles perturbations whose diagonal blocks are too large
+  to treat as a perturbation.
+
+The two-stage pipelines share their stages and differ only in the frame
+change.  Stage one scans for the least smoothing radius m with
+||GB||_op < 1 and applies the preliminary transform there.  Stage two
+builds the decay weights of the perturbation left over, selects the
+least coarse radius k whose weighted certificate clears the margin (k >=
+m for pipeline_coarse) and runs the weighted fixed point at k.  The
+result assembly composes U = G + U2 + G U2 and measures the similarity
+residual.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +56,9 @@ from .errors import (
     AssumptionViolationError,
     ConditionViolationError,
     ContractionViolationError,
-    DegenerateWeightError,
     InvalidInputError,
     InvariantBreachError,
     NonConvergenceError,
-    NotInvertibleError,
     PartitionMismatchError,
 )
 from .opmatrix import (
@@ -64,7 +75,7 @@ from .transforms import (
     commutator_inverse,
     off_diagonal_part,
 )
-from .weighted import WeightSequence, decay_weights, factorize, select_coarsening
+from .weighted import decay_weights, factorize, select_coarsening
 
 __all__ = [
     "FixedPointResult",
@@ -77,8 +88,6 @@ __all__ = [
     "similarity_residual",
     "diagonal_asymptotics",
     "block_eigenvalue_estimates",
-    "projection_difference",
-    "equiconvergence_bound",
     "pipeline_contraction",
     "pipeline_block_norm",
     "pipeline_coarse",
@@ -130,14 +139,13 @@ def fixed_point(
     norm_name: str,
     tol: float = 1e-12,
     max_iter: int = 200,
-    enforce: bool = True,
 ) -> FixedPointResult:
     """Iterate Phi from X0 = 0 until the step norm stalls below `tol`.
 
-    The a priori certificate is q = 4 * gamma * ||B|| < 1; with
-    ``enforce`` the iteration refuses to start without it.  Convergence
-    lands X* in the ball ||X* - B|| <= 3 ||B||, and the diagonal
-    identity J X* = J(B G X*) + J B holds exactly; both are re-checked.
+    The a priori certificate is q = 4 * gamma * ||B|| < 1; the iteration
+    refuses to start without it.  Convergence lands X* in the ball
+    ||X* - B|| <= 3 ||B||, and the diagonal identity
+    J X* = J(B G X*) + J B holds exactly; both are re-checked.
     """
     norm_b = norm_fn(b)
     q_bound = 4.0 * gamma * norm_b
@@ -148,7 +156,7 @@ def fixed_point(
         "contraction_q": float(q_bound),
         "satisfied": bool(q_bound < 1.0),
     }
-    if enforce and not q_bound < 1.0:
+    if not q_bound < 1.0:
         raise ContractionViolationError(
             f"contraction certificate fails: 4 * gamma * norm = {q_bound!r} >= 1"
         )
@@ -174,12 +182,11 @@ def fixed_point(
         )
     certificate["observed_ratio"] = float(ratio)
 
-    if enforce:
-        drift = norm_fn(x - b)
-        if drift > 3.0 * norm_b * (1.0 + _BALL_SLACK):
-            raise InvariantBreachError(
-                f"fixed point left the guaranteed ball: {drift!r} > 3 * {norm_b!r}"
-            )
+    drift = norm_fn(x - b)
+    if drift > 3.0 * norm_b * (1.0 + _BALL_SLACK):
+        raise InvariantBreachError(
+            f"fixed point left the guaranteed ball: {drift!r} > 3 * {norm_b!r}"
+        )
     resid = (
         block_diagonal(ctx, x)
         - block_diagonal(ctx, b @ commutator_inverse(ctx, x))
@@ -200,7 +207,6 @@ class PreliminaryResult:
     smoother: BlockMatrix
     diagonal: BlockMatrix
     remainder: BlockMatrix
-    inverse: BlockMatrix
     smoother_op_norm: float
     residual: float
 
@@ -229,7 +235,7 @@ def preliminary_transform(
     lhs = lam[:, None] * eye_g - b.data @ eye_g
     rhs = eye_g * lam[None, :] - eye_g @ (jb.data + b0.data)
     residual = float(np.linalg.norm(lhs - rhs))
-    return PreliminaryResult(g, jb, b0, inv, float(gop), residual)
+    return PreliminaryResult(g, jb, b0, float(gop), residual)
 
 
 # -- result assembly ------------------------------------------------------
@@ -251,10 +257,6 @@ class AsymptoticSequences:
     labels: np.ndarray
     first_order: np.ndarray
     second_order: np.ndarray
-
-    def eigenvalue_estimates(self, spectrum: Spectrum) -> np.ndarray:
-        lam = np.array([spectrum.value_of(int(n)) for n in self.labels])
-        return lam - self.first_order - self.second_order
 
 
 def diagonal_asymptotics(b: BlockMatrix) -> AsymptoticSequences | None:
@@ -322,81 +324,27 @@ def block_eigenvalue_estimates(spectrum: Spectrum, partition: Partition, v: Bloc
 class SimilarityResult:
     pipeline: str
     spectrum: Spectrum
-    stage_partition: Partition
     u: BlockMatrix
     v: BlockMatrix
-    x_star: BlockMatrix
     certificates: dict
     iterations: dict
     residual: float
     residual_scale: float
     offdiag_residual: float
     eigenvalue_estimates: list
-    asymptotics: AsymptoticSequences | None
-    stages: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    stages: list
 
 
 def _residual_scale(spectrum: Spectrum, b: BlockMatrix) -> float:
     return float(np.abs(spectrum.position_values).max() + b.hs())
 
 
-# -- projections and equiconvergence --------------------------------------
-
-
-def _tail_projection(spectrum: Spectrum, level: int) -> np.ndarray:
-    lev = np.abs(spectrum.indices[spectrum.position_entry])
-    return (lev >= level).astype(float)
-
-
-def projection_difference(result: SimilarityResult, level: int) -> BlockMatrix:
-    """P' - P for the tail projection onto indices |n| >= level.
-
-    P' is the corresponding spectral projection of A - B, obtained by
-    conjugating P with I + U; the identity used is
-    P' - P = (U P - P U)(I + U)^-1.
-    """
-    spec = result.spectrum
-    if level < 1:
-        raise InvalidInputError("tail level must be >= 1")
-    p = _tail_projection(spec, level)
-    u = result.u.data
-    eye_u = np.eye(spec.dim) + u
-    cond = np.linalg.cond(eye_u)
-    if not math.isfinite(cond) or cond > 1e12:
-        raise NotInvertibleError("I + U is numerically singular", cond=float(cond))
-    diff = (u * p[None, :] - p[:, None] * u) @ np.linalg.inv(eye_u)
-    return BlockMatrix.from_dense(Partition.trivial(spec), diff)
-
-
-def equiconvergence_bound(result: SimilarityResult, w: WeightSequence, level: int) -> dict:
-    """Tail projection comparison: measured difference against its bound.
-
-    The bound 2 ||U||_w alpha_level / (1 - ||U||_sigma) needs U inside
-    the weighted class and ||U||_sigma < 1; otherwise it is reported as
-    infinite and only the measured side is meaningful.
-    """
-    diff = projection_difference(result, level)
-    lhs = diff.hs_sigma()
-    base = Partition.trivial(result.spectrum)
-    u_base = _move(result.u, base)
-    u_sigma = u_base.hs_sigma()
-    try:
-        u_weighted = factorize(u_base, w).norm
-    except DegenerateWeightError:
-        u_weighted = math.inf
-    alpha = w.alpha_of(level)
-    if u_sigma < 1.0 and math.isfinite(u_weighted):
-        rhs = 2.0 * u_weighted * alpha / (1.0 - u_sigma)
-    else:
-        rhs = math.inf
+def _fixed_point_stage(fp: FixedPointResult) -> dict:
     return {
-        "level": int(level),
-        "measured": float(lhs),
-        "bound": float(rhs),
-        "u_weighted_norm": float(u_weighted),
-        "u_sigma_norm": float(u_sigma),
-        "alpha": float(alpha),
+        "name": "fixed_point",
+        "iterations": fp.iterations,
+        "certificate": fp.certificate,
+        "identity_residual": fp.identity_residual,
     }
 
 
@@ -406,45 +354,36 @@ def equiconvergence_bound(result: SimilarityResult, w: WeightSequence, level: in
 def _single_stage(
     spectrum: Spectrum,
     b: BlockMatrix,
-    partition: Partition,
     *,
     pipeline: str,
-    gamma: float,
+    gamma,
     norm_fn,
     norm_name: str,
     tol: float,
     max_iter: int,
-    enforce: bool,
 ) -> SimilarityResult:
-    ctx = TransformContext(partition)
-    bb = _move(b, partition)
+    """One fixed point on the index-per-group partition; ``gamma`` maps
+    its transform context to the norm bound of G."""
+    ctx = TransformContext(Partition.trivial(spectrum))
+    bb = _move(b, ctx.partition)
     fp = fixed_point(
-        bb, ctx, gamma=gamma, norm_fn=norm_fn, norm_name=norm_name,
-        tol=tol, max_iter=max_iter, enforce=enforce,
+        bb, ctx, gamma=gamma(ctx), norm_fn=norm_fn, norm_name=norm_name,
+        tol=tol, max_iter=max_iter,
     )
     u = commutator_inverse(ctx, fp.x_star)
     v = block_diagonal(ctx, fp.x_star)
-    residual = similarity_residual(spectrum, bb, u, v)
     return SimilarityResult(
         pipeline=pipeline,
         spectrum=spectrum,
-        stage_partition=partition,
         u=u,
         v=v,
-        x_star=fp.x_star,
         certificates={"contraction": fp.certificate},
         iterations={"fixed_point": fp.iterations},
-        residual=residual,
+        residual=similarity_residual(spectrum, bb, u, v),
         residual_scale=_residual_scale(spectrum, bb),
         offdiag_residual=off_diagonal_part(ctx, v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(spectrum, partition, v),
-        asymptotics=diagonal_asymptotics(bb),
-        stages=[{
-            "name": "fixed_point",
-            "iterations": fp.iterations,
-            "certificate": fp.certificate,
-            "identity_residual": fp.identity_residual,
-        }],
+        eigenvalue_estimates=block_eigenvalue_estimates(spectrum, ctx.partition, v),
+        stages=[_fixed_point_stage(fp)],
     )
 
 
@@ -454,53 +393,49 @@ def pipeline_contraction(
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-    enforce: bool = True,
 ) -> SimilarityResult:
     """One fixed point on the index-per-group partition, Frobenius norm.
 
     Certificate: 4 ||B||_hs / delta < 1 with delta the least eigenvalue
     gap.
     """
-    base = Partition.trivial(spectrum)
-    ctx = TransformContext(base)
     return _single_stage(
-        spectrum, b, base,
+        spectrum, b,
         pipeline="mt1",
-        gamma=1.0 / ctx.delta,
+        gamma=lambda ctx: 1.0 / ctx.delta,
         norm_fn=lambda z: z.hs(),
         norm_name="hs",
-        tol=tol, max_iter=max_iter, enforce=enforce,
+        tol=tol, max_iter=max_iter,
     )
 
 
 def pipeline_block_norm(
     spectrum: Spectrum,
     b: BlockMatrix,
-    partition: Partition | None = None,
     *,
     tol: float = 1e-12,
     max_iter: int = 200,
-    enforce: bool = True,
 ) -> SimilarityResult:
     """Fixed point in the blockwise spectral norm; certificate through
     the inverse square gap sum instead of the worst single gap."""
-    part = Partition.trivial(spectrum) if partition is None else partition
-    ctx = TransformContext(part)
     return _single_stage(
-        spectrum, b, part,
+        spectrum, b,
         pipeline="mt2",
-        gamma=math.sqrt(ctx.eta),
+        gamma=lambda ctx: math.sqrt(ctx.eta),
         norm_fn=lambda z: z.hs_sigma(),
         norm_name="hs_sigma",
-        tol=tol, max_iter=max_iter, enforce=enforce,
+        tol=tol, max_iter=max_iter,
     )
 
 
-def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix, start: int):
+# -- two-stage pipelines -----------------------------------------------------
+
+
+def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
     """Smallest coarse radius with ||GB||_op < 1, plus the scan log."""
     kmax = int(np.abs(spectrum.indices).max())
     scan = []
-    for m in range(start, kmax + 1):
+    for m in range(kmax + 1):
         part = Partition.coarse(spectrum, m)
         ctx = TransformContext(part)
         g = commutator_inverse(ctx, _move(b, part))
@@ -510,8 +445,107 @@ def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix, start: int):
             return m, ctx, g, scan
     raise ConditionViolationError(
         "no coarsening radius makes the preliminary transform contractive",
-        lhs=scan[-1]["smoother_op_norm"] if scan else math.inf,
+        lhs=scan[-1]["smoother_op_norm"],
         rhs=1.0,
+    )
+
+
+@dataclass
+class _StageOne:
+    """Preliminary similarity I + GB at the smallest smoothing radius."""
+
+    b: BlockMatrix  # B on the trivial partition
+    radius: int
+    ctx: TransformContext
+    prelim: PreliminaryResult
+    certificate: dict
+    stages: list
+
+
+def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
+    bb = _move(b, Partition.trivial(spectrum))
+    m, ctx_m, g, scan = _scan_smoothing_radius(spectrum, bb)
+    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, smoother=g)
+    certificate = {"radius": m, "smoother_op_norm": prelim.smoother_op_norm}
+    stages = [
+        {"name": "smoothing_scan", "scan": scan},
+        {"name": "preliminary", **certificate, "residual": prelim.residual},
+    ]
+    return _StageOne(bb, m, ctx_m, prelim, certificate, stages)
+
+
+@dataclass
+class _StageTwo:
+    """Weighted fixed point X* on the coarse partition at radius k."""
+
+    ctx: TransformContext
+    fp: FixedPointResult
+    selection: dict
+    u: BlockMatrix  # G X*
+    v: BlockMatrix  # J X*
+    stages: list
+
+
+def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float,
+               max_iter: int) -> _StageTwo:
+    """Decay weights of Q, the least radius k >= start that certifies
+    contraction, and the fixed point for Q at k in the weighted norm."""
+    w = decay_weights(q)
+    k, selection = select_coarsening(q, w, margin=margin, start=start)
+    ctx_k = TransformContext(Partition.coarse(q.partition.spectrum, k))
+    fp = fixed_point(
+        _move(q, ctx_k.partition), ctx_k,
+        gamma=w.gamma(k),
+        norm_fn=lambda z: factorize(z, w).norm,
+        norm_name="weighted",
+        tol=tol, max_iter=max_iter,
+    )
+    u2 = commutator_inverse(ctx_k, fp.x_star)
+    v2 = block_diagonal(ctx_k, fp.x_star)
+    stages = [{"name": "coarsening", **selection}, _fixed_point_stage(fp)]
+    return _StageTwo(ctx_k, fp, selection, u2, v2, stages)
+
+
+def _two_stage_result(
+    pipeline: str,
+    spectrum: Spectrum,
+    one: _StageOne,
+    two: _StageTwo,
+    u2: BlockMatrix,
+    v: BlockMatrix,
+    *,
+    labels: list | None = None,
+    frame_certificates: dict | None = None,
+    frame_stages: list | None = None,
+) -> SimilarityResult:
+    """Assemble U = G + U2 + G U2 and the result of a two-stage run.
+
+    ``u2`` and ``v`` are the stage-two U and V in the frame of A; the
+    estimates and the off-diagonal residual are read in the stage-two
+    frame from ``two``, whose positions are tagged by ``labels``.
+    """
+    base = one.b.partition
+    g = _move(one.prelim.smoother, base)
+    u2 = _move(u2, base)
+    u = g + u2 + g @ u2
+    return SimilarityResult(
+        pipeline=pipeline,
+        spectrum=spectrum,
+        u=u,
+        v=v,
+        certificates={
+            "smoothing": one.certificate,
+            **(frame_certificates or {}),
+            "coarsening": two.selection,
+            "contraction": two.fp.certificate,
+        },
+        iterations={"fixed_point": two.fp.iterations},
+        residual=similarity_residual(spectrum, one.b, u, _move(v, base)),
+        residual_scale=_residual_scale(spectrum, one.b),
+        offdiag_residual=off_diagonal_part(two.ctx, two.v).hs(),
+        eigenvalue_estimates=block_eigenvalue_estimates(
+            two.ctx.spectrum, two.ctx.partition, two.v, labels=labels),
+        stages=[*one.stages, *(frame_stages or []), *two.stages],
     )
 
 
@@ -522,8 +556,6 @@ def pipeline_coarse(
     margin: float = 0.9,
     tol: float = 1e-12,
     max_iter: int = 200,
-    smoothing_start: int = 0,
-    coarsening: int | None = None,
 ) -> SimilarityResult:
     """Two stages: preliminary transform at radius m, then a weighted
     coarse fixed point at radius k >= m.
@@ -532,91 +564,22 @@ def pipeline_coarse(
     own coarsening at least as coarse as stage one so the stage-one
     diagonal survives the stage-two projection.
     """
-    base = Partition.trivial(spectrum)
-    bb = _move(b, base)
-    m, ctx_m, g, scan = _scan_smoothing_radius(spectrum, bb, smoothing_start)
-    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, smoother=g)
-
-    q_mat = _move(prelim.diagonal + prelim.remainder, base)
-    w = decay_weights(q_mat)
-    if coarsening is None:
-        k, selection = select_coarsening(q_mat, w, margin=margin, start=m)
-    else:
-        if coarsening < m:
-            raise InvalidInputError(
-                f"stage-two radius {coarsening} must be >= stage-one radius {m}"
-            )
-        k = coarsening
-        selection = {
-            "radius": k,
-            "gamma": w.gamma(k),
-            "weighted_norm": factorize(q_mat, w).norm,
-            "contraction_q": 4.0 * w.gamma(k) * factorize(q_mat, w).norm,
-            "margin": margin,
-            "forced": True,
-        }
-    ctx_k = TransformContext(Partition.coarse(spectrum, k))
-    qk = _move(q_mat, ctx_k.partition)
-    fp = fixed_point(
-        qk, ctx_k,
-        gamma=w.gamma(k),
-        norm_fn=lambda z: factorize(z, w).norm,
-        norm_name="weighted",
-        tol=tol, max_iter=max_iter,
-    )
-
-    u2 = commutator_inverse(ctx_k, fp.x_star)
-    g_base = _move(g, base)
-    u2_base = _move(u2, base)
-    u = g_base + u2_base + g_base @ u2_base
-    v = block_diagonal(ctx_k, fp.x_star)
+    one = _stage_one(spectrum, b)
+    base = one.b.partition
+    prelim = one.prelim
+    two = _stage_two(_move(prelim.diagonal + prelim.remainder, base),
+                     start=one.radius, margin=margin, tol=tol, max_iter=max_iter)
 
     # the stage-one diagonal must survive inside V:
     # V = JB|_m + (B0 (I + G_k X*)) projected onto the coarse blocks
+    ctx_k = two.ctx
     b0_k = _move(prelim.remainder, base).coarsen(ctx_k.partition)
     jb_k = _move(prelim.diagonal, base).coarsen(ctx_k.partition)
-    v_alt = jb_k + block_diagonal(ctx_k, b0_k @ (BlockMatrix.identity(ctx_k.partition) + u2))
-    cross = (v - v_alt).hs()
-    if cross > 1e-8 * max(1.0, v.hs()):
+    v_alt = jb_k + block_diagonal(ctx_k, b0_k @ (BlockMatrix.identity(ctx_k.partition) + two.u))
+    cross = (two.v - v_alt).hs()
+    if cross > 1e-8 * max(1.0, two.v.hs()):
         raise InvariantBreachError(f"diagonal reconstruction mismatch {cross!r}")
-
-    residual = similarity_residual(spectrum, bb, _move(u, base), _move(v, base))
-    return SimilarityResult(
-        pipeline="mt3",
-        spectrum=spectrum,
-        stage_partition=ctx_k.partition,
-        u=u,
-        v=v,
-        x_star=fp.x_star,
-        certificates={
-            "smoothing": {"radius": m, "smoother_op_norm": prelim.smoother_op_norm},
-            "coarsening": selection,
-            "contraction": fp.certificate,
-        },
-        iterations={"fixed_point": fp.iterations},
-        residual=residual,
-        residual_scale=_residual_scale(spectrum, bb),
-        offdiag_residual=off_diagonal_part(ctx_k, v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(spectrum, ctx_k.partition, v),
-        asymptotics=diagonal_asymptotics(bb),
-        stages=[
-            {"name": "smoothing_scan", "scan": scan},
-            {
-                "name": "preliminary",
-                "radius": m,
-                "smoother_op_norm": prelim.smoother_op_norm,
-                "residual": prelim.residual,
-            },
-            {"name": "coarsening", **selection},
-            {
-                "name": "fixed_point",
-                "iterations": fp.iterations,
-                "certificate": fp.certificate,
-                "identity_residual": fp.identity_residual,
-            },
-        ],
-        extras={"weights": w, "diagonal_cross_check": float(cross)},
-    )
+    return _two_stage_result("mt3", spectrum, one, two, two.u, two.v)
 
 
 # -- rebase pipeline -------------------------------------------------------
@@ -728,8 +691,6 @@ def pipeline_rebase(
     margin: float = 0.9,
     tol: float = 1e-12,
     max_iter: int = 200,
-    smoothing_start: int = 0,
-    coarsening: int | None = None,
 ) -> SimilarityResult:
     """Two-stage pipeline with an eigenbasis change between the stages.
 
@@ -740,100 +701,27 @@ def pipeline_rebase(
     contiguous indices, and the coarse weighted fixed point runs there.
     Results are pulled back to the original frame.
     """
-    base = Partition.trivial(spectrum)
-    bb = _move(b, base)
-    m, ctx_m, g, scan = _scan_smoothing_radius(spectrum, bb, smoothing_start)
-    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, smoother=g)
-
-    if diag_part is None:
-        d = prelim.diagonal
-    else:
-        d = _move(diag_part, ctx_m.partition)
-    tilde, push, pull, frame_info, pos_perm = _rebase_frame(spectrum, ctx_m, d)
+    one = _stage_one(spectrum, b)
+    base = one.b.partition
+    prelim = one.prelim
+    d = prelim.diagonal if diag_part is None else _move(diag_part, one.ctx.partition)
+    tilde, push, pull, frame_info, pos_perm = _rebase_frame(spectrum, one.ctx, d)
 
     hat_dense = push((prelim.diagonal - d + prelim.remainder).data)
-    tilde_base = Partition.trivial(tilde)
-    b_hat = BlockMatrix.from_dense(tilde_base, hat_dense)
+    b_hat = BlockMatrix.from_dense(Partition.trivial(tilde), hat_dense)
+    two = _stage_two(b_hat, start=0, margin=margin, tol=tol, max_iter=max_iter)
 
-    w = decay_weights(b_hat)
-    if coarsening is None:
-        k, selection = select_coarsening(b_hat, w, margin=margin)
-    else:
-        k = coarsening
-        selection = {
-            "radius": k,
-            "gamma": w.gamma(k),
-            "weighted_norm": factorize(b_hat, w).norm,
-            "contraction_q": 4.0 * w.gamma(k) * factorize(b_hat, w).norm,
-            "margin": margin,
-            "forced": True,
-        }
-    ctx_k = TransformContext(Partition.coarse(tilde, k))
-    fp = fixed_point(
-        _move(b_hat, ctx_k.partition), ctx_k,
-        gamma=w.gamma(k),
-        norm_fn=lambda z: factorize(z, w).norm,
-        norm_name="weighted",
-        tol=tol, max_iter=max_iter,
-    )
-    u2_hat = commutator_inverse(ctx_k, fp.x_star)
-    v_hat = block_diagonal(ctx_k, fp.x_star)
-
-    u2 = BlockMatrix.from_dense(base, pull(u2_hat.data))
-    g_base = _move(g, base)
-    u = g_base + u2 + g_base @ u2
-
-    lam_tilde = tilde.position_values
-    a_minus_v_hat = np.diag(lam_tilde) - v_hat.data
+    u2 = BlockMatrix.from_dense(base, pull(two.u.data))
+    a_minus_v_hat = np.diag(tilde.position_values) - two.v.data
     v = BlockMatrix.from_dense(base, np.diag(spectrum.position_values) - pull(a_minus_v_hat))
-
-    residual = similarity_residual(spectrum, bb, u, v)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
     source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in pos_perm]
-    estimates = block_eigenvalue_estimates(tilde, ctx_k.partition, v_hat, labels=source)
-    return SimilarityResult(
-        pipeline="mt4",
-        spectrum=spectrum,
-        stage_partition=ctx_k.partition,
-        u=u,
-        v=v,
-        x_star=fp.x_star,
-        certificates={
-            "smoothing": {"radius": m, "smoother_op_norm": prelim.smoother_op_norm},
-            "rebase": frame_info,
-            "coarsening": selection,
-            "contraction": fp.certificate,
-        },
-        iterations={"fixed_point": fp.iterations},
-        residual=residual,
-        residual_scale=_residual_scale(spectrum, bb),
-        offdiag_residual=off_diagonal_part(ctx_k, v_hat).hs(),
-        eigenvalue_estimates=estimates,
-        asymptotics=diagonal_asymptotics(bb),
-        stages=[
-            {"name": "smoothing_scan", "scan": scan},
-            {
-                "name": "preliminary",
-                "radius": m,
-                "smoother_op_norm": prelim.smoother_op_norm,
-                "residual": prelim.residual,
-            },
-            {"name": "rebase", **frame_info, "new_dim": int(tilde.dim)},
-            {"name": "coarsening", **selection},
-            {
-                "name": "fixed_point",
-                "iterations": fp.iterations,
-                "certificate": fp.certificate,
-                "identity_residual": fp.identity_residual,
-            },
-        ],
-        extras={
-            "weights": w,
-            "tilde_spectrum": tilde,
-            "v_hat": v_hat,
-            "frame": frame_info,
-        },
+    return _two_stage_result(
+        "mt4", spectrum, one, two, u2, v,
+        labels=source,
+        frame_certificates={"rebase": frame_info},
+        frame_stages=[{"name": "rebase", **frame_info, "new_dim": int(tilde.dim)}],
     )
 
 

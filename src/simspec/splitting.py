@@ -243,18 +243,17 @@ def split_eigenpair(
     *,
     tol: float = 1e-13,
     max_iter: int = 200,
-    enforce: bool = True,
 ) -> SplitResult:
     """Correct e_k into an eigenvector of the truncated problem.
 
-    The window certificate is computed here.  With ``enforce`` the
-    iteration refuses to run past a failed certificate, raising with
-    both sides of the condition.
+    The window certificate is computed here; the iteration refuses to
+    run past a failed certificate, raising with both sides of the
+    condition.
     """
     op = split_system(spectrum, b, k)
     bounds = split_certificate(op)
     cert = bounds.certificate
-    if enforce and not cert["satisfied"]:
+    if not cert["satisfied"]:
         raise ConditionViolationError(
             "splitting certificate failed: m + 2 sqrt(n) > 1",
             lhs=cert["lhs"],

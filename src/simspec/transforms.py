@@ -16,9 +16,6 @@ table.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -31,13 +28,10 @@ from .opmatrix import (
 
 __all__ = [
     "TransformContext",
-    "SmoothingBounds",
     "block_diagonal",
     "off_diagonal_part",
     "commutator_inverse",
     "commutator_residual",
-    "group_coupling",
-    "smoothing_norm_bounds",
 ]
 
 
@@ -119,36 +113,3 @@ def commutator_residual(ctx: TransformContext, x: BlockMatrix) -> float:
     lhs = lam[:, None] * y.data - y.data * lam[None, :]
     rhs = off_diagonal_part(ctx, x).data
     return float(np.linalg.norm(lhs - rhs))
-
-
-def group_coupling(ctx: TransformContext, row_label: int, col_label: int) -> float:
-    """Coupling constant between two groups.
-
-    The square root of the worst inverse-square gap sum seen from any
-    eigenvalue of the column group towards all eigenvalues of the row
-    group: ``sqrt(max_{l in col} sum_{j in row} |lambda_j - l|^-2)``.
-    """
-    part = ctx.partition
-    if row_label == col_label:
-        raise InvalidInputError("coupling is defined for distinct groups")
-    spec = ctx.spectrum
-    rows = np.array([spec.value_of(i) for i in part.group_indices(row_label)])
-    cols = np.array([spec.value_of(i) for i in part.group_indices(col_label)])
-    inv_sq = 1.0 / np.abs(rows[:, None] - cols[None, :]) ** 2
-    return float(math.sqrt(inv_sq.sum(axis=0).max()))
-
-
-@dataclass(frozen=True)
-class SmoothingBounds:
-    """Norm bounds for the commutator inverse.
-
-    ``sqrt_eta`` bounds its norm on operator-norm classes and on the
-    block norm; ``inv_delta`` bounds it on the Frobenius norm.
-    """
-
-    sqrt_eta: float
-    inv_delta: float
-
-
-def smoothing_norm_bounds(ctx: TransformContext) -> SmoothingBounds:
-    return SmoothingBounds(math.sqrt(ctx.eta), 1.0 / ctx.delta)

@@ -30,7 +30,6 @@ __all__ = [
     "match_spectra",
     "tail_weight_check",
     "projection_compare",
-    "tail_factor_inequality",
     "SpectrumReport",
     "build_spectrum_report",
 ]
@@ -100,6 +99,11 @@ def polynomial_roots(coeffs: np.ndarray, tol: float = 1e-14, max_iter: int = 200
         z = z - step
         if float(np.abs(step).max()) <= tol * (1.0 + float(np.abs(z).max())):
             return z
+    # the step test can ask for more than rounding allows: iterates whose
+    # residual is within the rounding bound of Horner's rule are converged
+    floor = 4 * n * np.finfo(float).eps * np.polyval(np.abs(coeffs), np.abs(z))
+    if np.all(np.abs(np.polyval(coeffs, z)) <= floor):
+        return z
     raise OracleFailureError("polynomial root iteration did not converge")
 
 
@@ -120,9 +124,10 @@ def oracle_eigenvalues(a, cross_check: bool = True) -> np.ndarray:
     """Eigenvalue multiset of a dense complex matrix, sorted by (re, im).
 
     The spectrum comes from LAPACK's zgeev (backward stable); a LAPACK
-    failure is an oracle failure.  Dimension <= 8 runs the polynomial
-    oracle as well and any disagreement beyond 1e-10 (scaled) is an
-    oracle failure.
+    failure is an oracle failure.  Dimension <= 8 also builds the
+    characteristic polynomial by the trace recursion, and a coefficient
+    of prod(lambda - vals) off by more than 1e-10 of its scale,
+    C(n, k) max(1, max|vals|)^k, is an oracle failure.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -139,13 +144,13 @@ def oracle_eigenvalues(a, cross_check: bool = True) -> np.ndarray:
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     if cross_check and 2 <= n <= _CROSS_CHECK_DIM:
-        alt = charpoly_eigenvalues(a)
-        m = match_spectra(vals, alt)
+        # compare polynomials, not roots: the coefficients stay well
+        # conditioned where clustered or defective roots do not
         scale = max(1.0, float(np.abs(vals).max()))
-        if m.max_abs_deviation > _DUAL_TOL * scale:
-            raise OracleFailureError(
-                f"oracles disagree by {m.max_abs_deviation:.3e} at dimension {n}"
-            )
+        size = scale ** np.arange(n + 1) * np.array([math.comb(n, k) for k in range(n + 1)])
+        dev = float((np.abs(np.poly(vals) - charpoly_coefficients(a)) / size).max())
+        if dev > _DUAL_TOL:
+            raise OracleFailureError(f"oracles disagree by {dev:.3e} at dimension {n}")
     return vals
 
 
@@ -266,23 +271,6 @@ def projection_compare(
         "alpha_sigma": float(alpha_sigma),
         "identity_consistency": consistency,
     }
-
-
-def tail_factor_inequality(
-    u: BlockMatrix,
-    partition: Partition,
-    sigma_group,
-    alpha_sigma: float,
-    weighted_norm: float,
-) -> dict:
-    """max(||U P||, ||P U||) <= alpha_sigma * ||U||_w in the block norm."""
-    spec = partition.spectrum
-    p = _group_projection_diag(spec, sigma_group)
-    up = BlockMatrix(partition, u.data * p[None, :]).hs_sigma()
-    pu = BlockMatrix(partition, p[:, None] * u.data).hs_sigma()
-    lhs = max(up, pu)
-    rhs = alpha_sigma * weighted_norm
-    return {"lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs <= rhs + 1e-12)}
 
 
 # -- spectrum report -----------------------------------------------------------

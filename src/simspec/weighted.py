@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     DegenerateWeightError,
     InvalidInputError,
-    ParseError,
     WindowTooSmallError,
 )
 from .opmatrix import BlockMatrix, Partition, Spectrum, gap_inverse_square_sum
@@ -42,7 +41,6 @@ __all__ = [
     "factorize",
     "select_coarsening",
     "weights_to_csv",
-    "weights_from_csv",
 ]
 
 
@@ -257,33 +255,3 @@ def weights_to_csv(w: WeightSequence, path):
             writer.writerow(
                 [h, repr(float(w.alpha[h])), repr(float(w.alpha_prime[h])), repr(float(tilde[h]))]
             )
-
-
-def weights_from_csv(path) -> dict:
-    """Read a weight table back as plain arrays (round-trip checking)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if ln == 1 and row and row[0].strip() == "level":
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", path=path, line=ln)
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise ParseError(f"bad field: {exc}", path=path, line=ln) from None
-    if not rows:
-        raise ParseError("empty weight table", path=path)
-    rows.sort()
-    levels = [r[0] for r in rows]
-    if levels != list(range(len(levels))):
-        raise ParseError("levels must cover 0..K exactly once", path=path)
-    return {
-        "level": np.array(levels),
-        "alpha": np.array([r[1] for r in rows]),
-        "alpha_prime": np.array([r[2] for r in rows]),
-        "alpha_tilde": np.array([r[3] for r in rows]),
-    }

@@ -1,9 +1,12 @@
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from simspec.cli import (
     _svg_scatter,
@@ -371,3 +374,118 @@ class TestVerifyCommand:
         a = (tmp_path / "a" / "verify_report.json").read_bytes()
         b = (tmp_path / "b" / "verify_report.json").read_bytes()
         assert a == b
+
+
+# -- config fuzzing --------------------------------------------------------------
+
+_HILL = {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.5, "-1": 0.5}}
+_POT = {"0": 0.1, "1": 0.05, "-1": 0.05}
+
+_SMALL = st.floats(-50.0, 50.0)
+_PAIRS = st.lists(_SMALL, min_size=2, max_size=2)
+
+
+@st.composite
+def _configs(draw):
+    def pick(valid, invalid):
+        # mostly a valid value, now and then one the CLI has to refuse or survive
+        return draw(invalid if draw(st.sampled_from(range(10))) == 9 else valid)
+
+    def coeffs():
+        return {str(pick(st.integers(-8, 8), st.sampled_from([10**20, -10**25, 10**400]))):
+                pick(st.one_of(_SMALL, _PAIRS), st.floats(allow_nan=False))
+                for _ in range(draw(st.integers(0, 3)))}
+
+    # v.csv is a valid coefficient file, bad.csv a malformed one, missing.csv absent
+    files = st.sampled_from(["bad.csv", "missing.csv", 3, None, ["v.csv"]])
+    family = draw(st.sampled_from(["kernel", "involution", "hill", "dirac"]))
+    model = {"family": family}
+    if family in ("involution", "hill"):
+        model["theta"] = draw(st.floats(-2.0, 2.0))
+        if draw(st.booleans()):
+            model["coeffs"] = coeffs()
+        else:
+            model["coeffs_file"] = pick(st.just("v.csv"), files)
+    elif family == "dirac":
+        model["gauge"] = draw(st.booleans())
+        model["potentials"] = {
+            name: coeffs() if draw(st.booleans()) else {"file": pick(st.just("v.csv"), files)}
+            for name in ("v1", "v2", "v3", "v4")
+        }
+    # output paths are relative to the output directory, where missing/ does not exist
+    outputs = st.sampled_from(["missing/x", "", 1, False, None])
+    output = {key: pick(st.just(name), outputs)
+              for key, name in (("report", "r.json"), ("csv_dir", "series"), ("svg", "s.svg"))
+              if draw(st.booleans())}
+    return {
+        "model": model,
+        "truncation": {"half_width": draw(st.integers(2, 6))},
+        "pipeline": draw(st.sampled_from(["auto", "mt1", "mt2", "mt3", "mt4", "split"])),
+        "split_k": pick(st.integers(-8, 8), st.integers(-10**25, 10**25)),
+        "tolerances": {
+            "fixed_point_tol": pick(st.floats(1e-14, 1e-10), st.sampled_from([0.0, 1e-3, "x"])),
+            "max_iter": pick(st.integers(1, 60), st.sampled_from([0, 2.5, True])),
+            "contraction_margin": pick(st.floats(0.01, 0.99), st.sampled_from([0.0, 1.0, 1.5])),
+        },
+        "oracle": draw(st.booleans()),
+        "output": output,
+    }
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["analyze", "split"]), cfg=_configs())
+@example(command="analyze", cfg={"model": {"family": "hill", "theta": 0.5, "coeffs_file": "missing.csv"}})
+@example(command="split", cfg={"model": {"family": "hill", "theta": 0.5, "coeffs_file": 3}})
+@example(command="analyze", cfg={"model": {"family": "dirac", "potentials": {
+    "v1": {"file": "missing.csv"}, "v2": _POT, "v3": _POT, "v4": _POT}}})
+@example(command="analyze", cfg={"model": {"family": "dirac", "potentials": {
+    "v1": {"file": ["v.csv"]}, "v2": _POT, "v3": _POT, "v4": _POT}}})
+@example(command="analyze", cfg={"model": _HILL, "output": {"report": 1}})
+@example(command="analyze", cfg={"model": _HILL, "output": {"csv_dir": False}})
+@example(command="analyze", cfg={"model": _HILL, "output": {"svg": None}})
+@example(command="split", cfg={"model": _HILL, "output": {"report": "missing/x.json"}})
+@example(command="analyze", cfg={"model": _HILL, "output": {"svg": "missing/x.svg"}})
+@example(command="analyze", cfg={"model": {**_HILL, "coeffs": {"100000000000000000000": 1}}})
+@example(command="analyze", cfg={"model": _HILL, "pipeline": "mt3",
+                                 "tolerances": {"contraction_margin": 1.0}})
+def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
+    # exit 1 is usage and 4 / 5 are oracle and invariant failures; no
+    # config may reach them, nor end in an exception
+    work = tempfile.mkdtemp(dir=tmp_path)
+    with open(os.path.join(work, "v.csv"), "w") as fh:
+        fh.write("k,re,im\n0,0.2,0.0\n1,0.1,0.0\n-1,0.1,0.0\n")
+    with open(os.path.join(work, "bad.csv"), "w") as fh:
+        fh.write("k,re,im\n1,0.5\n")
+    path = os.path.join(work, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    code = main([command, "--config", path, "--out", os.path.join(work, "out"), "--quiet"])
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("cfg, code", [
+    ({"model": {"family": "hill", "theta": 0.5, "coeffs_file": "missing.csv"}}, 2),
+    ({"model": {"family": "hill", "theta": 0.5, "coeffs_file": 3}}, 2),
+    ({"model": {"family": "dirac", "potentials": {
+        "v1": {"file": 7}, "v2": _POT, "v3": _POT, "v4": _POT}}}, 2),
+    ({"model": _HILL, "output": {"report": 1}}, 2),
+    ({"model": _HILL, "output": {"csv_dir": ["series"]}}, 2),
+    ({"model": _HILL, "output": {"report": "missing/x.json"}}, 2),
+    ({"model": _HILL, "pipeline": "mt3", "tolerances": {"contraction_margin": 1.0}}, 2),
+    ({"model": _HILL, "tolerances": {"max_iter": True}}, 2),
+    ({"model": _HILL, "tolerances": {"fixed_point_tol": 1e-3}}, 2),
+    ({"model": {**_HILL, "coeffs": {"100000000000000000000": 1}}}, 0),
+    ({"model": {**_HILL, "coeffs": {"1" + "0" * 400: 1}}}, 2),
+    ({"model": {**_HILL, "theta": 5.960464477539063e-08, "coeffs": {}},
+      "truncation": {"half_width": 2}, "pipeline": "mt2"}, 0),
+], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
+        "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
+        "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
+        "hill-near-integer-theta"])
+def test_exit_code_probes(tmp_path, capsys, cfg, code):
+    path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
+    assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert (code == 0) == (not err.startswith("error:"))

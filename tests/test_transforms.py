@@ -1,18 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simspec.errors import InvalidInputError
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
 from simspec.transforms import (
     TransformContext,
     block_diagonal,
     commutator_inverse,
     commutator_residual,
-    group_coupling,
     off_diagonal_part,
-    smoothing_norm_bounds,
 )
 
 
@@ -70,9 +69,7 @@ def test_commutator_inverse_is_off_diagonal():
 def test_smoothing_bounds_tight_on_diagonal_partition():
     part = Partition.trivial(spectrum(4))
     ctx = TransformContext(part)
-    bounds = smoothing_norm_bounds(ctx)
-    assert bounds.inv_delta == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
-    assert bounds.sqrt_eta == pytest.approx(np.sqrt(ctx.eta), rel=1e-12)
+    assert 1 / ctx.delta == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
     # eta is the inverse square gap sum maximized over columns
     assert ctx.eta < 2.0 / (2 * np.pi) ** 2 * (np.pi**2 / 3)
 
@@ -81,32 +78,13 @@ def test_transform_norm_bounds_hold():
     rng = np.random.default_rng(3)
     part = Partition.trivial(spectrum(5))
     ctx = TransformContext(part)
-    bounds = smoothing_norm_bounds(ctx)
+    inv_delta, sqrt_eta = 1 / ctx.delta, math.sqrt(ctx.eta)
     for _ in range(5):
         x = rand(rng, part)
         gx = commutator_inverse(ctx, x)
-        assert gx.hs() <= bounds.inv_delta * x.hs() * (1 + 1e-12)
-        assert gx.hs_sigma() <= bounds.sqrt_eta * x.hs_sigma() * (1 + 1e-12)
-        assert gx.op() <= bounds.sqrt_eta * x.op() * (1 + 1e-9)
-
-
-def test_group_coupling_matches_brute_force():
-    spec = spectrum(4)
-    part = Partition.coarse(spec, 1)
-    ctx = TransformContext(part)
-    d = group_coupling(ctx, 3, 0)
-    vals = {n: spec.value_of(n) for n in range(-4, 5)}
-    brute = max(
-        np.sqrt(sum(1.0 / abs(vals[i] - vals[j]) ** 2 for i in [3]))
-        for j in [-1, 0, 1]
-    )
-    assert d == pytest.approx(brute, rel=1e-12)
-
-
-def test_group_coupling_rejects_same_group():
-    ctx = TransformContext(Partition.coarse(spectrum(3), 1))
-    with pytest.raises(InvalidInputError):
-        group_coupling(ctx, 2, 2)
+        assert gx.hs() <= inv_delta * x.hs() * (1 + 1e-12)
+        assert gx.hs_sigma() <= sqrt_eta * x.hs_sigma() * (1 + 1e-12)
+        assert gx.op() <= sqrt_eta * x.op() * (1 + 1e-9)
 
 
 def test_multiplicity_blocks_share_divisor():

@@ -9,15 +9,26 @@ from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
 from simspec.similarity import pipeline_contraction
 from simspec.verify import (
     SpectrumReport,
+    _group_projection_diag,
     build_spectrum_report,
     charpoly_eigenvalues,
     match_spectra,
     oracle_eigenvalues,
     projection_compare,
-    tail_factor_inequality,
     tail_weight_check,
 )
 from simspec.weighted import decay_weights, factorize
+
+
+def tail_factor_inequality(u, partition, sigma_group, alpha_sigma, weighted_norm):
+    """max(||U P||, ||P U||) <= alpha_sigma * ||U||_w in the block norm,
+    with P the projection onto the spectrum indices in ``sigma_group``."""
+    p = _group_projection_diag(partition.spectrum, sigma_group)
+    up = BlockMatrix(partition, u.data * p[None, :]).hs_sigma()
+    pu = BlockMatrix(partition, p[:, None] * u.data).hs_sigma()
+    lhs = max(up, pu)
+    rhs = alpha_sigma * weighted_norm
+    return {"lhs": float(lhs), "rhs": float(rhs), "ok": bool(lhs <= rhs + 1e-12)}
 
 
 class TestOracle:
@@ -59,6 +70,29 @@ class TestOracle:
         v2 = charpoly_eigenvalues(a)
         scale = max(1.0, np.abs(v1).max())
         assert match_spectra(v1, v2).max_abs_deviation <= 1e-10 * scale
+
+    def test_roots_at_the_rounding_floor_are_accepted(self):
+        # hill spectrum at theta = 0.01, N = 2: Horner's rounding keeps the
+        # Newton steps near 4e-12 while the step test asks for 1.6e-12
+        lam = (np.pi * (2.0 * np.arange(-2, 3) - 0.01)) ** 2
+        a = np.diag(lam).astype(complex)
+        assert match_spectra(oracle_eigenvalues(a, cross_check=False),
+                             charpoly_eigenvalues(a)).max_abs_deviation <= 1e-10 * lam.max()
+
+    def test_cross_check_accepts_clustered_and_defective_spectra(self):
+        # hill at theta = 6e-8 pairs eigenvalues 5e-6 apart; their roots are
+        # ill conditioned in the characteristic polynomial, its coefficients not
+        lam = (np.pi * (2.0 * np.arange(-3, 4) - 6e-8)) ** 2
+        assert np.array_equal(oracle_eigenvalues(np.diag(lam).astype(complex)), np.sort(lam))
+        oracle_eigenvalues(np.eye(4, k=1).astype(complex) + 0.5 * np.eye(4))
+
+    def test_cross_check_catches_a_wrong_eigenvalue(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda m: eigvals(m) + np.r_[1e-8, np.zeros(5)])
+        with pytest.raises(OracleFailureError):
+            oracle_eigenvalues(a)
 
     def test_trace_and_determinant_consistency(self):
         rng = np.random.default_rng(1)
