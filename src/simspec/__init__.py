@@ -42,7 +42,6 @@ from .opmatrix import (
     Spectrum,
     TruncationWindow,
     free_diagonal,
-    operator_norm_estimate,
 )
 from .similarity import (
     PIPELINES,

@@ -150,20 +150,16 @@ def kernel_model(half_width: int, interior_fraction: float = 0.5) -> ModelProble
     data = np.zeros((d, d), dtype=complex)
     z = n  # position of index 0
     data[z, z] = 1.0
-    for m in idx:
-        if m == 0:
-            continue
-        data[m + n, z] = 1.0 / (2j * np.pi * m)
-        data[z, m + n] = -1.0 / (2j * np.pi * m)
-    b = BlockMatrix.from_dense(base, data)
+    m = idx[idx != 0]
+    data[m + n, z] = 1.0 / (2j * np.pi * m)
+    data[z, m + n] = -1.0 / (2j * np.pi * m)
+    b = BlockMatrix(base, data)
 
     first = np.zeros(d, dtype=complex)
     first[z] = 1.0
     second = np.zeros(d, dtype=complex)
-    for m in idx:
-        if m != 0:
-            # only the detour through index 0 contributes
-            second[m + n] = 1j / (8.0 * np.pi**3 * m**3)
+    # only the detour through index 0 contributes
+    second[m + n] = 1j / (8.0 * np.pi**3 * m**3)
     return ModelProblem(
         name="kernel",
         spectrum=spec,
@@ -248,7 +244,7 @@ def involution_model(
             c = tw.get(m + n)
             if c is not None:
                 data[m + n0, n + n0] = phase * c
-    b = BlockMatrix.from_dense(base, data)
+    b = BlockMatrix(base, data)
 
     first = np.array([phase * tw.get(2 * n, 0.0) for n in idx], dtype=complex)
     second = np.zeros(d, dtype=complex)
@@ -377,6 +373,11 @@ def dirac_model(
     kmax = 2 * half_width
     c1 = v1.get(0, 0.0 + 0.0j)
     c4 = v4.get(0, 0.0 + 0.0j)
+
+    def table(coeffs):
+        """Coefficients w(k) for k = -kmax..kmax, at position k + kmax."""
+        return np.array([coeffs.get(k, 0.0) for k in range(-kmax, kmax + 1)], dtype=complex)
+
     if gauge:
         osc = {k: v1.get(k, 0.0) + v4.get(k, 0.0) for k in set(v1) | set(v4) if k != 0}
 
@@ -388,48 +389,24 @@ def dirac_model(
 
         u2 = _stable_fft_coefficients(lambda t: _fourier_eval(v2, t) * np.exp(1j * gfun(t)), kmax)
         u3 = _stable_fft_coefficients(lambda t: _fourier_eval(v3, t) * np.exp(-1j * gfun(t)), kmax)
-
-        def w1(k):
-            return c1 if k == 0 else 0.0
-
-        def w4(k):
-            return c4 if k == 0 else 0.0
-
-        def w2(k):
-            return u2[k + kmax] if abs(k) <= kmax else 0.0
-
-        def w3(k):
-            return u3[k + kmax] if abs(k) <= kmax else 0.0
-
+        w1, w2, w3, w4 = table({0: c1}), u2, u3, table({0: c4})
     else:
-
-        def w1(k):
-            return v1.get(k, 0.0)
-
-        def w4(k):
-            return v4.get(k, 0.0)
-
-        def w2(k):
-            return v2.get(k, 0.0)
-
-        def w3(k):
-            return v3.get(k, 0.0)
+        w1, w2, w3, w4 = (table(v) for v in (v1, v2, v3, v4))
 
     d = spec.dim
+    m = idx[:, None]
+    n = idx[None, :]
     data = np.zeros((d, d), dtype=complex)
-    for i, m in enumerate(idx):
-        for j, n in enumerate(idx):
-            blk = np.array(
-                [[w1(n - m), w2(-n - m)], [w3(n + m), w4(m - n)]], dtype=complex
-            )
-            if blk.any():
-                data[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
-    b = BlockMatrix.from_dense(base, data)
+    data[0::2, 0::2] = w1[n - m + kmax]
+    data[0::2, 1::2] = w2[-n - m + kmax]
+    data[1::2, 0::2] = w3[n + m + kmax]
+    data[1::2, 1::2] = w4[m - n + kmax]
+    b = BlockMatrix(base, data)
 
     diag = np.zeros(d, dtype=complex)
     diag[0::2] = c1
     diag[1::2] = c4
-    diag_part = BlockMatrix.from_dense(base, np.diag(diag))
+    diag_part = BlockMatrix(base, np.diag(diag))
     return ModelProblem(
         name="dirac",
         spectrum=spec,
@@ -471,7 +448,7 @@ def hill_model(
             c = coeffs.get(m - n)
             if c is not None:
                 data[m + n0, n + n0] = c
-    b = BlockMatrix.from_dense(base, data)
+    b = BlockMatrix(base, data)
 
     first = np.full(d, coeffs.get(0, 0.0 + 0.0j), dtype=complex)
     second = np.zeros(d, dtype=complex)

@@ -46,7 +46,6 @@ __all__ = [
     "gap_inverse_square_sum",
     "free_diagonal",
     "inv_identity_plus",
-    "operator_norm_estimate",
 ]
 
 
@@ -325,38 +324,14 @@ class NormReport:
         return self
 
 
-def operator_norm_estimate(a: np.ndarray, tol: float = 1e-12, max_iter: int | None = None) -> float:
-    """Largest singular value by power iteration on a*a.
+def op_norm(a: np.ndarray) -> float:
+    """Exact operator (spectral) norm: the largest singular value."""
+    return float(np.linalg.norm(a, 2))
 
-    Deterministic seeded start; stops on relative stagnation below `tol`
-    or after ``10 * dim`` iterations.
-    """
-    a = np.asarray(a)
-    d = a.shape[0]
-    if d == 0 or not a.any():
-        return 0.0
-    if d == 1:
-        return float(abs(a[0, 0]))
-    rng = np.random.default_rng(181081)
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-    ah = a.conj().T
-    cap = max_iter if max_iter is not None else 10 * d
-    sigma = 0.0
-    for _ in range(cap):
-        w = a @ v
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            return 0.0
-        u = ah @ w
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return s
-        v = u / nu
-        if abs(s - sigma) <= tol * max(s, 1e-300):
-            return s
-        sigma = s
-    return sigma
+
+# bench/tracing.py wraps `operator_norm_estimate` by name; the alias goes
+# when a benchmark change drops that name from its TRACED table.
+operator_norm_estimate = op_norm
 
 
 def _block_frobenius_sq(data: np.ndarray, partition: Partition) -> np.ndarray:
@@ -475,7 +450,7 @@ class BlockMatrix:
         return float(math.sqrt(self.block_spectral_sq().sum()))
 
     def op(self) -> float:
-        return operator_norm_estimate(self.data)
+        return op_norm(self.data)
 
     def norms(self) -> NormReport:
         return NormReport(self.hs(), self.hs_sigma(), self.op())
@@ -499,7 +474,9 @@ def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
     """Inverse of I + X as a block matrix on the same partition.
 
     Refuses matrices whose condition estimate exceeds 1e12 and enforces
-    the residual gate ||(I+X)(I+X)^-1 - I||_op <= 1e-10.
+    the residual gate ||(I+X)(I+X)^-1 - I||_F <= 1e-10.  The Frobenius
+    norm bounds the operator norm from above, so the gate never passes a
+    residual whose operator norm exceeds the limit.
     """
     d = x.partition.spectrum.dim
     m = np.eye(d, dtype=complex) + x.data
@@ -510,7 +487,7 @@ def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise NotInvertibleError("I + X is numerically singular", cond=cond)
     inv = np.linalg.inv(m)
-    residual = operator_norm_estimate(m @ inv - np.eye(d))
+    residual = float(np.linalg.norm(m @ inv - np.eye(d)))
     if residual > _INV_RESIDUAL_LIMIT:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} above {_INV_RESIDUAL_LIMIT:g}", cond=cond

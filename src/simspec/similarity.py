@@ -67,7 +67,6 @@ from .opmatrix import (
     Spectrum,
     TruncationWindow,
     inv_identity_plus,
-    operator_norm_estimate,
 )
 from .transforms import (
     TransformContext,
@@ -212,16 +211,20 @@ class PreliminaryResult:
 
 
 def preliminary_transform(
-    b: BlockMatrix, ctx: TransformContext, smoother: BlockMatrix | None = None
+    b: BlockMatrix, ctx: TransformContext, scanned: tuple[BlockMatrix, float] | None = None
 ) -> PreliminaryResult:
     """Conjugate A - B by I + GB, splitting off the diagonal blocks of B.
 
     Valid once ||GB||_op < 1; then A - B is similar to A - JB - B0 with
     B0 = (I + GB)^-1 (B GB - (GB)(JB)).  The exact similarity residual
-    of the rewriting is returned for gating.
+    of the rewriting is returned for gating.  ``scanned`` hands over GB
+    and its exact operator norm as the smoothing scan computed them.
     """
-    g = commutator_inverse(ctx, b) if smoother is None else smoother
-    gop = g.op()
+    if scanned is None:
+        g = commutator_inverse(ctx, b)
+        gop = g.op()
+    else:
+        g, gop = scanned
     if not gop < 1.0:
         raise ConditionViolationError(
             "preliminary transform needs ||GB||_op < 1", lhs=gop, rhs=1.0
@@ -432,7 +435,8 @@ def pipeline_block_norm(
 
 
 def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
-    """Smallest coarse radius with ||GB||_op < 1, plus the scan log."""
+    """Smallest coarse radius with ||GB||_op < 1: its context, GB and
+    ||GB||_op, plus the scan log."""
     kmax = int(np.abs(spectrum.indices).max())
     scan = []
     for m in range(kmax + 1):
@@ -442,7 +446,7 @@ def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
         gop = g.op()
         scan.append({"radius": m, "smoother_op_norm": float(gop)})
         if gop < 1.0:
-            return m, ctx, g, scan
+            return m, ctx, g, gop, scan
     raise ConditionViolationError(
         "no coarsening radius makes the preliminary transform contractive",
         lhs=scan[-1]["smoother_op_norm"],
@@ -464,8 +468,8 @@ class _StageOne:
 
 def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
     bb = _move(b, Partition.trivial(spectrum))
-    m, ctx_m, g, scan = _scan_smoothing_radius(spectrum, bb)
-    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, smoother=g)
+    m, ctx_m, g, gop, scan = _scan_smoothing_radius(spectrum, bb)
+    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, scanned=(g, gop))
     certificate = {"radius": m, "smoother_op_norm": prelim.smoother_op_norm}
     stages = [
         {"name": "smoothing_scan", "scan": scan},
@@ -672,9 +676,10 @@ def _rebase_frame(spectrum: Spectrum, ctx_m: TransformContext, d: BlockMatrix):
             )
         w_inv = np.linalg.inv(w_sorted)
         a_prime = np.diag(lam) - d.data
-        check = operator_norm_estimate(
+        # Frobenius: an upper bound of the operator norm of the residual
+        check = float(np.linalg.norm(
             a_prime @ w_sorted - w_sorted @ np.diag(tilde.position_values)
-        )
+        ))
         if check > _REBASE_RESIDUAL_LIMIT * scale:
             raise AssumptionViolationError(f"rebase diagonalization residual {check:.3e}")
         push = lambda mat: w_inv @ mat @ w_sorted

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simspec.errors import InvalidInputError, ParseError
 from simspec.models import (
+    _fourier_eval,
+    _stable_fft_coefficients,
     coeffs_from_csv,
     dirac_model,
     hill_model,
@@ -186,3 +190,99 @@ class TestCoeffIO:
         co = random_trig_coeffs(rng, degree=5, real=True)
         for k, v in co.items():
             assert co[-k] == pytest.approx(np.conj(v))
+
+
+# -- the vectorised builders against their per-entry loops ------------------
+
+
+def reference_kernel_data(half_width):
+    """Perturbation, first and second order terms, one entry at a time."""
+    idx = np.arange(-half_width, half_width + 1)
+    n = half_width
+    d = idx.size
+    data = np.zeros((d, d), dtype=complex)
+    z = n
+    data[z, z] = 1.0
+    for m in idx:
+        if m == 0:
+            continue
+        data[m + n, z] = 1.0 / (2j * np.pi * m)
+        data[z, m + n] = -1.0 / (2j * np.pi * m)
+    first = np.zeros(d, dtype=complex)
+    first[z] = 1.0
+    second = np.zeros(d, dtype=complex)
+    for m in idx:
+        if m != 0:
+            second[m + n] = 1j / (8.0 * np.pi**3 * m**3)
+    return data, first, second
+
+
+def reference_dirac_data(half_width, v1, v2, v3, v4, gauge):
+    """Dirac perturbation assembled one 2 x 2 block at a time; an
+    all-zero block is left unwritten."""
+    idx = np.arange(-half_width, half_width + 1)
+    kmax = 2 * half_width
+    c1 = v1.get(0, 0.0 + 0.0j)
+    c4 = v4.get(0, 0.0 + 0.0j)
+    if gauge:
+        osc = {k: v1.get(k, 0.0) + v4.get(k, 0.0) for k in set(v1) | set(v4) if k != 0}
+
+        def gfun(t):
+            out = np.zeros(t.size, dtype=complex)
+            for k, z in osc.items():
+                out += z * (np.exp(2j * np.pi * k * t) - 1.0) / (2j * np.pi * k)
+            return out
+
+        u2 = _stable_fft_coefficients(lambda t: _fourier_eval(v2, t) * np.exp(1j * gfun(t)), kmax)
+        u3 = _stable_fft_coefficients(lambda t: _fourier_eval(v3, t) * np.exp(-1j * gfun(t)), kmax)
+
+        def w(kind, k):
+            if kind == 1:
+                return c1 if k == 0 else 0.0
+            if kind == 4:
+                return c4 if k == 0 else 0.0
+            return (u2 if kind == 2 else u3)[k + kmax] if abs(k) <= kmax else 0.0
+
+    else:
+
+        def w(kind, k):
+            return (v1, v2, v3, v4)[kind - 1].get(k, 0.0)
+
+    d = 2 * idx.size
+    data = np.zeros((d, d), dtype=complex)
+    for i, m in enumerate(idx):
+        for j, n in enumerate(idx):
+            blk = np.array(
+                [[w(1, n - m), w(2, -n - m)], [w(3, n + m), w(4, m - n)]], dtype=complex
+            )
+            if blk.any():
+                data[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = blk
+    return data
+
+
+_coeff_values = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+_potential = st.dictionaries(st.integers(-40, 40), _coeff_values, max_size=4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(half_width=st.integers(1, 300))
+def test_kernel_model_matches_entry_loop(half_width):
+    mdl = kernel_model(half_width)
+    data, first, second = reference_kernel_data(half_width)
+    assert mdl.perturbation.data.tobytes() == data.tobytes()
+    assert mdl.first_order.tobytes() == first.tobytes()
+    assert mdl.second_order.tobytes() == second.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    half_width=st.integers(1, 12),
+    pots=st.tuples(_potential, _potential, _potential, _potential),
+    gauge=st.booleans(),
+)
+def test_dirac_model_matches_block_loop(half_width, pots, gauge):
+    mdl = dirac_model(half_width, *pots, gauge=gauge)
+    cleaned = [{k: complex(z) for k, z in p.items() if z != 0} for p in pots]
+    expected = reference_dirac_data(half_width, *cleaned, gauge)
+    assert mdl.perturbation.data.tobytes() == expected.tobytes()
+

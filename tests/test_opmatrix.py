@@ -15,7 +15,6 @@ from simspec.opmatrix import (
     TruncationWindow,
     free_diagonal,
     gap_inverse_square_sum,
-    operator_norm_estimate,
     spectral_gap,
 )
 from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
@@ -170,8 +169,12 @@ class TestNorms:
         assert x.op() == pytest.approx(x.hs_sigma(), rel=1e-9)
 
     def test_operator_norm_estimate_known(self):
-        a = np.diag([3.0, -1.0, 0.5]).astype(complex)
-        assert operator_norm_estimate(a) == pytest.approx(3.0, rel=1e-10)
+        spec = simple_spectrum(1)
+        part = Partition.trivial(spec)
+        assert BlockMatrix(part, np.diag([3.0, -1.0, 0.5])).op() == pytest.approx(3.0, rel=1e-15)
+        # singular values of [[1, 2], [0, 1]] are sqrt(2) + 1 and sqrt(2) - 1
+        x = BlockMatrix(part, [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        assert x.op() == pytest.approx(np.sqrt(2.0) + 1.0, rel=1e-15)
 
 
 def reference_block_spectral_sq(x):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simspec.errors import ContractionViolationError, NonConvergenceError
-from simspec.models import dirac_model, involution_model, kernel_model
+from simspec.models import dirac_model, hill_model, involution_model, kernel_model
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow, free_diagonal
 from simspec.similarity import (
     PIPELINES,
@@ -156,6 +156,21 @@ class TestPipelines:
         c = sorted((complex(z) for _, z in r4.eigenvalue_estimates),
                    key=lambda z: (z.real, z.imag))
         assert max(abs(x - y) for x, y in zip(a, c)) <= 1e-9
+
+
+@pytest.mark.parametrize("build, pipeline", [
+    (lambda: dirac_model(16, {0: 0.15}, {1: 0.1, -1: 0.1}, {0: 0.1}, {2: 0.05, -2: 0.05},
+                         gauge=False), pipeline_rebase),
+    (lambda: hill_model(32, 0.5, {1: 5, -1: 5}), pipeline_coarse),
+], ids=["dirac16-ungauged-mt4", "hill32-mt3"])
+def test_smoother_gate_reads_the_exact_operator_norm(build, pipeline):
+    mdl = build()
+    res = pipeline(mdl.spectrum, mdl.perturbation)
+    cert = res.certificates["smoothing"]
+    part = Partition.coarse(mdl.spectrum, cert["radius"])
+    g = commutator_inverse(TransformContext(part), BlockMatrix(part, mdl.perturbation.data))
+    assert cert["smoother_op_norm"] == np.linalg.norm(g.data, 2)
+    assert res.stages[0]["scan"][-1]["smoother_op_norm"] == cert["smoother_op_norm"]
 
 
 class TestEstimates:

@@ -189,6 +189,12 @@ class TestCertificateM:
         assert split_certificate(op).m == abs(op.b1) * np.abs(op.s_diag).max()
 
 
+def test_operator_norm_condition_bounds_the_operator_norm():
+    mdl = kernel_model(64)
+    out = operator_norm_condition(mdl.perturbation, 1 / (2 * np.pi))
+    assert out["lhs"] >= np.linalg.norm(mdl.perturbation.data, 2)
+
+
 def test_operator_norm_condition_report():
     mdl = kernel_model(12)
     out = operator_norm_condition(mdl.perturbation, 1 / (2 * np.pi))
