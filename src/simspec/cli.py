@@ -36,7 +36,7 @@ from .models import (
     kernel_split_constants,
     random_trig_coeffs,
 )
-from .opmatrix import BlockMatrix, Partition, free_diagonal
+from .opmatrix import BlockMatrix, Partition, free_diagonal, spectral_gap
 from .similarity import (
     PIPELINES,
     SimilarityResult,
@@ -341,8 +341,7 @@ def _echo_config(cfg: dict) -> dict:
 def _auto_pipeline(model) -> str:
     if model.name == "dirac":
         return "mt4"
-    ctx = TransformContext(Partition.trivial(model.spectrum))
-    q = 4.0 * model.perturbation.hs() / ctx.delta
+    q = 4.0 * model.perturbation.hs() / spectral_gap(model.spectrum)
     return "mt1" if q < 1.0 else "mt3"
 
 
@@ -379,18 +378,11 @@ def _apply_fault(model, result: SimilarityResult, magnitude: float) -> Similarit
         return result
     i, j = outside[0]
     v.data[i, j] += magnitude
-    base = Partition.trivial(model.spectrum)
-    res = similarity_residual(
-        model.spectrum,
-        BlockMatrix(base, model.perturbation.dense()),
-        BlockMatrix(base, result.u.dense()),
-        BlockMatrix(base, v.dense()),
-    )
     return replace(
         result,
         v=v,
         offdiag_residual=max(result.offdiag_residual, _offdiag_mass(v)),
-        residual=res,
+        residual=similarity_residual(model.spectrum, model.perturbation, result.u, v),
     )
 
 
@@ -432,10 +424,10 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
     return gates, oracle_vals
 
 
-def _write_series(csv_dir, model, result, weights, oracle_vals, report_obj):
+def _write_series(csv_dir, model, est, weights, oracle_vals, report_obj):
+    """CSV series; ``est`` holds the estimates arranged by dense position."""
     os.makedirs(csv_dir, exist_ok=True)
     spectrum = model.spectrum
-    est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
     ora = None
     if oracle_vals is not None:
         ora = _pair_values_to_positions(spectrum, oracle_vals)
@@ -588,15 +580,16 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     report_path = os.path.join(out_dir, cfg["output"].get("report", "report.json"))
     _write_json(report_path, report)
     csv_dir = cfg["output"].get("csv_dir")
+    svg = cfg["output"].get("svg")
+    spectrum = model.spectrum
+    if csv_dir is not None or svg is not None:
+        est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
     if csv_dir is not None:
-        _write_series(os.path.join(out_dir, csv_dir), model, result, weights,
+        _write_series(os.path.join(out_dir, csv_dir), model, est, weights,
                       oracle_vals, report_obj)
         if report_obj is not None:
             report_obj.to_csv(os.path.join(out_dir, csv_dir, "spectrum_report.csv"))
-    svg = cfg["output"].get("svg")
     if svg is not None:
-        spectrum = model.spectrum
-        est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
         series = [
             ("unperturbed", "#777777",
              [(z.real, z.imag) for z in spectrum.position_values]),

@@ -60,10 +60,6 @@ class ModelProblem:
     second_order: np.ndarray | None = None
     diag_part: BlockMatrix | None = None
 
-    @property
-    def partition(self) -> Partition:
-        return self.perturbation.partition
-
 
 def _clean_coeffs(coeffs, what: str) -> dict:
     out = {}
@@ -122,6 +118,11 @@ def coeffs_from_csv(path) -> dict:
                 raise ParseError(f"duplicate coefficient {k}", path=path, line=ln)
             out[k] = z
     return out
+
+
+def _coeff_table(coeffs: dict, kmax: int) -> np.ndarray:
+    """Coefficients c_k for k = -kmax..kmax at position k + kmax; +0.0 where absent."""
+    return np.array([coeffs.get(k, 0.0) for k in range(-kmax, kmax + 1)], dtype=complex)
 
 
 def _fourier_eval(coeffs: dict, grid: np.ndarray) -> np.ndarray:
@@ -234,29 +235,23 @@ def involution_model(
     spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta), window=window)
     base = Partition.trivial(spec)
 
-    tw = _twist_coefficients(coeffs, theta, 2 * half_width)
+    kmax = 2 * half_width
+    tw = _twist_coefficients(coeffs, theta, kmax)
     phase = cmath.exp(-1j * np.pi * theta)
-    d = spec.dim
-    data = np.zeros((d, d), dtype=complex)
-    n0 = half_width
-    for m in idx:
-        for n in idx:
-            c = tw.get(m + n)
-            if c is not None:
-                data[m + n0, n + n0] = phase * c
-    b = BlockMatrix(base, data)
+    # phase * c only where a coefficient exists: phase * 0 could write -0.0
+    table = _coeff_table({k: phase * c for k, c in tw.items()}, kmax)
+    b = BlockMatrix(base, table[idx[:, None] + idx[None, :] + kmax])
 
     first = np.array([phase * tw.get(2 * n, 0.0) for n in idx], dtype=complex)
-    second = np.zeros(d, dtype=complex)
-    for i, n in enumerate(idx):
-        z = 0.0 + 0.0j
-        for ell in idx:
-            if ell == n:
-                continue
-            c = tw.get(ell + n)
-            if c is not None:
-                z += phase * phase * c * c / (2j * np.pi * (ell - n))
-        second[i] = z
+    # second order: sum over ell != n of (phase c_{ell+n})^2 / (2 pi i (ell - n)),
+    # added in ascending ell for all n at once; a sum that starts at +0.0
+    # never turns -0.0, so the zero terms of absent coefficients change nothing
+    squares = _coeff_table({k: phase * phase * c * c for k, c in tw.items()}, kmax)
+    second = np.zeros(spec.dim, dtype=complex)
+    for ell in idx:
+        gap = ell - idx
+        off = gap != 0
+        second[off] += squares[ell + idx[off] + kmax] / (2j * np.pi * gap[off])
     return ModelProblem(
         name="involution",
         spectrum=spec,
@@ -374,10 +369,6 @@ def dirac_model(
     c1 = v1.get(0, 0.0 + 0.0j)
     c4 = v4.get(0, 0.0 + 0.0j)
 
-    def table(coeffs):
-        """Coefficients w(k) for k = -kmax..kmax, at position k + kmax."""
-        return np.array([coeffs.get(k, 0.0) for k in range(-kmax, kmax + 1)], dtype=complex)
-
     if gauge:
         osc = {k: v1.get(k, 0.0) + v4.get(k, 0.0) for k in set(v1) | set(v4) if k != 0}
 
@@ -389,9 +380,9 @@ def dirac_model(
 
         u2 = _stable_fft_coefficients(lambda t: _fourier_eval(v2, t) * np.exp(1j * gfun(t)), kmax)
         u3 = _stable_fft_coefficients(lambda t: _fourier_eval(v3, t) * np.exp(-1j * gfun(t)), kmax)
-        w1, w2, w3, w4 = table({0: c1}), u2, u3, table({0: c4})
+        w1, w2, w3, w4 = _coeff_table({0: c1}, kmax), u2, u3, _coeff_table({0: c4}, kmax)
     else:
-        w1, w2, w3, w4 = (table(v) for v in (v1, v2, v3, v4))
+        w1, w2, w3, w4 = (_coeff_table(v, kmax) for v in (v1, v2, v3, v4))
 
     d = spec.dim
     m = idx[:, None]
@@ -441,14 +432,8 @@ def hill_model(
     base = Partition.trivial(spec)
 
     d = spec.dim
-    data = np.zeros((d, d), dtype=complex)
-    n0 = half_width
-    for m in idx:
-        for n in idx:
-            c = coeffs.get(m - n)
-            if c is not None:
-                data[m + n0, n + n0] = c
-    b = BlockMatrix(base, data)
+    kmax = 2 * half_width
+    b = BlockMatrix(base, _coeff_table(coeffs, kmax)[idx[:, None] - idx[None, :] + kmax])
 
     first = np.full(d, coeffs.get(0, 0.0 + 0.0j), dtype=complex)
     second = np.zeros(d, dtype=complex)

@@ -6,7 +6,9 @@ blocks by a partition of the eigenvalue indices.  Everything downstream
 (transforms, weights, pipelines) works on these three types:
 
 * :class:`Spectrum` -- eigenvalues, multiplicities and the window,
-* :class:`Partition` -- ordered disjoint groups of spectrum indices,
+* :class:`Partition` -- a spectrum plus a coarsening radius m: the
+  indices |n| <= m form one central group and every other index is a
+  group of its own (m = -1: singletons only),
 * :class:`BlockMatrix` -- a dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
@@ -185,85 +187,49 @@ def free_diagonal(spectrum: Spectrum) -> np.ndarray:
 
 
 class Partition:
-    """Ordered disjoint groups of spectrum indices with integer labels.
+    """Spectrum indices grouped around the center at a coarsening radius.
 
-    Groups never reorder the dense layout; they only tag positions.  The
-    label of a group is the integer the weight machinery sees (tails are
-    taken over ``|label| >= |n|``), so trivial partitions label groups by
-    their spectrum index and a central merge keeps label 0.
+    Radius m >= 0 merges the indices |n| <= m into one central group;
+    every other index is a group of its own.  Radius -1 (``trivial``)
+    has no central group.  Groups are numbered central group first, then
+    the singletons by index.  Groups never reorder the dense layout; they
+    only tag positions.
     """
 
-    def __init__(self, spectrum: Spectrum, groups, labels, kind="custom"):
+    def __init__(self, spectrum: Spectrum, radius: int):
+        radius = int(radius)
+        if radius < -1:
+            raise InvalidInputError("partition radius must be >= -1")
         self.spectrum = spectrum
-        groups = tuple(tuple(int(i) for i in g) for g in groups)
-        labels = tuple(int(l) for l in labels)
-        if len(groups) != len(labels):
-            raise InvalidInputError("one label per group required")
-        if len(set(labels)) != len(labels):
-            raise InvalidInputError("group labels must be unique")
-        seen = [i for g in groups for i in g]
-        if sorted(seen) != sorted(int(n) for n in spectrum.indices):
-            raise InvalidInputError("groups must partition the spectrum indices")
-        self.groups = groups
-        self.labels = labels
-        self.kind = kind
-        self.n_groups = len(groups)
-        self.positions = [
-            np.concatenate([spectrum.positions_of(i) for i in sorted(g)]) for g in groups
-        ]
-        self.dims = np.array([p.size for p in self.positions])
-        gid = np.empty(spectrum.dim, dtype=int)
-        for g, pos in enumerate(self.positions):
-            gid[pos] = g
-        self.gid_of_position = gid
-        self._label_to_gid = {l: g for g, l in enumerate(labels)}
+        self.radius = radius
+        central = np.abs(spectrum.indices) <= radius
+        has_center = int(central.any())
+        # group per index: 0 for the center, singletons counted in index order
+        gid = np.cumsum(~central) - 1 + has_center
+        gid[central] = 0
+        self.n_groups = int((~central).sum()) + has_center
+        self.gid_of_position = gid[spectrum.position_entry]
+        self.dims = np.bincount(self.gid_of_position, minlength=self.n_groups)
+        # positions group by group: the center is contiguous and the
+        # singletons keep position order; bounds[g] is where group g starts
+        at_center = central[spectrum.position_entry]
+        self.perm = np.concatenate((np.flatnonzero(at_center), np.flatnonzero(~at_center)))
+        self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
         self._same_group = None
-        self._perm = None
-
-    # -- constructors -------------------------------------------------
 
     @classmethod
     def trivial(cls, spectrum: Spectrum) -> "Partition":
-        """One group per index, labelled by the index."""
-        return cls(spectrum, [(int(n),) for n in spectrum.indices], spectrum.indices, "trivial")
-
-    @classmethod
-    def two_part(cls, spectrum: Spectrum, k: int) -> "Partition":
-        """({k}, complement); the singled-out index gets label 0."""
-        rest = tuple(int(n) for n in spectrum.indices if n != k)
-        if len(rest) == len(spectrum):
-            raise InvalidInputError(f"index {k} not in spectrum")
-        return cls(spectrum, [(int(k),), rest], (0, 1), "two_part")
+        """One group per index."""
+        return cls(spectrum, -1)
 
     @classmethod
     def coarse(cls, spectrum: Spectrum, m: int) -> "Partition":
-        """Indices |n| <= m merged into one group (label 0), rest singletons."""
+        """Indices |n| <= m merged into the central group, rest singletons."""
         if m < 0:
             raise InvalidInputError("coarsening radius must be >= 0")
-        center = tuple(int(n) for n in spectrum.indices if abs(n) <= m)
-        if not center:
+        if not np.any(np.abs(spectrum.indices) <= m):
             raise InvalidInputError("central group is empty")
-        groups = [center]
-        labels = [0]
-        for n in spectrum.indices:
-            if abs(n) > m:
-                groups.append((int(n),))
-                labels.append(int(n))
-        return cls(spectrum, groups, labels, "coarse")
-
-    # -- helpers ------------------------------------------------------
-
-    def gid(self, label: int) -> int:
-        try:
-            return self._label_to_gid[int(label)]
-        except KeyError:
-            raise InvalidInputError(f"no group labelled {label}") from None
-
-    def group_indices(self, label: int):
-        return self.groups[self.gid(label)]
-
-    def label_array(self) -> np.ndarray:
-        return np.array(self.labels)
+        return cls(spectrum, m)
 
     def same_group_mask(self) -> np.ndarray:
         """Boolean D x D mask, True where row and column share a group."""
@@ -272,34 +238,16 @@ class Partition:
             self._same_group = g[:, None] == g[None, :]
         return self._same_group
 
-    def grouping_permutation(self):
-        """(perm, boundaries) ordering positions group by group."""
-        if self._perm is None:
-            perm = np.concatenate(self.positions)
-            boundaries = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
-            self._perm = (perm, boundaries)
-        return self._perm
+    def group_positions(self, g: int) -> np.ndarray:
+        """Dense positions of group ``g``, ascending."""
+        return self.perm[self.bounds[g]:self.bounds[g] + self.dims[g]]
 
     def equivalent(self, other: "Partition") -> bool:
+        """Same groups in the same order over the same spectrum."""
         return (
-            self.groups == other.groups
-            and self.labels == other.labels
+            np.array_equal(self.gid_of_position, other.gid_of_position)
             and self.spectrum.same_entries(other.spectrum)
         )
-
-    def refines(self, coarser: "Partition") -> bool:
-        """True if every group of self sits inside one group of `coarser`."""
-        if not self.spectrum.same_entries(coarser.spectrum):
-            return False
-        owner = {}
-        for g, grp in enumerate(coarser.groups):
-            for i in grp:
-                owner[i] = g
-        for grp in self.groups:
-            owners = {owner[i] for i in grp}
-            if len(owners) != 1:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -337,7 +285,7 @@ operator_norm_estimate = op_norm
 def _block_frobenius_sq(data: np.ndarray, partition: Partition) -> np.ndarray:
     """G x G matrix of per-block squared Frobenius norms."""
     absq = data.real**2 + data.imag**2
-    perm, bounds = partition.grouping_permutation()
+    perm, bounds = partition.perm, partition.bounds
     if perm.size and not np.array_equal(perm, np.arange(perm.size)):
         absq = absq[np.ix_(perm, perm)]
     s = np.add.reduceat(absq, bounds, axis=0)
@@ -435,7 +383,7 @@ class BlockMatrix:
         wide = []
         for w in np.unique(part.dims[part.dims > 1]):
             gids = np.flatnonzero(part.dims == w)
-            wide.append((gids, np.stack([part.positions[g] for g in gids])))
+            wide.append((gids, part.perm[part.bounds[gids][:, None] + np.arange(w)]))
         for gi, rows in wide:
             for gj, cols in wide:
                 bi, bj = np.nonzero(out[np.ix_(gi, gj)] > 0.0)
@@ -455,38 +403,27 @@ class BlockMatrix:
     def norms(self) -> NormReport:
         return NormReport(self.hs(), self.hs_sigma(), self.op())
 
-    # -- regrouping -----------------------------------------------------
-
-    def coarsen(self, target: Partition) -> "BlockMatrix":
-        """Same matrix on a coarser partition."""
-        if not self.partition.refines(target):
-            raise PartitionMismatchError("target partition is not a coarsening")
-        return BlockMatrix(target, self.data.copy())
-
-    def refine(self, target: Partition) -> "BlockMatrix":
-        """Same matrix on a refinement."""
-        if not target.refines(self.partition):
-            raise PartitionMismatchError("target partition is not a refinement")
-        return BlockMatrix(target, self.data.copy())
-
 
 def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
     """Inverse of I + X as a block matrix on the same partition.
 
-    Refuses matrices whose condition estimate exceeds 1e12 and enforces
-    the residual gate ||(I+X)(I+X)^-1 - I||_F <= 1e-10.  The Frobenius
-    norm bounds the operator norm from above, so the gate never passes a
-    residual whose operator norm exceeds the limit.
+    Refuses I + X when LAPACK finds it singular or when
+    kappa_F = ||I+X||_F ||(I+X)^-1||_F exceeds 1e12; kappa_F bounds the
+    spectral condition number from above, so nothing with a condition
+    number above the limit passes.  Then enforces the residual gate
+    ||(I+X)(I+X)^-1 - I||_F <= 1e-10.  The Frobenius norm bounds the
+    operator norm from above, so the gate never passes a residual whose
+    operator norm exceeds the limit.
     """
     d = x.partition.spectrum.dim
     m = np.eye(d, dtype=complex) + x.data
     try:
-        cond = float(np.linalg.cond(m))
+        inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
-        raise NotInvertibleError("condition estimate failed", cond=math.inf) from None
+        raise NotInvertibleError("I + X is singular", cond=math.inf) from None
+    cond = float(np.linalg.norm(m) * np.linalg.norm(inv))
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise NotInvertibleError("I + X is numerically singular", cond=cond)
-    inv = np.linalg.inv(m)
     residual = float(np.linalg.norm(m @ inv - np.eye(d)))
     if residual > _INV_RESIDUAL_LIMIT:
         raise NotInvertibleError(

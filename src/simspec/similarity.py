@@ -74,6 +74,7 @@ from .transforms import (
     commutator_inverse,
     off_diagonal_part,
 )
+from .verify import match_spectra
 from .weighted import decay_weights, factorize, select_coarsening
 
 __all__ = [
@@ -99,14 +100,13 @@ _IDENTITY_SLACK = 1e-10
 
 
 def _move(x: BlockMatrix, partition: Partition) -> BlockMatrix:
-    """Re-express a block matrix on another partition of the same spectrum."""
-    if x.partition.equivalent(partition):
-        return x
-    if partition.refines(x.partition):
-        return x.refine(partition)
-    if x.partition.refines(partition):
-        return x.coarsen(partition)
-    raise PartitionMismatchError("partitions are not nested")
+    """The same matrix tagged by another partition of its spectrum.
+
+    Any two partitions of one spectrum are nested, so only the tag changes.
+    """
+    if not x.partition.spectrum.same_entries(partition.spectrum):
+        raise PartitionMismatchError("partitions of different spectra")
+    return x if x.partition is partition else BlockMatrix(partition, x.data)
 
 
 # -- fixed point --------------------------------------------------------
@@ -276,24 +276,6 @@ def diagonal_asymptotics(b: BlockMatrix) -> AsymptoticSequences | None:
     return AsymptoticSequences(spec.indices.copy(), first, second)
 
 
-def _pair_block_eigenvalues(members, free_values, computed):
-    """Greedily pair computed eigenvalues with member labels by distance."""
-    pairs = sorted(
-        (abs(computed[i] - free_values[j]), i, j)
-        for i in range(len(computed))
-        for j in range(len(members))
-    )
-    used_i, used_j = set(), set()
-    out = {}
-    for _, i, j in pairs:
-        if i in used_i or j in used_j:
-            continue
-        used_i.add(i)
-        used_j.add(j)
-        out[j] = computed[i]
-    return [(members[j], out[j]) for j in sorted(out)]
-
-
 def block_eigenvalue_estimates(spectrum: Spectrum, partition: Partition, v: BlockMatrix,
                                labels=None):
     """Eigenvalues of A - V per diagonal block, tagged by spectrum index.
@@ -309,16 +291,15 @@ def block_eigenvalue_estimates(spectrum: Spectrum, partition: Partition, v: Bloc
                   for p in range(spectrum.dim)]
     out = []
     for g in range(partition.n_groups):
-        pos = partition.positions[g]
+        pos = partition.group_positions(g)
         if pos.size == 1:
             p = int(pos[0])
             out.append((labels[p], complex(lam[p] - v.data[p, p])))
             continue
         blk = np.diag(lam[pos]) - v.data[np.ix_(pos, pos)]
         vals = np.linalg.eigvals(blk)
-        members = [labels[p] for p in pos]
-        free = [lam[p] for p in pos]
-        out.extend((n, complex(z)) for n, z in _pair_block_eigenvalues(members, free, list(vals)))
+        match = match_spectra(lam[pos], vals)
+        out.extend((labels[pos[i]], complex(vals[j])) for i, j in match.pairs)
     out.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
     return out
 
@@ -577,8 +558,8 @@ def pipeline_coarse(
     # the stage-one diagonal must survive inside V:
     # V = JB|_m + (B0 (I + G_k X*)) projected onto the coarse blocks
     ctx_k = two.ctx
-    b0_k = _move(prelim.remainder, base).coarsen(ctx_k.partition)
-    jb_k = _move(prelim.diagonal, base).coarsen(ctx_k.partition)
+    b0_k = _move(prelim.remainder, ctx_k.partition)
+    jb_k = _move(prelim.diagonal, ctx_k.partition)
     v_alt = jb_k + block_diagonal(ctx_k, b0_k @ (BlockMatrix.identity(ctx_k.partition) + two.u))
     cross = (two.v - v_alt).hs()
     if cross > 1e-8 * max(1.0, two.v.hs()):
@@ -635,7 +616,7 @@ def _rebase_frame(spectrum: Spectrum, ctx_m: TransformContext, d: BlockMatrix):
         new_vals = np.empty(dim, dtype=complex)
         w_dense = np.zeros((dim, dim), dtype=complex)
         for g in range(part.n_groups):
-            pos = part.positions[g]
+            pos = part.group_positions(g)
             blk = np.diag(lam[pos]) - d.data[np.ix_(pos, pos)]
             if pos.size == 1:
                 new_vals[pos[0]] = blk[0, 0]

@@ -1,7 +1,8 @@
 """Block-diagonal projection and the commutator inverse on a partition.
 
 For a diagonal free operator A and a partition Sigma of its eigenvalue
-indices, two transforms drive everything:
+indices (the central group |n| <= m and singletons, see
+:class:`~simspec.opmatrix.Partition`), two transforms drive everything:
 
 * ``block_diagonal`` keeps the diagonal blocks (the part commuting with
   every group projection),
@@ -10,8 +11,8 @@ indices, two transforms drive everything:
   cross-group entries by the eigenvalue differences.
 
 The commutator inverse is always evaluated at the eigen-index level and
-then zeroed inside groups, so coarse partitions reuse the same divisor
-table.
+then zeroed inside groups, so partitions of every radius share one
+divisor table.
 """
 
 from __future__ import annotations

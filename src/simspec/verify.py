@@ -1,13 +1,15 @@
 """Independent eigenvalue oracle and comparison harness.
 
-Nothing here shares code with the similarity pipelines: each spectrum
-is solved from scratch on the dense matrix by LAPACK's zgeev (Hessenberg
-reduction and shifted QR, backward stable), and small matrices are
-cross-checked against a second, entirely different oracle
+The oracle solves stay independent of the similarity pipelines: each
+spectrum is solved from scratch on the dense matrix by LAPACK's zgeev
+(Hessenberg reduction and shifted QR, backward stable), and small
+matrices are cross-checked against a second, entirely different oracle
 (characteristic polynomial by the trace recursion, roots by a
 simultaneous Newton iteration).  The harness side pairs computed
 spectra with references, checks tail summability, and compares spectral
-projections against their similarity bound.
+projections against their similarity bound.  Its pairing helper,
+``match_spectra``, is the one the pipelines also use to tag the
+eigenvalues of a diagonal block.
 """
 
 from __future__ import annotations
@@ -369,7 +371,12 @@ def build_spectrum_report(
             f"expected {spectrum.dim} estimates, got {len(est_vals)}"
         )
     om = match_spectra(spectrum.position_values, oracle_values)
-    oracle_by_pos = _pair_values_to_positions(spectrum, oracle_values)
+    oracle_vals = np.asarray(oracle_values, dtype=complex)
+    oracle_by_pos = np.empty(spectrum.dim, dtype=complex)
+    dev_by_pos = np.empty(spectrum.dim)
+    for (i, j), d in zip(om.pairs, om.deviations):
+        oracle_by_pos[i] = oracle_vals[j]
+        dev_by_pos[i] = d
     est_by_pos = _pair_values_to_positions(spectrum, est_vals)
     if gap is None:
         v = spectrum.values
@@ -382,10 +389,6 @@ def build_spectrum_report(
     rows = []
     b_seq = []
     w_seq = []
-    dev_by_pos = np.empty(spectrum.dim)
-    for (i, _), d in zip(om.pairs, om.deviations):
-        dev_by_pos[i] = d
-
     for pos in range(spectrum.dim):
         n = int(spectrum.indices[spectrum.position_entry[pos]])
         if n not in interior:

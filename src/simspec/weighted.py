@@ -14,6 +14,9 @@ The derived sequences feed the contraction certificates:
   contraction modulus after coarsening at radius m is
   ``gamma(m) = alpha_tilde_{m+1}``.
 
+Weights are read on the trivial partition (radius -1), where the gap
+couplings are the plain table 1/|lambda_j - lambda_l|.
+
 Factorizing X = X_l f(A) = f(A) X_r against the weight operator
 f(A) = sum_h alpha_h P_h turns tail decay into a norm; the fixed point
 iteration of the coarse pipelines contracts in that norm.
@@ -91,44 +94,26 @@ class WeightSequence:
         return self.alpha[np.minimum(lev, self.max_level)] * (lev <= self.max_level)
 
 
-def _index_grouping(partition: Partition):
-    """(perm, bounds) over entry ordinals, group by group."""
-    spec = partition.spectrum
-    perm = np.array([spec.ordinal(i) for g in partition.groups for i in g], dtype=int)
-    sizes = np.array([len(g) for g in partition.groups])
-    bounds = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-    return perm, bounds
+def _coupling_table(spectrum: Spectrum) -> np.ndarray:
+    """Table d(j, l) = 1/|lambda_j - lambda_l| of gap couplings.
 
-
-def _coupling_table(partition: Partition) -> np.ndarray:
-    """G x G table max(d(j,l), d(l,j)) of cross-group gap couplings.
-
-    d(j, l)^2 is the worst sum of inverse square gaps from one
-    eigenvalue of group l to all eigenvalues of group j; diagonal
-    entries are within-group couplings and must not be consumed.
+    Diagonal entries are 0: a within-index coupling must not be consumed.
     """
-    lam = partition.spectrum.values
+    lam = spectrum.values
     diff2 = np.abs(lam[:, None] - lam[None, :]) ** 2
     np.fill_diagonal(diff2, np.inf)
-    q = 1.0 / diff2
-    perm, bounds = _index_grouping(partition)
-    s = np.add.reduceat(q[perm], bounds, axis=0)
-    d2 = np.maximum.reduceat(s[:, perm], bounds, axis=1)
-    return np.sqrt(np.maximum(d2, d2.T))
+    return np.sqrt(1.0 / diff2)
 
 
 def decay_weights(x: BlockMatrix) -> WeightSequence:
     """Weights of a perturbation, computed on the index-per-group partition."""
     spec = x.partition.spectrum
-    base = Partition.trivial(spec)
-    if not x.partition.equivalent(base):
-        x = x.refine(base)
-    bss = x.block_spectral_sq()
+    bss = BlockMatrix(Partition.trivial(spec), x.data).block_spectral_sq()
     total = bss.sum()
     if total <= 0.0:
         raise DegenerateWeightError("zero perturbation has no decay profile")
 
-    lev_g = np.abs(base.label_array())
+    lev_g = np.abs(spec.indices)
     kmax = int(lev_g.max())
     row2 = bss.sum(axis=1)
     col2 = bss.sum(axis=0)
@@ -144,7 +129,7 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
 
     # couple inside of each level cut to the outside:
     # alpha_prime[h] = max alpha[|l|] * d(j, l) over |l| < h <= |j|
-    dmax = _coupling_table(base)
+    dmax = _coupling_table(spec)
     m = alpha[lev_g][None, :] * dmax
     order = np.argsort(lev_g, kind="stable")
     sorted_lev = lev_g[order]

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from simspec.errors import InvalidInputError, ParseError
 from simspec.models import (
     _fourier_eval,
     _stable_fft_coefficients,
+    _twist_coefficients,
     coeffs_from_csv,
     dirac_model,
     hill_model,
@@ -23,7 +26,7 @@ from simspec.verify import match_spectra, oracle_eigenvalues
 
 def second_order_matrix_route(model):
     """diag of J(B Gamma B) on the index-per-entry partition."""
-    ctx = TransformContext(model.partition)
+    ctx = TransformContext(model.perturbation.partition)
     bgb = model.perturbation @ commutator_inverse(ctx, model.perturbation)
     diag = block_diagonal(ctx, bgb).dense().diagonal()
     spec = model.spectrum
@@ -260,6 +263,46 @@ def reference_dirac_data(half_width, v1, v2, v3, v4, gauge):
     return data
 
 
+def reference_hill_data(half_width, coeffs):
+    """Toeplitz perturbation filled one entry at a time; an index
+    difference with no coefficient is left unwritten."""
+    idx = np.arange(-half_width, half_width + 1)
+    d = idx.size
+    data = np.zeros((d, d), dtype=complex)
+    for m in idx:
+        for n in idx:
+            c = coeffs.get(m - n)
+            if c is not None:
+                data[m + half_width, n + half_width] = c
+    return data
+
+
+def reference_involution_data(half_width, theta, coeffs):
+    """Hankel perturbation and the second-order sum, one entry and one
+    term at a time, over the twisted coefficients."""
+    idx = np.arange(-half_width, half_width + 1)
+    tw = _twist_coefficients(coeffs, theta, 2 * half_width)
+    phase = cmath.exp(-1j * np.pi * theta)
+    d = idx.size
+    data = np.zeros((d, d), dtype=complex)
+    for m in idx:
+        for n in idx:
+            c = tw.get(m + n)
+            if c is not None:
+                data[m + half_width, n + half_width] = phase * c
+    second = np.zeros(d, dtype=complex)
+    for i, n in enumerate(idx):
+        z = 0.0 + 0.0j
+        for ell in idx:
+            if ell == n:
+                continue
+            c = tw.get(ell + n)
+            if c is not None:
+                z += phase * phase * c * c / (2j * np.pi * (ell - n))
+        second[i] = z
+    return data, second
+
+
 _coeff_values = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 _potential = st.dictionaries(st.integers(-40, 40), _coeff_values, max_size=4)
 
@@ -286,3 +329,29 @@ def test_dirac_model_matches_block_loop(half_width, pots, gauge):
     expected = reference_dirac_data(half_width, *cleaned, gauge)
     assert mdl.perturbation.data.tobytes() == expected.tobytes()
 
+
+@settings(deadline=None, max_examples=40)
+@given(
+    half_width=st.integers(1, 20),
+    theta=st.floats(-2.9, 2.9).filter(lambda t: abs(t - round(t)) >= 1e-9),
+    coeffs=_potential,
+)
+def test_hill_model_matches_entry_loop(half_width, theta, coeffs):
+    mdl = hill_model(half_width, theta, coeffs)
+    cleaned = {k: complex(z) for k, z in coeffs.items() if z != 0}
+    assert mdl.perturbation.data.tobytes() == reference_hill_data(half_width, cleaned).tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    half_width=st.integers(1, 12),
+    # integer twists take the exact-shift branch, the others the full series
+    theta=st.one_of(st.integers(-2, 2).map(float), st.floats(-2.9, 2.9)),
+    coeffs=_potential,
+)
+def test_involution_model_matches_entry_loop(half_width, theta, coeffs):
+    mdl = involution_model(half_width, theta, coeffs)
+    cleaned = {k: complex(z) for k, z in coeffs.items() if z != 0}
+    data, second = reference_involution_data(half_width, theta, cleaned)
+    assert mdl.perturbation.data.tobytes() == data.tobytes()
+    assert mdl.second_order.tobytes() == second.tobytes()

@@ -99,34 +99,67 @@ class TestSpectrum:
         assert eta == pytest.approx(direct, rel=1e-12)
 
 
+def reference_groups(spectrum, radius):
+    """Per-group positions and the group of each position, built index by
+    index: the central group |n| <= radius first, then the other indices
+    as singletons in index order."""
+    center = [int(n) for n in spectrum.indices if abs(n) <= radius]
+    groups = ([center] if center else []) + [
+        [int(n)] for n in spectrum.indices if abs(n) > radius
+    ]
+    positions = [np.concatenate([spectrum.positions_of(i) for i in g]) for g in groups]
+    gid = np.empty(spectrum.dim, dtype=int)
+    for g, pos in enumerate(positions):
+        gid[pos] = g
+    return positions, gid
+
+
 class TestPartition:
     def test_trivial(self):
         spec = simple_spectrum(2)
         part = Partition.trivial(spec)
-        assert len(part.groups) == 5
-        assert part.gid(0) == part.gid(0)
-
-    def test_two_part(self):
-        spec = simple_spectrum(2)
-        part = Partition.two_part(spec, 1)
-        assert len(part.groups) == 2
-        assert sorted(part.group_indices(0)) == [1]
-        assert sorted(part.group_indices(1)) == [-2, -1, 0, 2]
+        assert part.n_groups == 5
+        assert list(part.gid_of_position) == [0, 1, 2, 3, 4]
+        assert list(part.dims) == [1] * 5
 
     def test_coarse(self):
-        spec = simple_spectrum(3)
+        spec = simple_spectrum(3, mults=[1, 2, 1, 1, 1, 2, 1])
         part = Partition.coarse(spec, 1)
-        assert sorted(part.group_indices(0)) == [-1, 0, 1]
-        for n in (2, 3):
-            assert sorted(part.group_indices(n)) == [n]
-            assert sorted(part.group_indices(-n)) == [-n]
+        # the central group first, then the singletons by index
+        assert part.n_groups == 5
+        assert list(part.dims) == [3, 1, 2, 2, 1]
+        assert list(part.group_positions(0)) == [3, 4, 5]
+        assert list(part.group_positions(2)) == [1, 2]
+        assert list(part.gid_of_position) == [1, 2, 2, 0, 0, 0, 3, 3, 4]
 
-    def test_refines(self):
-        spec = simple_spectrum(3)
-        fine = Partition.trivial(spec)
-        coarse = Partition.coarse(spec, 2)
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
+    def test_coarse_refuses_empty_center(self):
+        spec = simple_spectrum(2)
+        with pytest.raises(InvalidInputError):
+            Partition.coarse(spec, -1)
+        off_center = Spectrum(np.arange(3, 7), np.arange(3, 7) * 1.0)
+        with pytest.raises(InvalidInputError, match="central group is empty"):
+            Partition.coarse(off_center, 2)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lo=st.integers(-6, 4),
+        mults=st.lists(st.integers(1, 3), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    def test_matches_per_index_reference(self, lo, mults, data):
+        idx = np.arange(lo, lo + len(mults))
+        spec = Spectrum(idx, 2j * np.pi * idx, mults=mults)
+        radius = data.draw(st.integers(-1, int(np.abs(idx).max()) + 1))
+        part = Partition(spec, radius)
+        positions, gid = reference_groups(spec, radius)
+        assert part.n_groups == len(positions)
+        assert np.array_equal(part.gid_of_position, gid)
+        assert np.array_equal(part.dims, [p.size for p in positions])
+        for g, pos in enumerate(positions):
+            assert np.array_equal(part.group_positions(g), pos)
+        assert np.array_equal(part.perm, np.concatenate(positions))
+        assert np.array_equal(part.bounds, np.cumsum([0] + [p.size for p in positions])[:-1])
+        assert np.array_equal(part.same_group_mask(), gid[:, None] == gid[None, :])
 
     def test_same_group_mask(self):
         spec = simple_spectrum(2)
@@ -163,8 +196,7 @@ class TestNorms:
         # for one dense block the blockwise and operator norms coincide
         rng = np.random.default_rng(6)
         spec = simple_spectrum(2)
-        groups = [list(range(-2, 3))]
-        part = Partition(spec, groups, [0], kind="single")
+        part = Partition.coarse(spec, 2)
         x = random_block(rng, part)
         assert x.op() == pytest.approx(x.hs_sigma(), rel=1e-9)
 
@@ -183,7 +215,7 @@ def reference_block_spectral_sq(x):
     out = np.zeros((part.n_groups, part.n_groups))
     for gi in range(part.n_groups):
         for gj in range(part.n_groups):
-            blk = x.data[np.ix_(part.positions[gi], part.positions[gj])]
+            blk = x.data[np.ix_(part.group_positions(gi), part.group_positions(gj))]
             out[gi, gj] = np.linalg.norm(blk, 2) ** 2
     return out
 
@@ -214,17 +246,14 @@ def apply_op(op, x, kx, y, ky):
         return x.adjoint(), kx.T
     if op == "commutator_inverse":
         return commutator_inverse(TransformContext(part), x), kx & ~eye
-    if op == "block_diagonal":
-        return block_diagonal(TransformContext(part), x), kx & eye
-    # coarsen to a single group and back
-    single = Partition(part.spectrum, [tuple(part.spectrum.indices)], [0])
-    return x.coarsen(single).refine(part), kx
+    assert op == "block_diagonal"
+    return block_diagonal(TransformContext(part), x), kx & eye
 
 
 @st.composite
 def partitions(draw):
-    """Trivial, uniform width 2, coarse, or mixed widths {1, 2, 3} in a
-    shuffled group order (so blocks pair different widths, e.g. 2 x 3)."""
+    """Trivial, uniform width 2, coarse, or a radius from -1 to n over
+    multiplicities {1, 2, 3} (so blocks pair different widths, e.g. 2 x 3)."""
     n = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(["trivial", "width2", "coarse", "mixed"]))
     if kind == "trivial":
@@ -234,9 +263,7 @@ def partitions(draw):
     if kind == "coarse":
         return Partition.coarse(simple_spectrum(n), draw(st.integers(0, n)))
     mults = draw(st.lists(st.integers(1, 3), min_size=2 * n + 1, max_size=2 * n + 1))
-    spec = simple_spectrum(n, mults=mults)
-    order = draw(st.permutations(list(spec.indices)))
-    return Partition(spec, [(int(i),) for i in order], order)
+    return Partition(simple_spectrum(n, mults=mults), draw(st.integers(-1, n)))
 
 
 class TestBlockSpectralSq:
@@ -246,7 +273,7 @@ class TestBlockSpectralSq:
         seed=st.integers(0, 10_000),
         sparse=st.booleans(),
         op=st.sampled_from(
-            ["none", "matmul", "add", "adjoint", "commutator_inverse", "block_diagonal", "regroup"]
+            ["none", "matmul", "add", "adjoint", "commutator_inverse", "block_diagonal"]
         ),
     )
     def test_matches_per_block_reference(self, part, seed, sparse, op):
@@ -293,23 +320,6 @@ class TestBlockMatrix:
         with pytest.raises(PartitionMismatchError):
             _ = a + b
 
-    def test_coarsen_refine_cycle(self):
-        rng = np.random.default_rng(10)
-        spec = simple_spectrum(3)
-        fine = Partition.trivial(spec)
-        coarse = Partition.coarse(spec, 2)
-        x = random_block(rng, fine)
-        y = x.coarsen(coarse)
-        assert np.array_equal(x.dense(), y.dense())
-        z = y.refine(fine)
-        assert np.array_equal(x.dense(), z.dense())
-
-    def test_refine_rejects_non_refinement(self):
-        spec = simple_spectrum(3)
-        x = BlockMatrix.zeros(Partition.coarse(spec, 1))
-        with pytest.raises(PartitionMismatchError):
-            x.refine(Partition.two_part(spec, 0))
-
 
 class TestInverse:
     def test_inverse_identity_plus(self):
@@ -331,4 +341,15 @@ class TestInverse:
         x = BlockMatrix.zeros(part)
         x.data[:] = -np.eye(spec.dim)  # I + X = 0
         with pytest.raises(NotInvertibleError):
+            inv_identity_plus(x)
+
+    def test_ill_conditioned_rejected(self):
+        from simspec.opmatrix import inv_identity_plus
+
+        # I + X = diag(1, 0.5, 1e-13): inverted exactly, so only the
+        # condition gate (kappa_2 = 1e13 > 1e12) can refuse it
+        spec = simple_spectrum(1)
+        x = BlockMatrix(Partition.trivial(spec), np.diag([0.0, -0.5, 1e-13 - 1.0]))
+        assert 0.9e13 < np.linalg.cond(np.eye(3) + x.data) < 1.1e13
+        with pytest.raises(NotInvertibleError, match="numerically singular"):
             inv_identity_plus(x)
