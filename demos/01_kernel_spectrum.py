@@ -15,7 +15,12 @@ import numpy as np
 from simspec.models import kernel_model
 from simspec.opmatrix import free_diagonal
 from simspec.similarity import pipeline_contraction
-from simspec.verify import build_spectrum_report, match_spectra, oracle_eigenvalues
+from simspec.verify import (
+    build_spectrum_report,
+    match_spectra,
+    oracle_eigenvalues,
+    values_by_position,
+)
 from simspec.weighted import decay_weights
 
 # -- build the truncated problem ----------------------------------------------
@@ -47,7 +52,9 @@ print(f"worst estimate deviation from the dense solve: {dev:.2e}")
 # -- the deviation sequence and its two-term expansion ---------------------------
 
 report = build_spectrum_report(
-    mdl.spectrum, result.eigenvalue_estimates, oracle,
+    mdl.spectrum,
+    values_by_position(mdl.spectrum, est_values),
+    values_by_position(mdl.spectrum, oracle),
     first_order=mdl.first_order, second_order=mdl.second_order,
     weights=decay_weights(b),
 )

@@ -67,7 +67,6 @@ from .splitting import (
     split_system,
 )
 from .transforms import (
-    TransformContext,
     block_diagonal,
     commutator_inverse,
     commutator_residual,

@@ -48,13 +48,13 @@ from .splitting import (
     operator_norm_condition,
     split_eigenpair,
 )
-from .transforms import TransformContext, commutator_inverse, commutator_residual
+from .transforms import commutator_residual
 from .verify import (
-    _pair_values_to_positions,
     build_spectrum_report,
     charpoly_eigenvalues,
     match_spectra,
     oracle_eigenvalues,
+    values_by_position,
 )
 from .weighted import decay_weights, weights_to_csv
 
@@ -424,13 +424,11 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
     return gates, oracle_vals
 
 
-def _write_series(csv_dir, model, est, weights, oracle_vals, report_obj):
-    """CSV series; ``est`` holds the estimates arranged by dense position."""
+def _write_series(csv_dir, model, est, weights, ora, report_obj):
+    """CSV series; ``est`` and ``ora`` (None without the oracle) hold the
+    estimates and the oracle values arranged by dense position."""
     os.makedirs(csv_dir, exist_ok=True)
     spectrum = model.spectrum
-    ora = None
-    if oracle_vals is not None:
-        ora = _pair_values_to_positions(spectrum, oracle_vals)
     path = os.path.join(csv_dir, "spectrum_scatter.csv")
     with open(path, "w") as fh:
         cols = "index,free_re,free_im,estimate_re,estimate_im"
@@ -530,12 +528,12 @@ def _svg_scatter(series, path, title):
 
 
 def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
-    t_start = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
-    model = build_model(cfg)
     requested = cfg["pipeline"]
     if requested == "split":
         return cmd_split(cfg, out_dir, quiet)
+    t_start = time.perf_counter()
+    os.makedirs(out_dir, exist_ok=True)
+    model = build_model(cfg)
     name = _auto_pipeline(model) if requested == "auto" else requested
     result = run_pipeline(model, name, cfg["tolerances"])
     fault = cfg.get("fault_injection", {}).get("corrupt_v", 0.0)
@@ -547,12 +545,18 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
         weights = decay_weights(model.perturbation)
     except MethodConditionError:
         weights = None
-    report_obj = None
+    spectrum = model.spectrum
+    csv_dir = cfg["output"].get("csv_dir")
+    svg = cfg["output"].get("svg")
+    est = ora = report_obj = None
+    if oracle_vals is not None or csv_dir is not None or svg is not None:
+        est = values_by_position(spectrum, [z for _, z in result.eigenvalue_estimates])
     if oracle_vals is not None:
+        ora = values_by_position(spectrum, oracle_vals)
         report_obj = build_spectrum_report(
-            model.spectrum,
-            result.eigenvalue_estimates,
-            oracle_vals,
+            spectrum,
+            est,
+            ora,
             first_order=model.first_order,
             second_order=model.second_order,
             weights=weights,
@@ -579,14 +583,8 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     }
     report_path = os.path.join(out_dir, cfg["output"].get("report", "report.json"))
     _write_json(report_path, report)
-    csv_dir = cfg["output"].get("csv_dir")
-    svg = cfg["output"].get("svg")
-    spectrum = model.spectrum
-    if csv_dir is not None or svg is not None:
-        est = _pair_values_to_positions(spectrum, [z for _, z in result.eigenvalue_estimates])
     if csv_dir is not None:
-        _write_series(os.path.join(out_dir, csv_dir), model, est, weights,
-                      oracle_vals, report_obj)
+        _write_series(os.path.join(out_dir, csv_dir), model, est, weights, ora, report_obj)
         if report_obj is not None:
             report_obj.to_csv(os.path.join(out_dir, csv_dir, "spectrum_report.csv"))
     if svg is not None:
@@ -596,9 +594,8 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
             ("estimates", "#c0392b", [(z.real, z.imag) for z in est]),
         ]
         if oracle_vals is not None:
-            series.append(
-                ("reference", "#2e6da4", [(z.real, z.imag) for z in oracle_vals])
-            )
+            # in the oracle's (re, im) order, which fixes the order of the circles
+            series.append(("reference", "#2e6da4", [(z.real, z.imag) for z in oracle_vals]))
         _svg_scatter(series, os.path.join(out_dir, svg), "spectrum")
     wall = {"total_seconds": time.perf_counter() - t_start, "oracle_seconds": t_oracle}
     _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
@@ -747,10 +744,9 @@ def _verify_battery(seed: int, quiet: bool, cfg: dict | None):
         win = TruncationWindow(n)
         spec = Spectrum(np.arange(-n, n + 1), 2j * np.pi * np.arange(-n, n + 1), window=win)
         part = Partition.coarse(spec, int(rng.integers(0, n)))
-        ctx = TransformContext(part)
         x = BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim))
                         + 1j * rng.normal(size=(spec.dim, spec.dim)))
-        res = commutator_residual(ctx, x)
+        res = commutator_residual(x)
         if res > 1e-12 * max(x.hs(), 1.0):
             ok = False
             detail = f"residual {res:.2e}"

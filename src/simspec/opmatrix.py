@@ -8,7 +8,8 @@ blocks by a partition of the eigenvalue indices.  Everything downstream
 * :class:`Spectrum` -- eigenvalues, multiplicities and the window,
 * :class:`Partition` -- a spectrum plus a coarsening radius m: the
   indices |n| <= m form one central group and every other index is a
-  group of its own (m = -1: singletons only),
+  group of its own (m = -1: singletons only); it caches the tables the
+  transforms read, its same-group mask and its divisor table,
 * :class:`BlockMatrix` -- a dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
@@ -216,6 +217,7 @@ class Partition:
         self.perm = np.concatenate((np.flatnonzero(at_center), np.flatnonzero(~at_center)))
         self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
         self._same_group = None
+        self._divisors = None
 
     @classmethod
     def trivial(cls, spectrum: Spectrum) -> "Partition":
@@ -237,6 +239,19 @@ class Partition:
             g = self.gid_of_position
             self._same_group = g[:, None] == g[None, :]
         return self._same_group
+
+    def divisors(self) -> np.ndarray:
+        """D x D table lambda_row - lambda_col with same-group entries set to 1.
+
+        Same-group entries are placeholders, never legitimate divisions;
+        the commutator inverse zeroes them.
+        """
+        if self._divisors is None:
+            lam = self.spectrum.position_values
+            diff = lam[:, None] - lam[None, :]
+            diff[self.same_group_mask()] = 1.0
+            self._divisors = diff
+        return self._divisors
 
     def group_positions(self, g: int) -> np.ndarray:
         """Dense positions of group ``g``, ascending."""
@@ -321,11 +336,6 @@ class BlockMatrix:
         d = partition.spectrum.dim
         return cls(partition, np.eye(d, dtype=complex))
 
-    @classmethod
-    def from_dense(cls, partition: Partition, array) -> "BlockMatrix":
-        """Wrap a copy of a dense matrix."""
-        return cls(partition, np.array(array, dtype=complex))
-
     # -- structure ----------------------------------------------------
 
     def dense(self) -> np.ndarray:
@@ -356,9 +366,6 @@ class BlockMatrix:
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._require_same(other)
         return BlockMatrix(self.partition, self.data @ other.data)
-
-    def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data.conj().T.copy())
 
     def copy(self) -> "BlockMatrix":
         return BlockMatrix(self.partition, self.data.copy())

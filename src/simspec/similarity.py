@@ -12,13 +12,15 @@ U and V come out of a fixed point of the quadratic map
 
     Phi(X) = B GX - (GX) JB - (GX) J(B GX) + B,
 
-where J keeps diagonal blocks and G is the commutator inverse; the map
-contracts on a ball once 4 * gamma * ||B|| < 1 for the norm bound gamma
-of G.  When the plain certificate fails, a preliminary transform by
-I + GB (valid once ||GB||_op < 1) and a coarsening of the partition
-bring the effective perturbation inside the contraction region; the
-coarse radius is chosen through the decay weights of the transformed
-perturbation.
+where J keeps diagonal blocks and G is the commutator inverse.  Both
+act on the partition of the matrix they are given, and each partition
+caches its divisor table, so every step on one partition shares it.
+The map contracts on a ball once 4 * gamma * ||B|| < 1 for the norm
+bound gamma of G.  When the plain certificate fails, a preliminary
+transform by I + GB (valid once ||GB||_op < 1) and a coarsening of the
+partition bring the effective perturbation inside the contraction
+region; the coarse radius is chosen through the decay weights of the
+transformed perturbation.
 
 Pipelines, from cheap to heavy, all ``(spectrum, b, *, ...)`` and all
 returning a ``SimilarityResult``; a failed certificate always raises:
@@ -66,14 +68,11 @@ from .opmatrix import (
     Partition,
     Spectrum,
     TruncationWindow,
+    gap_inverse_square_sum,
     inv_identity_plus,
+    spectral_gap,
 )
-from .transforms import (
-    TransformContext,
-    block_diagonal,
-    commutator_inverse,
-    off_diagonal_part,
-)
+from .transforms import block_diagonal, commutator_inverse, off_diagonal_part
 from .verify import match_spectra
 from .weighted import decay_weights, factorize, select_coarsening
 
@@ -112,11 +111,11 @@ def _move(x: BlockMatrix, partition: Partition) -> BlockMatrix:
 # -- fixed point --------------------------------------------------------
 
 
-def contraction_step(x: BlockMatrix, b: BlockMatrix, ctx: TransformContext) -> BlockMatrix:
+def contraction_step(x: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     """One application of Phi(X) = B GX - (GX) JB - (GX) J(B GX) + B."""
-    gx = commutator_inverse(ctx, x)
+    gx = commutator_inverse(x)
     bgx = b @ gx
-    return bgx - gx @ block_diagonal(ctx, b) - gx @ block_diagonal(ctx, bgx) + b
+    return bgx - gx @ block_diagonal(b) - gx @ block_diagonal(bgx) + b
 
 
 @dataclass
@@ -131,7 +130,6 @@ class FixedPointResult:
 
 def fixed_point(
     b: BlockMatrix,
-    ctx: TransformContext,
     *,
     gamma: float,
     norm_fn,
@@ -139,7 +137,8 @@ def fixed_point(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> FixedPointResult:
-    """Iterate Phi from X0 = 0 until the step norm stalls below `tol`.
+    """Iterate Phi on the partition of ``b`` from X0 = 0 until the step
+    norm stalls below `tol`.
 
     The a priori certificate is q = 4 * gamma * ||B|| < 1; the iteration
     refuses to start without it.  Convergence lands X* in the ball
@@ -159,13 +158,13 @@ def fixed_point(
         raise ContractionViolationError(
             f"contraction certificate fails: 4 * gamma * norm = {q_bound!r} >= 1"
         )
-    x = BlockMatrix.zeros(ctx.partition)
+    x = BlockMatrix.zeros(b.partition)
     steps = []
     ratio = 0.0
     converged = False
     iterations = 0
     for it in range(1, max_iter + 1):
-        x_next = contraction_step(x, b, ctx)
+        x_next = contraction_step(x, b)
         s = norm_fn(x_next - x)
         if steps and steps[-1] > 1e-300:
             ratio = max(ratio, s / steps[-1])
@@ -187,9 +186,9 @@ def fixed_point(
             f"fixed point left the guaranteed ball: {drift!r} > 3 * {norm_b!r}"
         )
     resid = (
-        block_diagonal(ctx, x)
-        - block_diagonal(ctx, b @ commutator_inverse(ctx, x))
-        - block_diagonal(ctx, b)
+        block_diagonal(x)
+        - block_diagonal(b @ commutator_inverse(x))
+        - block_diagonal(b)
     ).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
@@ -211,17 +210,18 @@ class PreliminaryResult:
 
 
 def preliminary_transform(
-    b: BlockMatrix, ctx: TransformContext, scanned: tuple[BlockMatrix, float] | None = None
+    b: BlockMatrix, scanned: tuple[BlockMatrix, float] | None = None
 ) -> PreliminaryResult:
     """Conjugate A - B by I + GB, splitting off the diagonal blocks of B.
 
-    Valid once ||GB||_op < 1; then A - B is similar to A - JB - B0 with
+    G and J act on the partition of ``b``.  Valid once ||GB||_op < 1;
+    then A - B is similar to A - JB - B0 with
     B0 = (I + GB)^-1 (B GB - (GB)(JB)).  The exact similarity residual
     of the rewriting is returned for gating.  ``scanned`` hands over GB
     and its exact operator norm as the smoothing scan computed them.
     """
     if scanned is None:
-        g = commutator_inverse(ctx, b)
+        g = commutator_inverse(b)
         gop = g.op()
     else:
         g, gop = scanned
@@ -229,11 +229,11 @@ def preliminary_transform(
         raise ConditionViolationError(
             "preliminary transform needs ||GB||_op < 1", lhs=gop, rhs=1.0
         )
-    jb = block_diagonal(ctx, b)
+    jb = block_diagonal(b)
     inv = inv_identity_plus(g)
     b0 = inv @ (b @ g - g @ jb)
 
-    lam = ctx.spectrum.position_values
+    lam = b.partition.spectrum.position_values
     eye_g = np.eye(lam.size) + g.data
     lhs = lam[:, None] * eye_g - b.data @ eye_g
     rhs = eye_g * lam[None, :] - eye_g @ (jb.data + b0.data)
@@ -269,22 +269,23 @@ def diagonal_asymptotics(b: BlockMatrix) -> AsymptoticSequences | None:
         return None
     base = Partition.trivial(spec)
     bb = _move(b, base)
-    ctx = TransformContext(base)
-    gb = commutator_inverse(ctx, bb)
+    gb = commutator_inverse(bb)
     second = np.diag(bb.data @ gb.data).copy()
     first = np.diag(bb.data).copy()
     return AsymptoticSequences(spec.indices.copy(), first, second)
 
 
-def block_eigenvalue_estimates(spectrum: Spectrum, partition: Partition, v: BlockMatrix,
-                               labels=None):
-    """Eigenvalues of A - V per diagonal block, tagged by spectrum index.
+def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
+    """Eigenvalues of A - V per diagonal block of the partition of ``v``,
+    tagged by spectrum index.
 
     Singleton positions give lambda_n - V_nn directly; larger blocks are
     diagonalized and their eigenvalues paired to member indices by
     closeness to the free eigenvalues.  ``labels`` overrides the tag per
     position (used when the working spectrum is a relabeling of another).
     """
+    partition = v.partition
+    spectrum = partition.spectrum
     lam = spectrum.position_values
     if labels is None:
         labels = [int(spectrum.indices[spectrum.position_entry[p]])
@@ -340,22 +341,21 @@ def _single_stage(
     b: BlockMatrix,
     *,
     pipeline: str,
-    gamma,
+    gamma: float,
     norm_fn,
     norm_name: str,
     tol: float,
     max_iter: int,
 ) -> SimilarityResult:
-    """One fixed point on the index-per-group partition; ``gamma`` maps
-    its transform context to the norm bound of G."""
-    ctx = TransformContext(Partition.trivial(spectrum))
-    bb = _move(b, ctx.partition)
+    """One fixed point on the index-per-group partition; ``gamma`` is the
+    norm bound of G."""
+    bb = _move(b, Partition.trivial(spectrum))
     fp = fixed_point(
-        bb, ctx, gamma=gamma(ctx), norm_fn=norm_fn, norm_name=norm_name,
+        bb, gamma=gamma, norm_fn=norm_fn, norm_name=norm_name,
         tol=tol, max_iter=max_iter,
     )
-    u = commutator_inverse(ctx, fp.x_star)
-    v = block_diagonal(ctx, fp.x_star)
+    u = commutator_inverse(fp.x_star)
+    v = block_diagonal(fp.x_star)
     return SimilarityResult(
         pipeline=pipeline,
         spectrum=spectrum,
@@ -365,8 +365,8 @@ def _single_stage(
         iterations={"fixed_point": fp.iterations},
         residual=similarity_residual(spectrum, bb, u, v),
         residual_scale=_residual_scale(spectrum, bb),
-        offdiag_residual=off_diagonal_part(ctx, v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(spectrum, ctx.partition, v),
+        offdiag_residual=off_diagonal_part(v).hs(),
+        eigenvalue_estimates=block_eigenvalue_estimates(v),
         stages=[_fixed_point_stage(fp)],
     )
 
@@ -386,7 +386,7 @@ def pipeline_contraction(
     return _single_stage(
         spectrum, b,
         pipeline="mt1",
-        gamma=lambda ctx: 1.0 / ctx.delta,
+        gamma=1.0 / spectral_gap(spectrum),
         norm_fn=lambda z: z.hs(),
         norm_name="hs",
         tol=tol, max_iter=max_iter,
@@ -405,7 +405,7 @@ def pipeline_block_norm(
     return _single_stage(
         spectrum, b,
         pipeline="mt2",
-        gamma=lambda ctx: math.sqrt(ctx.eta),
+        gamma=math.sqrt(gap_inverse_square_sum(spectrum)),
         norm_fn=lambda z: z.hs_sigma(),
         norm_name="hs_sigma",
         tol=tol, max_iter=max_iter,
@@ -416,18 +416,16 @@ def pipeline_block_norm(
 
 
 def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
-    """Smallest coarse radius with ||GB||_op < 1: its context, GB and
-    ||GB||_op, plus the scan log."""
+    """GB and ||GB||_op on the partition of the smallest coarse radius
+    with ||GB||_op < 1, plus the scan log."""
     kmax = int(np.abs(spectrum.indices).max())
     scan = []
     for m in range(kmax + 1):
-        part = Partition.coarse(spectrum, m)
-        ctx = TransformContext(part)
-        g = commutator_inverse(ctx, _move(b, part))
+        g = commutator_inverse(_move(b, Partition.coarse(spectrum, m)))
         gop = g.op()
         scan.append({"radius": m, "smoother_op_norm": float(gop)})
         if gop < 1.0:
-            return m, ctx, g, gop, scan
+            return g, gop, scan
     raise ConditionViolationError(
         "no coarsening radius makes the preliminary transform contractive",
         lhs=scan[-1]["smoother_op_norm"],
@@ -440,8 +438,7 @@ class _StageOne:
     """Preliminary similarity I + GB at the smallest smoothing radius."""
 
     b: BlockMatrix  # B on the trivial partition
-    radius: int
-    ctx: TransformContext
+    partition: Partition  # at the smoothing radius
     prelim: PreliminaryResult
     certificate: dict
     stages: list
@@ -449,21 +446,21 @@ class _StageOne:
 
 def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
     bb = _move(b, Partition.trivial(spectrum))
-    m, ctx_m, g, gop, scan = _scan_smoothing_radius(spectrum, bb)
-    prelim = preliminary_transform(_move(bb, ctx_m.partition), ctx_m, scanned=(g, gop))
-    certificate = {"radius": m, "smoother_op_norm": prelim.smoother_op_norm}
+    g, gop, scan = _scan_smoothing_radius(spectrum, bb)
+    prelim = preliminary_transform(_move(bb, g.partition), scanned=(g, gop))
+    certificate = {"radius": g.partition.radius, "smoother_op_norm": prelim.smoother_op_norm}
     stages = [
         {"name": "smoothing_scan", "scan": scan},
         {"name": "preliminary", **certificate, "residual": prelim.residual},
     ]
-    return _StageOne(bb, m, ctx_m, prelim, certificate, stages)
+    return _StageOne(bb, g.partition, prelim, certificate, stages)
 
 
 @dataclass
 class _StageTwo:
     """Weighted fixed point X* on the coarse partition at radius k."""
 
-    ctx: TransformContext
+    partition: Partition
     fp: FixedPointResult
     selection: dict
     u: BlockMatrix  # G X*
@@ -477,18 +474,18 @@ def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float,
     contraction, and the fixed point for Q at k in the weighted norm."""
     w = decay_weights(q)
     k, selection = select_coarsening(q, w, margin=margin, start=start)
-    ctx_k = TransformContext(Partition.coarse(q.partition.spectrum, k))
+    part_k = Partition.coarse(q.partition.spectrum, k)
     fp = fixed_point(
-        _move(q, ctx_k.partition), ctx_k,
+        _move(q, part_k),
         gamma=w.gamma(k),
         norm_fn=lambda z: factorize(z, w).norm,
         norm_name="weighted",
         tol=tol, max_iter=max_iter,
     )
-    u2 = commutator_inverse(ctx_k, fp.x_star)
-    v2 = block_diagonal(ctx_k, fp.x_star)
+    u2 = commutator_inverse(fp.x_star)
+    v2 = block_diagonal(fp.x_star)
     stages = [{"name": "coarsening", **selection}, _fixed_point_stage(fp)]
-    return _StageTwo(ctx_k, fp, selection, u2, v2, stages)
+    return _StageTwo(part_k, fp, selection, u2, v2, stages)
 
 
 def _two_stage_result(
@@ -527,9 +524,8 @@ def _two_stage_result(
         iterations={"fixed_point": two.fp.iterations},
         residual=similarity_residual(spectrum, one.b, u, _move(v, base)),
         residual_scale=_residual_scale(spectrum, one.b),
-        offdiag_residual=off_diagonal_part(two.ctx, two.v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(
-            two.ctx.spectrum, two.ctx.partition, two.v, labels=labels),
+        offdiag_residual=off_diagonal_part(two.v).hs(),
+        eigenvalue_estimates=block_eigenvalue_estimates(two.v, labels=labels),
         stages=[*one.stages, *(frame_stages or []), *two.stages],
     )
 
@@ -553,14 +549,14 @@ def pipeline_coarse(
     base = one.b.partition
     prelim = one.prelim
     two = _stage_two(_move(prelim.diagonal + prelim.remainder, base),
-                     start=one.radius, margin=margin, tol=tol, max_iter=max_iter)
+                     start=one.partition.radius, margin=margin, tol=tol, max_iter=max_iter)
 
     # the stage-one diagonal must survive inside V:
     # V = JB|_m + (B0 (I + G_k X*)) projected onto the coarse blocks
-    ctx_k = two.ctx
-    b0_k = _move(prelim.remainder, ctx_k.partition)
-    jb_k = _move(prelim.diagonal, ctx_k.partition)
-    v_alt = jb_k + block_diagonal(ctx_k, b0_k @ (BlockMatrix.identity(ctx_k.partition) + two.u))
+    part_k = two.partition
+    b0_k = _move(prelim.remainder, part_k)
+    jb_k = _move(prelim.diagonal, part_k)
+    v_alt = jb_k + block_diagonal(b0_k @ (BlockMatrix.identity(part_k) + two.u))
     cross = (two.v - v_alt).hs()
     if cross > 1e-8 * max(1.0, two.v.hs()):
         raise InvariantBreachError(f"diagonal reconstruction mismatch {cross!r}")
@@ -591,16 +587,16 @@ def _merge_sorted_values(vals: np.ndarray, scale: float):
     return np.array(reps), np.array(mults), members
 
 
-def _rebase_frame(spectrum: Spectrum, ctx_m: TransformContext, d: BlockMatrix):
+def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
     """Diagonalize A - D and return the sorted eigenbasis.
 
-    D must be block diagonal on the stage-one partition.  A literally
+    D must be block diagonal on its own (stage-one) partition.  A literally
     diagonal D keeps the frame exact (a permutation); otherwise each
     block is diagonalized numerically and gated on conditioning.
     """
     lam = spectrum.position_values
     dim = spectrum.dim
-    part = ctx_m.partition
+    part = d.partition
     off = d.data.copy()
     np.fill_diagonal(off, 0.0)
     diagonal_case = not off.any()
@@ -690,16 +686,16 @@ def pipeline_rebase(
     one = _stage_one(spectrum, b)
     base = one.b.partition
     prelim = one.prelim
-    d = prelim.diagonal if diag_part is None else _move(diag_part, one.ctx.partition)
-    tilde, push, pull, frame_info, pos_perm = _rebase_frame(spectrum, one.ctx, d)
+    d = prelim.diagonal if diag_part is None else _move(diag_part, one.partition)
+    tilde, push, pull, frame_info, pos_perm = _rebase_frame(spectrum, d)
 
     hat_dense = push((prelim.diagonal - d + prelim.remainder).data)
-    b_hat = BlockMatrix.from_dense(Partition.trivial(tilde), hat_dense)
+    b_hat = BlockMatrix(Partition.trivial(tilde), hat_dense)
     two = _stage_two(b_hat, start=0, margin=margin, tol=tol, max_iter=max_iter)
 
-    u2 = BlockMatrix.from_dense(base, pull(two.u.data))
+    u2 = BlockMatrix(base, pull(two.u.data))
     a_minus_v_hat = np.diag(tilde.position_values) - two.v.data
-    v = BlockMatrix.from_dense(base, np.diag(spectrum.position_values) - pull(a_minus_v_hat))
+    v = BlockMatrix(base, np.diag(spectrum.position_values) - pull(a_minus_v_hat))
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
     source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in pos_perm]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, NotInvertibleError, OracleFailureError
-from .opmatrix import BlockMatrix, Partition, Spectrum
+from .opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
 
 __all__ = [
     "oracle_eigenvalues",
@@ -30,6 +30,7 @@ __all__ = [
     "charpoly_eigenvalues",
     "SpectrumMatch",
     "match_spectra",
+    "values_by_position",
     "tail_weight_check",
     "projection_compare",
     "SpectrumReport",
@@ -338,52 +339,32 @@ class SpectrumReport:
                 )
 
 
-def _pair_values_to_positions(spectrum: Spectrum, values) -> np.ndarray:
-    """Arrange a value multiset along the dense spectrum positions."""
-    m = match_spectra(spectrum.position_values, values)
-    vals = np.asarray(values, dtype=complex)
-    out = np.empty(spectrum.dim, dtype=complex)
-    for i, j in m.pairs:
-        out[i] = vals[j]
-    return out
+def values_by_position(spectrum: Spectrum, values) -> np.ndarray:
+    """Arrange a value multiset along the dense spectrum positions by
+    ``match_spectra``; the cardinalities must agree."""
+    pairs = match_spectra(spectrum.position_values, values).pairs
+    return np.asarray(values, dtype=complex)[[j for _, j in pairs]]
 
 
 def build_spectrum_report(
     spectrum: Spectrum,
-    estimates,
-    oracle_values,
+    est_by_pos,
+    oracle_by_pos,
     *,
     first_order=None,
     second_order=None,
     weights=None,
-    gap: float | None = None,
 ) -> SpectrumReport:
     """Assemble the per-index comparison table on the interior window.
 
-    ``estimates`` is the (label, value) list from a pipeline;
-    ``oracle_values`` the full eigenvalue multiset of the truncated
-    A - B.  Rows whose oracle pairing strays beyond 0.4 of the least
-    eigenvalue gap are flagged as ambiguous rather than dropped.
+    ``est_by_pos`` and ``oracle_by_pos`` are the pipeline estimates and
+    the eigenvalues of the truncated A - B arranged along the spectrum
+    positions (see ``values_by_position``).  Rows whose oracle value
+    strays beyond 0.4 of the least eigenvalue gap from its free
+    eigenvalue are flagged as ambiguous rather than dropped.
     """
-    est_vals = [z for _, z in estimates]
-    if len(est_vals) != spectrum.dim:
-        raise InvalidInputError(
-            f"expected {spectrum.dim} estimates, got {len(est_vals)}"
-        )
-    om = match_spectra(spectrum.position_values, oracle_values)
-    oracle_vals = np.asarray(oracle_values, dtype=complex)
-    oracle_by_pos = np.empty(spectrum.dim, dtype=complex)
-    dev_by_pos = np.empty(spectrum.dim)
-    for (i, j), d in zip(om.pairs, om.deviations):
-        oracle_by_pos[i] = oracle_vals[j]
-        dev_by_pos[i] = d
-    est_by_pos = _pair_values_to_positions(spectrum, est_vals)
-    if gap is None:
-        v = spectrum.values
-        d = np.abs(v[:, None] - v[None, :])
-        np.fill_diagonal(d, np.inf)
-        gap = float(d.min()) if v.size > 1 else math.inf
-    flag_dist = 0.4 * gap
+    dev_by_pos = np.abs(spectrum.position_values - oracle_by_pos)
+    flag_dist = 0.4 * spectral_gap(spectrum)
 
     interior = set(int(n) for n in spectrum.interior_indices())
     rows = []
@@ -422,5 +403,5 @@ def build_spectrum_report(
     return SpectrumReport(
         rows=rows,
         tail_stats={"weighted_sum": weighted, "plain_sum": plain},
-        matching_quality=om.max_abs_deviation,
+        matching_quality=float(dev_by_pos.max()),
     )

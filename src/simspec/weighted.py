@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,8 +59,6 @@ class WeightSequence:
     alpha: np.ndarray
     alpha_prime: np.ndarray
     sqrt_eta: float
-    source_norm: float
-    diagnostics: dict = field(default_factory=dict)
 
     @property
     def max_level(self) -> int:
@@ -109,8 +107,7 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
     """Weights of a perturbation, computed on the index-per-group partition."""
     spec = x.partition.spectrum
     bss = BlockMatrix(Partition.trivial(spec), x.data).block_spectral_sq()
-    total = bss.sum()
-    if total <= 0.0:
+    if bss.sum() <= 0.0:
         raise DegenerateWeightError("zero perturbation has no decay profile")
 
     lev_g = np.abs(spec.indices)
@@ -143,36 +140,7 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
             alpha_prime[h] = sm[rstart, ncols - 1]
 
     sqrt_eta = float(np.sqrt(gap_inverse_square_sum(spec)))
-    w = WeightSequence(
-        spectrum=spec,
-        alpha=alpha,
-        alpha_prime=alpha_prime,
-        sqrt_eta=sqrt_eta,
-        source_norm=float(np.sqrt(total)),
-    )
-    w.diagnostics["beyond_window"] = _beyond_window_estimate(w)
-    return w
-
-
-def _beyond_window_estimate(w: WeightSequence) -> float:
-    """Crude coupling estimate towards eigenvalues outside the window.
-
-    Assumes the spectrum keeps growing past the window edges at the edge
-    gap rate; reported as a diagnostic only, never used in certificates.
-    """
-    lam = w.spectrum.values
-    if lam.size < 2:
-        return float("inf")
-    g = min(abs(lam[1] - lam[0]), abs(lam[-1] - lam[-2]))
-    if g <= 0.0:
-        return float("inf")
-    mult = float(w.spectrum.mults.max())
-    lev = np.abs(w.spectrum.indices)
-    d_lo = np.abs(lam - (lam[0] - g))
-    d_hi = np.abs(lam - (lam[-1] + g))
-    d2 = mult * (1.0 / (g * d_lo) + 1.0 / (g * d_hi))
-    a = w.alpha[np.minimum(lev, w.max_level)]
-    return float(np.max(a * np.sqrt(d2)))
+    return WeightSequence(spectrum=spec, alpha=alpha, alpha_prime=alpha_prime, sqrt_eta=sqrt_eta)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from simspec.models import (
     kernel_model,
     random_trig_coeffs,
 )
-from simspec.opmatrix import Partition, free_diagonal
+from simspec.opmatrix import free_diagonal, spectral_gap
 from simspec.similarity import (
     fixed_point,
     pipeline_coarse,
@@ -30,7 +30,7 @@ from simspec.similarity import (
     pipeline_block_norm,
     pipeline_rebase,
 )
-from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
+from simspec.transforms import block_diagonal, commutator_inverse
 from simspec.verify import (
     charpoly_eigenvalues,
     match_spectra,
@@ -145,8 +145,8 @@ class TestCriterion03OracleContainment:
 
 class TestCriterion04ContractionCertificate:
     def test_fixed_point_convergence(self, kernel64):
-        ctx = TransformContext(Partition.trivial(kernel64.spectrum))
-        res = fixed_point(kernel64.perturbation, ctx, gamma=1.0 / ctx.delta,
+        gamma = 1.0 / spectral_gap(kernel64.spectrum)
+        res = fixed_point(kernel64.perturbation, gamma=gamma,
                           norm_fn=lambda m: m.hs(), norm_name="full",
                           tol=1e-12, max_iter=200)
         limit = 4.0 * (1.0 / (2 * np.pi)) * ROOT_MASS + 0.05
@@ -190,9 +190,8 @@ class TestCriterion05SimilarityResidual:
 
 class TestCriterion06HillSecondOrder:
     def test_closed_form_equals_assembled(self, hill128):
-        ctx = TransformContext(Partition.trivial(hill128.spectrum))
-        bgb = hill128.perturbation @ commutator_inverse(ctx, hill128.perturbation)
-        diag = block_diagonal(ctx, bgb).dense().diagonal()
+        bgb = hill128.perturbation @ commutator_inverse(hill128.perturbation)
+        diag = block_diagonal(bgb).dense().diagonal()
         worst = 0.0
         for n in hill128.spectrum.interior_indices():
             p = hill128.spectrum.positions_of(int(n))[0]

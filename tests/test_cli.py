@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from simspec import cli
 from simspec.cli import (
     _svg_scatter,
     build_model,
@@ -355,6 +356,19 @@ class TestSplitCommand:
         assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["command"] == "split"
+
+    def test_pipeline_split_from_analyze_builds_the_model_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build_model(*args, **kwargs):
+            calls.append(args)
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_model", counting_build_model)
+        path = write_config(tmp_path, {"truncation": {"half_width": 16},
+                                       "pipeline": "split", "split_k": 0})
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 1
 
 
 class TestVerifyCommand:

@@ -20,15 +20,14 @@ from simspec.models import (
     random_trig_coeffs,
 )
 from simspec.opmatrix import free_diagonal
-from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
+from simspec.transforms import block_diagonal, commutator_inverse
 from simspec.verify import match_spectra, oracle_eigenvalues
 
 
 def second_order_matrix_route(model):
     """diag of J(B Gamma B) on the index-per-entry partition."""
-    ctx = TransformContext(model.perturbation.partition)
-    bgb = model.perturbation @ commutator_inverse(ctx, model.perturbation)
-    diag = block_diagonal(ctx, bgb).dense().diagonal()
+    bgb = model.perturbation @ commutator_inverse(model.perturbation)
+    diag = block_diagonal(bgb).dense().diagonal()
     spec = model.spectrum
     return np.array([diag[spec.positions_of(n)[0]] for n in spec.indices])
 

@@ -17,7 +17,7 @@ from simspec.opmatrix import (
     gap_inverse_square_sum,
     spectral_gap,
 )
-from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
+from simspec.transforms import block_diagonal, commutator_inverse
 
 
 def simple_spectrum(n=4, mults=None):
@@ -243,11 +243,11 @@ def apply_op(op, x, kx, y, ky):
     if op == "add":
         return x + y, kx | ky
     if op == "adjoint":
-        return x.adjoint(), kx.T
+        return BlockMatrix(part, x.data.conj().T), kx.T
     if op == "commutator_inverse":
-        return commutator_inverse(TransformContext(part), x), kx & ~eye
+        return commutator_inverse(x), kx & ~eye
     assert op == "block_diagonal"
-    return block_diagonal(TransformContext(part), x), kx & eye
+    return block_diagonal(x), kx & eye
 
 
 @st.composite
@@ -297,7 +297,7 @@ class TestBlockMatrix:
         spec = simple_spectrum(3)
         part = Partition.coarse(spec, 1)
         x = random_block(rng, part)
-        y = BlockMatrix.from_dense(part, x.dense())
+        y = BlockMatrix(part, x.dense())
         assert np.array_equal(x.dense(), y.dense())
 
     def test_matmul_against_dense(self):
@@ -306,12 +306,6 @@ class TestBlockMatrix:
         part = Partition.coarse(spec, 1)
         x, y = random_block(rng, part), random_block(rng, part)
         assert np.allclose((x @ y).dense(), x.dense() @ y.dense())
-
-    def test_adjoint(self):
-        rng = np.random.default_rng(9)
-        spec = simple_spectrum(2)
-        x = random_block(rng, Partition.trivial(spec))
-        assert np.array_equal(x.adjoint().dense(), x.dense().conj().T)
 
     def test_partition_mismatch(self):
         spec = simple_spectrum(2)

@@ -3,7 +3,14 @@ import pytest
 
 from simspec.errors import ContractionViolationError, NonConvergenceError
 from simspec.models import dirac_model, hill_model, involution_model, kernel_model
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow, free_diagonal
+from simspec.opmatrix import (
+    BlockMatrix,
+    Partition,
+    Spectrum,
+    TruncationWindow,
+    free_diagonal,
+    spectral_gap,
+)
 from simspec.similarity import (
     PIPELINES,
     block_eigenvalue_estimates,
@@ -15,7 +22,7 @@ from simspec.similarity import (
     preliminary_transform,
     similarity_residual,
 )
-from simspec.transforms import TransformContext, block_diagonal, commutator_inverse
+from simspec.transforms import commutator_inverse
 from simspec.verify import match_spectra, oracle_eigenvalues
 
 
@@ -39,9 +46,8 @@ def small_perturbation(n, scale=0.3, seed=0):
 class TestFixedPoint:
     def test_converges_and_certifies(self):
         spec, b = small_perturbation(6)
-        ctx = TransformContext(b.partition)
-        gamma = 1.0 / ctx.delta
-        res = fixed_point(b, ctx, gamma=gamma, norm_fn=lambda m: m.hs(), norm_name="full")
+        gamma = 1.0 / spectral_gap(spec)
+        res = fixed_point(b, gamma=gamma, norm_fn=lambda m: m.hs(), norm_name="full")
         assert res.certificate["satisfied"]
         assert res.certificate["contraction_q"] < 1.0
         assert res.identity_residual <= 1e-10 * max(1.0, b.hs())
@@ -50,41 +56,36 @@ class TestFixedPoint:
 
     def test_observed_ratio_below_certificate(self):
         spec, b = small_perturbation(6, seed=1)
-        ctx = TransformContext(b.partition)
-        res = fixed_point(b, ctx, gamma=1.0 / ctx.delta, norm_fn=lambda m: m.hs(),
+        res = fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                           norm_name="full")
         assert res.observed_ratio <= res.certificate["contraction_q"] + 0.05
 
     def test_zero_perturbation_converges_immediately(self):
         spec = spectrum(4)
         b = BlockMatrix.zeros(Partition.trivial(spec))
-        ctx = TransformContext(b.partition)
-        res = fixed_point(b, ctx, gamma=1.0 / ctx.delta, norm_fn=lambda m: m.hs(),
+        res = fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                           norm_name="full")
         assert res.x_star.hs() == 0.0
         assert res.iterations == 1
 
     def test_violation_raises_when_enforced(self):
         spec, b = small_perturbation(4, scale=60.0, seed=2)
-        ctx = TransformContext(b.partition)
         with pytest.raises(ContractionViolationError):
-            fixed_point(b, ctx, gamma=1.0 / ctx.delta, norm_fn=lambda m: m.hs(),
+            fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                         norm_name="full")
 
     def test_unenforced_run_diverges_visibly(self):
         # a certified run cut short still refuses to return an answer
         spec, b = small_perturbation(6)
-        ctx = TransformContext(b.partition)
         with pytest.raises(NonConvergenceError):
-            fixed_point(b, ctx, gamma=1.0 / ctx.delta, norm_fn=lambda m: m.hs(),
+            fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                         norm_name="full", max_iter=1)
 
 
 class TestPreliminary:
     def test_exact_similarity(self):
         spec, b = small_perturbation(6, seed=3)
-        ctx = TransformContext(b.partition)
-        pre = preliminary_transform(b, ctx)
+        pre = preliminary_transform(b)
         assert pre.smoother_op_norm < 1.0
         assert pre.residual <= 1e-10 * max(1.0, b.hs())
         # the remainder is quadratically small
@@ -168,7 +169,7 @@ def test_smoother_gate_reads_the_exact_operator_norm(build, pipeline):
     res = pipeline(mdl.spectrum, mdl.perturbation)
     cert = res.certificates["smoothing"]
     part = Partition.coarse(mdl.spectrum, cert["radius"])
-    g = commutator_inverse(TransformContext(part), BlockMatrix(part, mdl.perturbation.data))
+    g = commutator_inverse(BlockMatrix(part, mdl.perturbation.data))
     assert cert["smoother_op_norm"] == np.linalg.norm(g.data, 2)
     assert res.stages[0]["scan"][-1]["smoother_op_norm"] == cert["smoother_op_norm"]
 
@@ -188,7 +189,7 @@ class TestEstimates:
         v = BlockMatrix.zeros(part)
         pos = spec.positions_of(0)
         v.data[np.ix_(pos, pos)] = np.array([[0.1, 0.02], [0.02, 0.1]])
-        est = block_eigenvalue_estimates(spec, part, v)
+        est = block_eigenvalue_estimates(v)
         zero_vals = sorted(z.real for k, z in est if k == 0)
         assert zero_vals == pytest.approx([-0.12, -0.08], rel=1e-9)
 

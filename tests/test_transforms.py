@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
+from simspec.opmatrix import (
+    BlockMatrix,
+    Partition,
+    Spectrum,
+    TruncationWindow,
+    gap_inverse_square_sum,
+    spectral_gap,
+)
 from simspec.transforms import (
-    TransformContext,
     block_diagonal,
     commutator_inverse,
     commutator_residual,
@@ -28,10 +34,9 @@ def rand(rng, part):
 def test_projection_splits_matrix():
     rng = np.random.default_rng(0)
     part = Partition.coarse(spectrum(3), 1)
-    ctx = TransformContext(part)
     x = rand(rng, part)
-    j = block_diagonal(ctx, x)
-    off = off_diagonal_part(ctx, x)
+    j = block_diagonal(x)
+    off = off_diagonal_part(x)
     assert np.allclose(j.dense() + off.dense(), x.dense())
     # the block diagonal lives on the same-group mask only
     assert np.all(j.dense()[~part.same_group_mask()] == 0.0)
@@ -40,10 +45,9 @@ def test_projection_splits_matrix():
 def test_projection_is_idempotent():
     rng = np.random.default_rng(1)
     part = Partition.coarse(spectrum(3), 1)
-    ctx = TransformContext(part)
     x = rand(rng, part)
-    j = block_diagonal(ctx, x)
-    assert np.array_equal(block_diagonal(ctx, j).dense(), j.dense())
+    j = block_diagonal(x)
+    assert np.array_equal(block_diagonal(j).dense(), j.dense())
 
 
 @settings(deadline=None, max_examples=25)
@@ -52,36 +56,33 @@ def test_commutator_identity_property(seed, m):
     # A (Gamma X) - (Gamma X) A = X - JX for every X
     rng = np.random.default_rng(seed)
     part = Partition.coarse(spectrum(4), m)
-    ctx = TransformContext(part)
     x = rand(rng, part)
-    assert commutator_residual(ctx, x) <= 1e-12 * max(1.0, x.hs())
+    assert commutator_residual(x) <= 1e-12 * max(1.0, x.hs())
 
 
 def test_commutator_inverse_is_off_diagonal():
     rng = np.random.default_rng(2)
     part = Partition.coarse(spectrum(4), 2)
-    ctx = TransformContext(part)
-    gx = commutator_inverse(ctx, rand(rng, part))
+    gx = commutator_inverse(rand(rng, part))
     assert np.all(gx.dense()[part.same_group_mask()] == 0.0)
-    assert block_diagonal(ctx, gx).hs() == 0.0
+    assert block_diagonal(gx).hs() == 0.0
 
 
 def test_smoothing_bounds_tight_on_diagonal_partition():
-    part = Partition.trivial(spectrum(4))
-    ctx = TransformContext(part)
-    assert 1 / ctx.delta == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
+    spec = spectrum(4)
+    assert 1 / spectral_gap(spec) == pytest.approx(1.0 / (2 * np.pi), rel=1e-12)
     # eta is the inverse square gap sum maximized over columns
-    assert ctx.eta < 2.0 / (2 * np.pi) ** 2 * (np.pi**2 / 3)
+    assert gap_inverse_square_sum(spec) < 2.0 / (2 * np.pi) ** 2 * (np.pi**2 / 3)
 
 
 def test_transform_norm_bounds_hold():
     rng = np.random.default_rng(3)
     part = Partition.trivial(spectrum(5))
-    ctx = TransformContext(part)
-    inv_delta, sqrt_eta = 1 / ctx.delta, math.sqrt(ctx.eta)
+    inv_delta = 1 / spectral_gap(part.spectrum)
+    sqrt_eta = math.sqrt(gap_inverse_square_sum(part.spectrum))
     for _ in range(5):
         x = rand(rng, part)
-        gx = commutator_inverse(ctx, x)
+        gx = commutator_inverse(x)
         assert gx.hs() <= inv_delta * x.hs() * (1 + 1e-12)
         assert gx.hs_sigma() <= sqrt_eta * x.hs_sigma() * (1 + 1e-12)
         assert gx.op() <= sqrt_eta * x.op() * (1 + 1e-9)
@@ -92,10 +93,9 @@ def test_multiplicity_blocks_share_divisor():
     idx = np.arange(-1, 2)
     spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1], window=TruncationWindow(1))
     part = Partition.trivial(spec)
-    ctx = TransformContext(part)
     rng = np.random.default_rng(4)
     x = rand(rng, part)
-    gx = commutator_inverse(ctx, x)
+    gx = commutator_inverse(x)
     pos = spec.positions_of(0)
     sub = gx.dense()[np.ix_(pos, pos)]
     assert np.all(sub == 0.0)

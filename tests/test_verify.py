@@ -16,6 +16,7 @@ from simspec.verify import (
     oracle_eigenvalues,
     projection_compare,
     tail_weight_check,
+    values_by_position,
 )
 from simspec.weighted import decay_weights, factorize
 
@@ -196,8 +197,9 @@ class TestSpectrumReport:
         dense = np.diag(mdl.spectrum.position_values) - mdl.perturbation.dense()
         vals = oracle_eigenvalues(dense)
         w = decay_weights(mdl.perturbation)
+        est = values_by_position(mdl.spectrum, [z for _, z in result.eigenvalue_estimates])
         rep = build_spectrum_report(
-            mdl.spectrum, result.eigenvalue_estimates, vals,
+            mdl.spectrum, est, values_by_position(mdl.spectrum, vals),
             first_order=mdl.first_order, second_order=mdl.second_order,
             weights=w,
         )
@@ -216,4 +218,4 @@ class TestSpectrumReport:
     def test_wrong_cardinality_rejected(self):
         mdl = kernel_model(4)
         with pytest.raises(InvalidInputError):
-            build_spectrum_report(mdl.spectrum, [(0, 0.0 + 0j)], np.zeros(9))
+            values_by_position(mdl.spectrum, [0.0 + 0j])
