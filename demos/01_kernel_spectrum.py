@@ -13,7 +13,6 @@ form lists the perturbed eigenvalues directly.
 import numpy as np
 
 from simspec.models import kernel_model
-from simspec.opmatrix import free_diagonal
 from simspec.similarity import pipeline_contraction
 from simspec.verify import (
     build_spectrum_report,
@@ -43,7 +42,7 @@ print(f"similarity residual {result.residual:.2e} "
 
 # -- compare against a dense eigenvalue solve -----------------------------------
 
-lam = free_diagonal(mdl.spectrum)
+lam = mdl.spectrum.position_values
 oracle = oracle_eigenvalues(np.diag(lam) - b.dense())
 est_values = np.array([z for _, z in result.eigenvalue_estimates])
 dev = match_spectra(est_values, oracle).max_abs_deviation

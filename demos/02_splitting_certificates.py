@@ -16,7 +16,6 @@ build then reproduces it from the truncated matrix.
 import numpy as np
 
 from simspec.models import kernel_model, kernel_split_constants
-from simspec.opmatrix import free_diagonal
 from simspec.splitting import (
     certificate_from_constants,
     split_certificate,
@@ -48,7 +47,7 @@ print(f"window column norm {wb.b21_norm:.6f} "
 # -- corrected eigenvalue vs a dense solve ---------------------------------------
 
 res = split_eigenpair(mdl.spectrum, mdl.perturbation, 0)
-lam = free_diagonal(mdl.spectrum)
+lam = mdl.spectrum.position_values
 vals = oracle_eigenvalues(np.diag(lam) - mdl.perturbation.dense())
 nearest = vals[int(np.argmin(np.abs(vals - res.lam_prime)))]
 

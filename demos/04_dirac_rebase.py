@@ -16,7 +16,6 @@ original frame.  Each double eigenvalue splits into a nearby pair.
 import numpy as np
 
 from simspec.models import dirac_model
-from simspec.opmatrix import free_diagonal
 from simspec.similarity import pipeline_rebase
 from simspec.verify import match_spectra, oracle_eigenvalues
 
@@ -47,7 +46,7 @@ for n in (0, 1, 2):
 
 # -- confirm against a dense solve ---------------------------------------------------
 
-lam = free_diagonal(gauged.spectrum)
+lam = gauged.spectrum.position_values
 vals = oracle_eigenvalues(np.diag(lam) - gauged.perturbation.dense())
 ests = np.array([z for _, z in result.eigenvalue_estimates])
 print(f"\nworst deviation from the dense solve "

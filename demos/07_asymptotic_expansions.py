@@ -22,7 +22,6 @@ from simspec.models import (
     involution_offdiag_energy,
     random_trig_coeffs,
 )
-from simspec.opmatrix import free_diagonal
 from simspec.verify import match_spectra, oracle_eigenvalues
 
 # -- hill: two-term expansion vs dense solve ---------------------------------------
@@ -31,7 +30,7 @@ rng = np.random.default_rng(20260816)
 coeffs = random_trig_coeffs(rng, degree=8, scale=0.35, real=True)
 mdl = hill_model(64, 0.5, coeffs)
 
-lam = free_diagonal(mdl.spectrum)
+lam = mdl.spectrum.position_values
 vals = oracle_eigenvalues(np.diag(lam) - mdl.perturbation.dense())
 match = match_spectra(lam, vals)
 paired = np.empty(mdl.spectrum.dim, dtype=complex)

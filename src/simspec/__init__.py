@@ -40,8 +40,6 @@ from .opmatrix import (
     NormReport,
     Partition,
     Spectrum,
-    TruncationWindow,
-    free_diagonal,
 )
 from .similarity import (
     PIPELINES,

@@ -1,6 +1,6 @@
 """Model problem families: concrete free operators and perturbations.
 
-Four families, each reduced to a truncated block matrix on the window
+Four families, each reduced to a truncated block matrix on the indices
 -N..N against a diagonal free operator:
 
 * ``kernel``: differentiation on the circle perturbed by a rank-two
@@ -18,7 +18,9 @@ Four families, each reduced to a truncated block matrix on the window
 
 Builders return a :class:`ModelProblem`; closed-form first and second
 order eigenvalue corrections are included where the family admits them,
-as an independent route against the matrix computations.
+as an independent route against the matrix computations.  Each builder
+passes ``interior_fraction`` on to its :class:`Spectrum`, where it picks
+the indices a spectrum report shows.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ import cmath
 import csv
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, ParseError, ResolutionError
-from .opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
+from .opmatrix import BlockMatrix, Partition, Spectrum
 
 __all__ = [
     "ModelProblem",
@@ -55,7 +57,6 @@ class ModelProblem:
     name: str
     spectrum: Spectrum
     perturbation: BlockMatrix
-    meta: dict = field(default_factory=dict)
     first_order: np.ndarray | None = None
     second_order: np.ndarray | None = None
     diag_part: BlockMatrix | None = None
@@ -120,6 +121,13 @@ def coeffs_from_csv(path) -> dict:
     return out
 
 
+def _window_indices(half_width: int) -> np.ndarray:
+    """The truncation window's indices -N..N, N = half_width >= 1."""
+    if half_width < 1:
+        raise InvalidInputError("window half_width must be >= 1")
+    return np.arange(-half_width, half_width + 1)
+
+
 def _coeff_table(coeffs: dict, kmax: int) -> np.ndarray:
     """Coefficients c_k for k = -kmax..kmax at position k + kmax; +0.0 where absent."""
     return np.array([coeffs.get(k, 0.0) for k in range(-kmax, kmax + 1)], dtype=complex)
@@ -142,9 +150,8 @@ def kernel_model(half_width: int, interior_fraction: float = 0.5) -> ModelProble
     The perturbation matrix is the cross B[m, 0] = 1/(2 pi i m),
     B[0, n] = -1/(2 pi i n), B[0, 0] = 1, all other entries zero.
     """
-    window = TruncationWindow(half_width, interior_fraction)
-    idx = window.indices()
-    spec = Spectrum(idx, 2j * np.pi * idx, window=window)
+    idx = _window_indices(half_width)
+    spec = Spectrum(idx, 2j * np.pi * idx, interior_fraction=interior_fraction)
     base = Partition.trivial(spec)
     n = half_width
     d = spec.dim
@@ -165,7 +172,6 @@ def kernel_model(half_width: int, interior_fraction: float = 0.5) -> ModelProble
         name="kernel",
         spectrum=spec,
         perturbation=b,
-        meta={"hs_limit_sq": 7.0 / 6.0},
         first_order=first,
         second_order=second,
     )
@@ -230,9 +236,8 @@ def involution_model(
     e^{-i pi theta} times the twisted coefficient at m + n.
     """
     coeffs = _clean_coeffs(coeffs, "involution potential")
-    window = TruncationWindow(half_width, interior_fraction)
-    idx = window.indices()
-    spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta), window=window)
+    idx = _window_indices(half_width)
+    spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta), interior_fraction=interior_fraction)
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width
@@ -256,7 +261,6 @@ def involution_model(
         name="involution",
         spectrum=spec,
         perturbation=b,
-        meta={"theta": float(theta), "coeffs": coeffs},
         first_order=first,
         second_order=second,
     )
@@ -360,9 +364,8 @@ def dirac_model(
     v2 = _clean_coeffs(v2, "v2")
     v3 = _clean_coeffs(v3, "v3")
     v4 = _clean_coeffs(v4, "v4")
-    window = TruncationWindow(half_width, interior_fraction)
-    idx = window.indices()
-    spec = Spectrum(idx, 2.0 * np.pi * idx, mults=np.full(idx.size, 2), window=window)
+    idx = _window_indices(half_width)
+    spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, 2), interior_fraction)
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width
@@ -402,11 +405,6 @@ def dirac_model(
         name="dirac",
         spectrum=spec,
         perturbation=b,
-        meta={
-            "gauge": bool(gauge),
-            "mean_potentials": (c1, c4),
-            "coeffs": {"v1": v1, "v2": v2, "v3": v3, "v4": v4},
-        },
         diag_part=diag_part,
     )
 
@@ -426,9 +424,9 @@ def hill_model(
     if abs(theta - round(theta)) < 1e-9:
         raise InvalidInputError("hill quasi-momentum must stay away from integers")
     coeffs = _clean_coeffs(coeffs, "hill potential")
-    window = TruncationWindow(half_width, interior_fraction)
-    idx = window.indices()
-    spec = Spectrum(idx, (np.pi * (2.0 * idx - theta)) ** 2 + 0j, window=window)
+    idx = _window_indices(half_width)
+    spec = Spectrum(idx, (np.pi * (2.0 * idx - theta)) ** 2 + 0j,
+                    interior_fraction=interior_fraction)
     base = Partition.trivial(spec)
 
     d = spec.dim
@@ -454,7 +452,6 @@ def hill_model(
         name="hill",
         spectrum=spec,
         perturbation=b,
-        meta={"theta": float(theta), "coeffs": coeffs},
         first_order=first,
         second_order=second,
     )

@@ -1,11 +1,12 @@
 """Truncated operator matrices split into blocks by spectral groups.
 
-A free operator is described by its (distinct) eigenvalues on a symmetric
-truncation window; perturbations are dense complex matrices carved into
-blocks by a partition of the eigenvalue indices.  Everything downstream
-(transforms, weights, pipelines) works on these three types:
+A free operator is described by its spectrum: contiguous integer
+indices, one (distinct) eigenvalue and one multiplicity per index.
+Perturbations are dense complex matrices carved into blocks by a
+partition of the indices.  Everything downstream (transforms, weights,
+pipelines) works on these three types:
 
-* :class:`Spectrum` -- eigenvalues, multiplicities and the window,
+* :class:`Spectrum` -- indices, eigenvalues and multiplicities,
 * :class:`Partition` -- a spectrum plus a coarsening radius m: the
   indices |n| <= m form one central group and every other index is a
   group of its own (m = -1: singletons only); it caches the tables the
@@ -31,7 +32,6 @@ import numpy as np
 
 from .errors import (
     InvalidInputError,
-    InvariantBreachError,
     NotInvertibleError,
     PartitionMismatchError,
 )
@@ -40,51 +40,18 @@ _COND_LIMIT = 1e12
 _INV_RESIDUAL_LIMIT = 1e-10
 
 __all__ = [
-    "TruncationWindow",
     "Spectrum",
     "Partition",
     "BlockMatrix",
     "NormReport",
     "spectral_gap",
     "gap_inverse_square_sum",
-    "free_diagonal",
     "inv_identity_plus",
 ]
 
 
-@dataclass(frozen=True)
-class TruncationWindow:
-    """Symmetric index window [-N, N] with an interior reporting zone.
-
-    Parameters
-    ----------
-    half_width : int
-        N; the window covers integer indices -N..N.
-    interior_fraction : float
-        Fraction of the window treated as truncation-safe for reporting;
-        indices with ``|n| <= interior_limit`` count as interior.
-    """
-
-    half_width: int
-    interior_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.half_width < 1:
-            raise InvalidInputError("window half_width must be >= 1")
-        if not (0.0 < self.interior_fraction <= 1.0):
-            raise InvalidInputError("interior_fraction must lie in (0, 1]")
-
-    @property
-    def interior_limit(self) -> int:
-        return max(1, int(math.floor(self.half_width * self.interior_fraction)))
-
-    def indices(self) -> np.ndarray:
-        n = self.half_width
-        return np.arange(-n, n + 1)
-
-
 class Spectrum:
-    """Distinct eigenvalues of a diagonal free operator on a window.
+    """Distinct eigenvalues of a diagonal free operator.
 
     Parameters
     ----------
@@ -96,11 +63,12 @@ class Spectrum:
         Finite, pairwise distinct eigenvalues, one per index.
     mults : array of int, optional
         Multiplicities (default all 1).
-    window : TruncationWindow, optional
-        Defaults to the smallest window covering the indices.
+    interior_fraction : float
+        In (0, 1]; the indices |n| <= max(1, floor(N * interior_fraction)),
+        N = max |n|, are the interior that a spectrum report shows.
     """
 
-    def __init__(self, indices, values, mults=None, window=None):
+    def __init__(self, indices, values, mults=None, interior_fraction=0.5):
         indices = np.asarray(indices, dtype=int)
         values = np.asarray(values, dtype=complex)
         if indices.ndim != 1 or values.shape != indices.shape:
@@ -119,28 +87,27 @@ class Spectrum:
             raise InvalidInputError("eigenvalues must be finite")
         if np.unique(values).size < values.size:
             raise InvalidInputError("eigenvalues must be pairwise distinct")
-        if window is None:
-            window = TruncationWindow(max(1, int(max(-indices[0], indices[-1]))))
+        if not (0.0 < interior_fraction <= 1.0):
+            raise InvalidInputError("interior_fraction must lie in (0, 1]")
         self.indices = indices
         self.values = values
         self.mults = mults
-        self.window = window
+        self.interior_fraction = interior_fraction
         self.dim = int(mults.sum())
         # dense layout: index order, each index occupying `mult` positions
         self.offsets = np.concatenate(([0], np.cumsum(mults)))[:-1]
         self.position_entry = np.repeat(np.arange(indices.size), mults)
         self.position_values = np.repeat(values, mults)
-        self._ord = {int(n): i for i, n in enumerate(indices)}
 
     def __len__(self):
         return self.indices.size
 
     def ordinal(self, n: int) -> int:
         """Array position of index ``n``."""
-        try:
-            return self._ord[int(n)]
-        except KeyError:
-            raise InvalidInputError(f"index {n} outside spectrum range") from None
+        i = int(n) - int(self.indices[0])
+        if not 0 <= i < self.indices.size:
+            raise InvalidInputError(f"index {n} outside spectrum range")
+        return i
 
     def positions_of(self, n: int) -> np.ndarray:
         """Dense positions occupied by index ``n``."""
@@ -151,7 +118,8 @@ class Spectrum:
         return complex(self.values[self.ordinal(n)])
 
     def interior_indices(self) -> np.ndarray:
-        lim = self.window.interior_limit
+        top = int(np.abs(self.indices).max())
+        lim = max(1, int(math.floor(top * self.interior_fraction)))
         return self.indices[np.abs(self.indices) <= lim]
 
     def same_entries(self, other: "Spectrum") -> bool:
@@ -180,11 +148,6 @@ def gap_inverse_square_sum(spectrum: Spectrum) -> float:
     diff = np.abs(v[:, None] - v[None, :])
     np.fill_diagonal(diff, np.inf)
     return float((1.0 / diff**2).sum(axis=0).max())
-
-
-def free_diagonal(spectrum: Spectrum) -> np.ndarray:
-    """Dense diagonal of the free operator (eigenvalue per position)."""
-    return spectrum.position_values.copy()
 
 
 class Partition:
@@ -278,14 +241,6 @@ class NormReport:
     hs_sigma: float
     op: float
 
-    def check(self, slack: float = 1e-9):
-        scale = max(self.hs, 1.0)
-        if self.hs_sigma > self.hs + slack * scale or self.op > self.hs_sigma + slack * scale:
-            raise InvariantBreachError(
-                f"norm ordering violated: op={self.op!r} hs_sigma={self.hs_sigma!r} hs={self.hs!r}"
-            )
-        return self
-
 
 def op_norm(a: np.ndarray) -> float:
     """Exact operator (spectral) norm: the largest singular value."""
@@ -355,20 +310,9 @@ class BlockMatrix:
         self._require_same(other)
         return BlockMatrix(self.partition, self.data - other.data)
 
-    def __mul__(self, c) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data * complex(c))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "BlockMatrix":
-        return self * (-1.0)
-
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         self._require_same(other)
         return BlockMatrix(self.partition, self.data @ other.data)
-
-    def copy(self) -> "BlockMatrix":
-        return BlockMatrix(self.partition, self.data.copy())
 
     # -- norms ----------------------------------------------------------
 

@@ -67,7 +67,6 @@ from .opmatrix import (
     BlockMatrix,
     Partition,
     Spectrum,
-    TruncationWindow,
     gap_inverse_square_sum,
     inv_identity_plus,
     spectral_gap,
@@ -209,22 +208,15 @@ class PreliminaryResult:
     residual: float
 
 
-def preliminary_transform(
-    b: BlockMatrix, scanned: tuple[BlockMatrix, float] | None = None
-) -> PreliminaryResult:
+def preliminary_transform(b: BlockMatrix, g: BlockMatrix, gop: float) -> PreliminaryResult:
     """Conjugate A - B by I + GB, splitting off the diagonal blocks of B.
 
-    G and J act on the partition of ``b``.  Valid once ||GB||_op < 1;
-    then A - B is similar to A - JB - B0 with
+    ``g`` is GB and ``gop`` its exact operator norm, as the smoothing
+    scan computed them; G and J act on the partition of ``b``.  Valid
+    once ||GB||_op < 1; then A - B is similar to A - JB - B0 with
     B0 = (I + GB)^-1 (B GB - (GB)(JB)).  The exact similarity residual
-    of the rewriting is returned for gating.  ``scanned`` hands over GB
-    and its exact operator norm as the smoothing scan computed them.
+    of the rewriting is returned for gating.
     """
-    if scanned is None:
-        g = commutator_inverse(b)
-        gop = g.op()
-    else:
-        g, gop = scanned
     if not gop < 1.0:
         raise ConditionViolationError(
             "preliminary transform needs ||GB||_op < 1", lhs=gop, rhs=1.0
@@ -308,7 +300,6 @@ def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
 @dataclass
 class SimilarityResult:
     pipeline: str
-    spectrum: Spectrum
     u: BlockMatrix
     v: BlockMatrix
     certificates: dict
@@ -358,7 +349,6 @@ def _single_stage(
     v = block_diagonal(fp.x_star)
     return SimilarityResult(
         pipeline=pipeline,
-        spectrum=spectrum,
         u=u,
         v=v,
         certificates={"contraction": fp.certificate},
@@ -447,7 +437,7 @@ class _StageOne:
 def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
     bb = _move(b, Partition.trivial(spectrum))
     g, gop, scan = _scan_smoothing_radius(spectrum, bb)
-    prelim = preliminary_transform(_move(bb, g.partition), scanned=(g, gop))
+    prelim = preliminary_transform(_move(bb, g.partition), g, gop)
     certificate = {"radius": g.partition.radius, "smoother_op_norm": prelim.smoother_op_norm}
     stages = [
         {"name": "smoothing_scan", "scan": scan},
@@ -512,7 +502,6 @@ def _two_stage_result(
     u = g + u2 + g @ u2
     return SimilarityResult(
         pipeline=pipeline,
-        spectrum=spectrum,
         u=u,
         v=v,
         certificates={
@@ -633,11 +622,8 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
             )
     pos_perm = np.array([p for grp in members for p in grp])
 
-    count = reps.size
-    hi = count - 1 - count // 2
-    lo = -(count // 2)
-    window = TruncationWindow(max(-lo, hi, 1), spectrum.window.interior_fraction)
-    tilde = Spectrum(np.arange(lo, lo + count), reps, mults, window)
+    lo = -(reps.size // 2)
+    tilde = Spectrum(np.arange(lo, lo + reps.size), reps, mults, spectrum.interior_fraction)
 
     if diagonal_case:
         inv_perm = np.argsort(pos_perm)

@@ -64,7 +64,6 @@ _BOUNDARY_TOL = 1e-12
 class SplitOperator:
     """Truncated perturbation split around one simple eigenvalue."""
 
-    spectrum: Spectrum
     k: int
     position: int
     rest: np.ndarray
@@ -92,7 +91,6 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
         raise InvalidInputError("eigenvalue coincides with another spectrum point")
     s_diag = 1.0 / gaps
     return SplitOperator(
-        spectrum=spectrum,
         k=int(k),
         position=pos,
         rest=rest,
@@ -121,22 +119,6 @@ class SplitBounds:
     bound_b2: float
     bound_e_taylor: float
     bound_b2_taylor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "m": self.m,
-            "n": self.n,
-            "b21_norm": self.b21_norm,
-            "b12s_norm": self.b12s_norm,
-            "b1": [self.b1.real, self.b1.imag],
-            "certificate": dict(self.certificate),
-            "radius": self.radius,
-            "bound_e": self.bound_e,
-            "bound_b2": self.bound_b2,
-            "bound_e_taylor": self.bound_e_taylor,
-            "bound_b2_taylor": self.bound_b2_taylor,
-        }
 
 
 def certificate_from_constants(
@@ -226,7 +208,6 @@ class SplitResult:
     b1: complex
     b2: complex
     eigvec: np.ndarray
-    y_star: np.ndarray
     iterations: int
     bounds: SplitBounds
     correction_norm: float
@@ -301,7 +282,6 @@ def split_eigenpair(
         b1=op.b1,
         b2=b2,
         eigvec=vec,
-        y_star=z,
         iterations=iterations,
         bounds=bounds,
         correction_norm=correction,

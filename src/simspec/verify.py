@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -167,13 +167,6 @@ class SpectrumMatch:
     pairs: list
     deviations: np.ndarray
     max_abs_deviation: float
-    rms_deviation: float
-
-    def deviation_of(self, ref_position: int) -> float:
-        for (i, _), d in zip(self.pairs, self.deviations):
-            if i == ref_position:
-                return float(d)
-        raise InvalidInputError(f"reference position {ref_position} not in the match")
 
 
 def match_spectra(reference, computed) -> SpectrumMatch:
@@ -209,7 +202,6 @@ def match_spectra(reference, computed) -> SpectrumMatch:
         pairs=pairs,
         deviations=dev,
         max_abs_deviation=float(dev.max()) if n else 0.0,
-        rms_deviation=float(np.sqrt((dev**2).mean())) if n else 0.0,
     )
 
 
@@ -286,15 +278,6 @@ class SpectrumReport:
     rows: list
     tail_stats: dict
     matching_quality: float
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "tail_stats": self.tail_stats,
-            "matching_quality": self.matching_quality,
-            **self.extra,
-        }
 
     def to_csv(self, path):
         cols = [

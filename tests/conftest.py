@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from simspec.models import hill_model, kernel_model, random_trig_coeffs
-from simspec.opmatrix import free_diagonal
 from simspec.verify import oracle_eigenvalues
 
 _ORACLE_CACHE = {}
@@ -16,7 +15,7 @@ def oracle_cache():
     def get(key, builder):
         if key not in _ORACLE_CACHE:
             model = builder()
-            dense = np.diag(free_diagonal(model.spectrum)) - model.perturbation.dense()
+            dense = np.diag(model.spectrum.position_values) - model.perturbation.dense()
             _ORACLE_CACHE[key] = (model, oracle_eigenvalues(dense))
         return _ORACLE_CACHE[key]
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -163,14 +164,15 @@ class TestExitCodes:
         # both sides of the failed condition are visible
         assert "4 * gamma * norm" in err or "lhs" in err
 
-    def test_fault_injection_exit(self, tmp_path, capsys):
-        path = write_config(tmp_path, {
-            "truncation": {"half_width": 8},
-            "fault_injection": {"corrupt_v": 0.25},
-        })
+    def test_invariant_breach_exit(self, tmp_path, capsys, monkeypatch):
+        # a pipeline whose V keeps cross-group mass fails the v_block_diagonal gate
+        run = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args: dataclasses.replace(
+            run(*args), offdiag_residual=0.25))
+        path = write_config(tmp_path, {"truncation": {"half_width": 8}})
         code = main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"])
         assert code == 5
-        assert "invariant gate" in capsys.readouterr().err
+        assert "invariant gate 'v_block_diagonal' failed" in capsys.readouterr().err
 
     def test_split_condition_failure_prints_sides(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -493,13 +495,41 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
     ({"model": {**_HILL, "coeffs": {"1" + "0" * 400: 1}}}, 2),
     ({"model": {**_HILL, "theta": 5.960464477539063e-08, "coeffs": {}},
       "truncation": {"half_width": 2}, "pipeline": "mt2"}, 0),
+    ({"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
+      "truncation": {"half_width": 8}, "pipeline": "mt3"}, 2),
 ], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
         "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
         "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
-        "hill-near-integer-theta"])
+        "hill-near-integer-theta", "hill-overflow"])
 def test_exit_code_probes(tmp_path, capsys, cfg, code):
     path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
     assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert (code == 0) == (not err.startswith("error:"))
+
+
+_OVERFLOW = {"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
+             "truncation": {"half_width": 8}, "pipeline": "mt3"}
+
+
+@pytest.mark.parametrize("command, cfg, code", [
+    ("split", _OVERFLOW, 2),
+    ("verify", _OVERFLOW, 2),
+    ("verify", {"model": {"family": "kernel", "theta": 0.5}, "truncation": {"half_width": 8}}, 2),
+    ("verify", {"truncation": {"half_width": 32}, "pipeline": "mt2"}, 3),
+], ids=["split-overflow", "verify-overflow", "verify-kernel-theta", "verify-kernel-mt2"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
+    # split refuses what analyze refuses (see test_exit_code_probes), and
+    # verify grades a failed pipeline check by the exit code analyze gives
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if command == "verify":
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [(c["name"], c["severity"]) for c in failed] == [("pipeline_invariants", code)]
+    else:
+        assert err.startswith("error: the perturbation overflows")

@@ -8,21 +8,20 @@ from simspec.errors import (
     NotInvertibleError,
     PartitionMismatchError,
 )
+from simspec.models import kernel_model
 from simspec.opmatrix import (
     BlockMatrix,
     Partition,
     Spectrum,
-    TruncationWindow,
-    free_diagonal,
     gap_inverse_square_sum,
     spectral_gap,
 )
 from simspec.transforms import block_diagonal, commutator_inverse
 
 
-def simple_spectrum(n=4, mults=None):
+def simple_spectrum(n=4, mults=None, interior_fraction=0.5):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, mults=mults, window=TruncationWindow(n))
+    return Spectrum(idx, 2j * np.pi * idx, mults=mults, interior_fraction=interior_fraction)
 
 
 def random_block(rng, partition):
@@ -31,18 +30,16 @@ def random_block(rng, partition):
 
 
 class TestWindow:
-    def test_indices_and_interior(self):
-        win = TruncationWindow(8, interior_fraction=0.5)
-        assert list(win.indices()) == list(range(-8, 9))
-        assert win.interior_limit == 4
+    """The window -N..N comes from the model builders, its interior
+    fraction from the spectrum."""
 
     def test_bad_width(self):
         with pytest.raises(InvalidInputError):
-            TruncationWindow(0)
+            kernel_model(0)
 
     def test_bad_fraction(self):
         with pytest.raises(InvalidInputError):
-            TruncationWindow(4, interior_fraction=1.5)
+            simple_spectrum(4, interior_fraction=1.5)
 
 
 class TestSpectrum:
@@ -56,7 +53,14 @@ class TestSpectrum:
         spec = simple_spectrum(1, mults=[2, 1, 2])
         assert spec.dim == 5
         assert list(spec.positions_of(1)) == [3, 4]
-        assert np.array_equal(free_diagonal(spec), spec.position_values)
+        assert np.array_equal(spec.position_values, 2j * np.pi * np.array([-1, -1, 0, 1, 1]))
+
+    def test_ordinal_range(self):
+        spec = simple_spectrum(2)
+        assert [spec.ordinal(n) for n in range(-2, 3)] == [0, 1, 2, 3, 4]
+        for n in (-3, 3):
+            with pytest.raises(InvalidInputError, match=f"index {n} outside spectrum range"):
+                spec.ordinal(n)
 
     def test_interior(self):
         spec = simple_spectrum(8)
@@ -180,7 +184,6 @@ class TestNorms:
         r = x.norms()
         assert r.op <= r.hs_sigma * (1 + 1e-9)
         assert r.hs_sigma <= r.hs * (1 + 1e-9)
-        r.check()
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), m=st.integers(0, 4))
@@ -320,7 +323,7 @@ class TestInverse:
         rng = np.random.default_rng(12)
         spec = simple_spectrum(3)
         part = Partition.trivial(spec)
-        x = random_block(rng, part) * 0.05
+        x = BlockMatrix(part, 0.05 * random_block(rng, part).data)
         from simspec.opmatrix import inv_identity_plus
 
         inv = inv_identity_plus(x)

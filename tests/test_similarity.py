@@ -7,8 +7,6 @@ from simspec.opmatrix import (
     BlockMatrix,
     Partition,
     Spectrum,
-    TruncationWindow,
-    free_diagonal,
     spectral_gap,
 )
 from simspec.similarity import (
@@ -28,7 +26,7 @@ from simspec.verify import match_spectra, oracle_eigenvalues
 
 def spectrum(n):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(n))
+    return Spectrum(idx, 2j * np.pi * idx)
 
 
 def small_perturbation(n, scale=0.3, seed=0):
@@ -85,7 +83,8 @@ class TestFixedPoint:
 class TestPreliminary:
     def test_exact_similarity(self):
         spec, b = small_perturbation(6, seed=3)
-        pre = preliminary_transform(b)
+        g = commutator_inverse(b)
+        pre = preliminary_transform(b, g, g.op())
         assert pre.smoother_op_norm < 1.0
         assert pre.residual <= 1e-10 * max(1.0, b.hs())
         # the remainder is quadratically small
@@ -118,7 +117,7 @@ class TestPipelines:
     def test_estimates_match_oracle(self):
         spec, b = small_perturbation(5, seed=6)
         result = pipeline_contraction(spec, b)
-        dense = np.diag(free_diagonal(spec)) - b.dense()
+        dense = np.diag(spec.position_values) - b.dense()
         vals = oracle_eigenvalues(dense)
         est = np.array([z for _, z in result.eigenvalue_estimates])
         assert match_spectra(vals, est).max_abs_deviation <= 1e-9
@@ -183,8 +182,7 @@ class TestEstimates:
 
     def test_multiplicity_two_block(self):
         idx = np.arange(-1, 2)
-        spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1],
-                        window=TruncationWindow(1))
+        spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1])
         part = Partition.trivial(spec)
         v = BlockMatrix.zeros(part)
         pos = spec.positions_of(0)

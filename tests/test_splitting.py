@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simspec.errors import ConditionViolationError, InvalidInputError
 from simspec.models import kernel_model, kernel_split_constants
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow, free_diagonal
+from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.splitting import (
     certificate_from_constants,
     operator_norm_condition,
@@ -20,7 +20,7 @@ from simspec.verify import oracle_eigenvalues
 
 def spectrum(n):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(n))
+    return Spectrum(idx, 2j * np.pi * idx)
 
 
 class TestSplitSystem:
@@ -35,8 +35,7 @@ class TestSplitSystem:
 
     def test_multiplicity_rejected(self):
         idx = np.arange(-1, 2)
-        spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1],
-                        window=TruncationWindow(1))
+        spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1])
         b = BlockMatrix.zeros(Partition.trivial(spec))
         with pytest.raises(InvalidInputError):
             split_system(spec, b, 0)
@@ -73,7 +72,7 @@ class TestCertificate:
 class TestSplitEigenpair:
     def test_matches_reference_spectrum(self):
         mdl = kernel_model(32)
-        dense = np.diag(free_diagonal(mdl.spectrum)) - mdl.perturbation.dense()
+        dense = np.diag(mdl.spectrum.position_values) - mdl.perturbation.dense()
         vals = oracle_eigenvalues(dense)
         for k in (0, 1, 3):
             res = split_eigenpair(mdl.spectrum, mdl.perturbation, k)
@@ -148,7 +147,7 @@ def split_operators(draw):
     # dim 2 leaves a complement of one coordinate
     dim = draw(st.integers(2, 12))
     idx = np.arange(dim) - dim // 2
-    spec = Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(int(np.abs(idx).max())))
+    spec = Spectrum(idx, 2j * np.pi * idx)
     k = int(draw(st.sampled_from(list(idx))))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     dense = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

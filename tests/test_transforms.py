@@ -9,7 +9,6 @@ from simspec.opmatrix import (
     BlockMatrix,
     Partition,
     Spectrum,
-    TruncationWindow,
     gap_inverse_square_sum,
     spectral_gap,
 )
@@ -23,7 +22,7 @@ from simspec.transforms import (
 
 def spectrum(n=4):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(n))
+    return Spectrum(idx, 2j * np.pi * idx)
 
 
 def rand(rng, part):
@@ -91,7 +90,7 @@ def test_transform_norm_bounds_hold():
 def test_multiplicity_blocks_share_divisor():
     # two positions with one label never produce a cross divisor
     idx = np.arange(-1, 2)
-    spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1], window=TruncationWindow(1))
+    spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1])
     part = Partition.trivial(spec)
     rng = np.random.default_rng(4)
     x = rand(rng, part)

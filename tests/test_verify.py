@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from simspec.errors import InvalidInputError, OracleFailureError
 from simspec.models import kernel_model
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
+from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.similarity import pipeline_contraction
 from simspec.verify import (
     SpectrumReport,
@@ -133,11 +133,13 @@ class TestMatchSpectra:
         m = match_spectra(vals, vals[perm])
         assert m.max_abs_deviation == 0.0
 
-    def test_deviation_of(self):
+    def test_deviations_follow_reference_order(self):
         ref = np.array([0.0, 1.0], dtype=complex)
-        com = np.array([0.1, 1.0], dtype=complex)
+        com = np.array([1.0, 0.1], dtype=complex)
         m = match_spectra(ref, com)
-        assert m.deviation_of(0) == pytest.approx(0.1)
+        assert m.pairs == [(0, 1), (1, 0)]
+        assert m.deviations[0] == pytest.approx(0.1)
+        assert m.deviations[1] == 0.0
 
 
 class TestTailChecks:

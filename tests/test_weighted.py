@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simspec.errors import DegenerateWeightError, WindowTooSmallError
 from simspec.models import kernel_model
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum, TruncationWindow
+from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.weighted import (
     decay_weights,
     factorize,
@@ -18,7 +18,7 @@ from simspec.weighted import (
 
 def spectrum(n):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, window=TruncationWindow(n))
+    return Spectrum(idx, 2j * np.pi * idx)
 
 
 def decaying_matrix(n, rate=1.5, seed=0):
@@ -136,7 +136,8 @@ class TestSelectCoarsening:
         assert m >= 5
 
     def test_impossible_margin_raises(self):
-        b = decaying_matrix(4, rate=0.6, seed=6) * 50.0
+        b = decaying_matrix(4, rate=0.6, seed=6)
+        b = BlockMatrix(b.partition, 50.0 * b.data)
         w = decay_weights(b)
         with pytest.raises(WindowTooSmallError) as err:
             select_coarsening(b, w, margin=1e-12)
