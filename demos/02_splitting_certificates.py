@@ -48,7 +48,7 @@ print(f"window column norm {wb.b21_norm:.6f} "
 
 res = split_eigenpair(mdl.spectrum, mdl.perturbation, 0)
 lam = mdl.spectrum.position_values
-vals = oracle_eigenvalues(np.diag(lam) - mdl.perturbation.dense())
+vals = oracle_eigenvalues(np.diag(lam) - mdl.perturbation.data)
 nearest = vals[int(np.argmin(np.abs(vals - res.lam_prime)))]
 
 print(f"\ncorrected eigenvalue lambda' = {res.lam_prime:.9f} "

@@ -11,6 +11,7 @@ invariant broke.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -392,8 +393,8 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
     oracle_vals = None
     if oracle_on and model.spectrum.dim <= _ORACLE_GATE_DIM:
         lam = model.spectrum.position_values
-        a_minus_b = np.diag(lam) - model.perturbation.dense()
-        a_minus_v = np.diag(lam) - result.v.dense()
+        a_minus_b = np.diag(lam) - model.perturbation.data
+        a_minus_v = np.diag(lam) - result.v.data
         oracle_vals = oracle_eigenvalues(a_minus_b)
         shifted = oracle_eigenvalues(a_minus_v)
         dev = match_spectra(oracle_vals, shifted).max_abs_deviation
@@ -613,7 +614,7 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     if cfg["oracle"]:
         t_oracle = time.perf_counter()
         lam = model.spectrum.position_values
-        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.dense())
+        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.data)
         nearest = vals[int(np.argmin(np.abs(vals - result.lam_prime)))]
         oracle_info = {
             "nearest": complex(nearest),
@@ -638,7 +639,7 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
         "normalized_deviation_bound": result.normalized_deviation_bound,
         "window_bounds": vars(result.bounds),
         "published_bounds": None if published is None else vars(published),
-        "operator_norm_condition": operator_norm_condition(model.perturbation, result.bounds.s),
+        "operator_norm_condition": operator_norm_condition(result.b_hs, result.bounds.s),
         "oracle": oracle_info,
         "timings": {
             "dimension": model.spectrum.dim,
@@ -749,7 +750,7 @@ def _verify_battery(seed: int, quiet: bool, cfg: dict | None):
     try:
         model = model_lib.kernel_model(32)
         lam = model.spectrum.position_values
-        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.dense())
+        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.data)
         ok = True
         detail_parts = []
         for k in (0, 1):
@@ -822,7 +823,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process at the first call."""
     parser = _Parser(
         prog="simspec",
         description="Certified spectral analysis of perturbed diagonal operators.",

@@ -19,8 +19,9 @@ entries are exact zeros; no separate record of presence is kept, and the
 algebra keeps absent blocks absent because sums and products of exact
 zeros are exact zeros.  Per-block spectral norms take no Python loop
 over blocks: a block with one row or one column is a vector, whose
-spectral norm is its Frobenius norm, and the nonzero other blocks go
-through one batched SVD per pair of width classes.
+spectral norm is its Frobenius norm, 2 x 2 blocks have a closed form,
+and the nonzero other blocks go through one batched SVD per pair of
+width classes.
 """
 
 from __future__ import annotations
@@ -262,6 +263,20 @@ def _block_frobenius_sq(data: np.ndarray, partition: Partition) -> np.ndarray:
     return np.add.reduceat(s, bounds, axis=1)
 
 
+def _spectral_sq_2x2(stack: np.ndarray) -> np.ndarray:
+    """Squared largest singular values of a stack of 2 x 2 blocks.
+
+    With p and q the squared row norms and r = row_1 . conj(row_2), the
+    eigenvalues of M M* are (p + q)/2 -+ hypot((p - q)/2, |r|).  Every
+    term of the larger one is non-negative, so nothing cancels.
+    """
+    absq = stack.real**2 + stack.imag**2
+    p = absq[:, 0, 0] + absq[:, 0, 1]
+    q = absq[:, 1, 0] + absq[:, 1, 1]
+    r = stack[:, 0, 0] * stack[:, 1, 0].conj() + stack[:, 0, 1] * stack[:, 1, 1].conj()
+    return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r))
+
+
 class BlockMatrix:
     """Dense complex d x d matrix read in blocks of a partition.
 
@@ -325,8 +340,8 @@ class BlockMatrix:
         A block with one row or one column is a vector, whose spectral
         norm is its Frobenius norm, so one ``reduceat`` pass covers every
         such block.  Nonzero blocks with both widths above 1 are then
-        overwritten by one gather and one batched SVD per pair of width
-        classes.
+        overwritten by one gather per pair of width classes, and by the
+        closed form for 2 x 2 blocks or one batched SVD for the others.
         """
         part = self.partition
         out = _block_frobenius_sq(self.data, part)
@@ -341,8 +356,11 @@ class BlockMatrix:
                 if bi.size == 0:
                     continue
                 stack = self.data[rows[bi][:, :, None], cols[bj][:, None, :]]
-                svals = np.linalg.svd(stack, compute_uv=False)[:, 0]
-                out[gi[bi], gj[bj]] = svals * svals
+                if stack.shape[1:] == (2, 2):
+                    out[gi[bi], gj[bj]] = _spectral_sq_2x2(stack)
+                else:
+                    svals = np.linalg.svd(stack, compute_uv=False)[:, 0]
+                    out[gi[bi], gj[bj]] = svals * svals
         return out
 
     def hs_sigma(self) -> float:

@@ -30,6 +30,12 @@ row and column of B22 are both zero (free) is its own 1 x 1 diagonal
 block b1 s_j of (b1 - B22) S, so only the remaining (live) coordinates
 need a dense singular value decomposition.  A cross-shaped perturbation
 such as the kernel family's leaves B22 = 0 and needs none.
+
+B is read where it lies: one pass over its entries finds the live
+coordinates, and only B22 restricted to them is copied, so the kernel
+cross makes no d x d complex copy at all.  The residual is one product
+with B as given, an independent check of the eigenpair against the
+input rather than against the split pieces.
 """
 
 from __future__ import annotations
@@ -62,7 +68,16 @@ _BOUNDARY_TOL = 1e-12
 
 @dataclass
 class SplitOperator:
-    """Truncated perturbation split around one simple eigenvalue."""
+    """Truncated perturbation split around one simple eigenvalue.
+
+    ``rest`` holds the complement positions (all but ``position``), and
+    ``s_diag``, ``b21``, ``b12`` and ``live`` run over them.  ``b21`` and
+    ``b12`` are the column and the row of B through ``position``.
+    ``live`` marks the complement coordinates whose row or column of
+    B22 has a nonzero entry; the others are free.  ``b22`` is B22
+    restricted to the live coordinates (L x L, 0 x 0 when B22 = 0): the
+    free rows and columns are zero and are not stored.
+    """
 
     k: int
     position: int
@@ -72,6 +87,7 @@ class SplitOperator:
     b1: complex
     b21: np.ndarray
     b12: np.ndarray
+    live: np.ndarray
     b22: np.ndarray
 
 
@@ -90,6 +106,13 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
     if np.any(gaps == 0.0):
         raise InvalidInputError("eigenvalue coincides with another spectrum point")
     s_diag = 1.0 / gaps
+    # one pass over B: a complement coordinate is live when its row or
+    # its column of B22 (B without row and column pos) has a nonzero entry
+    nonzero = data != 0.0
+    nonzero[pos, :] = False
+    nonzero[:, pos] = False
+    live_at = nonzero.any(axis=0) | nonzero.any(axis=1)
+    core = np.flatnonzero(live_at)
     return SplitOperator(
         k=int(k),
         position=pos,
@@ -99,7 +122,8 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
         b1=complex(data[pos, pos]),
         b21=data[rest, pos],
         b12=data[pos, rest],
-        b22=data[np.ix_(rest, rest)],
+        live=live_at[rest],
+        b22=data[np.ix_(core, core)],
     )
 
 
@@ -184,13 +208,10 @@ def split_certificate(op: SplitOperator) -> SplitBounds:
     """
     b21_norm = float(np.linalg.norm(op.b21))
     b12s_norm = float(np.linalg.norm(op.b12 * op.s_diag))
-    nonzero = op.b22 != 0.0
-    live = nonzero.any(axis=0) | nonzero.any(axis=1)
-    m = abs(op.b1) * float(np.abs(op.s_diag[~live]).max(initial=0.0))
-    if live.any():
-        s_live = op.s_diag[live]
-        b22_live = op.b22[np.ix_(live, live)]
-        core = op.b1 * np.diag(s_live) - b22_live * s_live[None, :]
+    m = abs(op.b1) * float(np.abs(op.s_diag[~op.live]).max(initial=0.0))
+    if op.live.any():
+        s_live = op.s_diag[op.live]
+        core = op.b1 * np.diag(s_live) - op.b22 * s_live[None, :]
         # sigma first, so that a NaN singular value is not dropped by max
         m = max(float(np.linalg.svd(core, compute_uv=False)[0]), m)
     return certificate_from_constants(
@@ -200,7 +221,11 @@ def split_certificate(op: SplitOperator) -> SplitBounds:
 
 @dataclass
 class SplitResult:
-    """Converged eigenpair correction for one spectrum index."""
+    """Converged eigenpair correction for one spectrum index.
+
+    ``b_hs`` is ||B||_F, taken once per run for ``residual_scale`` and
+    read again by ``operator_norm_condition``.
+    """
 
     k: int
     lam: complex
@@ -214,6 +239,7 @@ class SplitResult:
     normalized_deviation_bound: float
     residual: float
     residual_scale: float
+    b_hs: float
 
 
 def split_eigenpair(
@@ -243,15 +269,18 @@ def split_eigenpair(
     b21_norm = float(np.linalg.norm(op.b21))
     floor = max(b21_norm, 1e-300)
     z = np.zeros_like(op.b21)
-    # with B22 = 0 (the kernel cross) B22 S z is exact zeros, and
-    # subtracting 0.0 in its place gives the same bits without the product
-    b22_live = bool(op.b22.any())
+    # B22 S z is zero off the live coordinates; with none live (the
+    # kernel cross) subtracting 0.0 in its place gives the same bits
+    live = op.live if op.live.any() else None
+    b22sz = 0.0 if live is None else np.zeros_like(op.b21)
     iterations = 0
     converged = b21_norm == 0.0
     for iterations in range(1, max_iter + 1):
         sz = s * z
         b2 = op.b12 @ sz
-        z_next = op.b1 * sz - (op.b22 @ sz if b22_live else 0.0) - b2 * sz + op.b21
+        if live is not None:
+            b22sz[live] = op.b22 @ sz[live]
+        z_next = op.b1 * sz - b22sz - b2 * sz + op.b21
         step = float(np.linalg.norm(z_next - z))
         z = z_next
         if step <= tol * floor:
@@ -272,9 +301,11 @@ def split_eigenpair(
     correction = float(np.linalg.norm(sz))
     eps = bounds.bound_e
     norm_dev = 2.0 * eps / (1.0 - eps) if eps < 1.0 else math.inf
-    full = np.diag(spectrum.position_values) - b.data
-    res_vec = full @ vec - lam_prime * vec
-    scale = float(np.abs(spectrum.position_values).max() + b.hs())
+    # (A - B) vec - lam' vec against B as given, not the split pieces
+    lam_all = spectrum.position_values
+    res_vec = (lam_all * vec - b.data @ vec) - lam_prime * vec
+    b_hs = b.hs()
+    scale = float(np.abs(lam_all).max() + b_hs)
     return SplitResult(
         k=op.k,
         lam=complex(lam),
@@ -288,16 +319,17 @@ def split_eigenpair(
         normalized_deviation_bound=float(norm_dev),
         residual=float(np.linalg.norm(res_vec)),
         residual_scale=scale,
+        b_hs=b_hs,
     )
 
 
-def operator_norm_condition(b: BlockMatrix, s: float) -> dict:
+def operator_norm_condition(b_hs: float, s: float) -> dict:
     """Cruder sufficient condition ||B||_op < 1 / (4 s sqrt(2)).
 
-    The left side is the Frobenius norm of B, an upper bound of its
-    operator norm that costs O(d^2) instead of a dense SVD, so a
-    satisfied condition is satisfied by ||B||_op as well.
+    The left side is ``b_hs``, the Frobenius norm of B (``SplitResult``
+    carries it), an upper bound of its operator norm that costs O(d^2)
+    instead of a dense SVD, so a satisfied condition is satisfied by
+    ||B||_op as well.
     """
-    lhs = b.hs()
     rhs = 1.0 / (4.0 * s * math.sqrt(2.0))
-    return {"lhs": float(lhs), "rhs": float(rhs), "satisfied": bool(lhs < rhs)}
+    return {"lhs": float(b_hs), "rhs": float(rhs), "satisfied": bool(b_hs < rhs)}

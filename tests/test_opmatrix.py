@@ -293,6 +293,31 @@ class TestBlockSpectralSq:
         part = Partition.coarse(simple_spectrum(3), 1)
         assert not BlockMatrix.zeros(part).block_spectral_sq().any()
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 5),
+        radius=st.integers(-1, 5),
+        seed=st.integers(0, 10_000),
+        sparse=st.booleans(),
+    )
+    def test_width_two_closed_form_matches_svd(self, n, radius, seed, sparse):
+        # multiplicity 2 everywhere: the 2 x 2 blocks take the closed form,
+        # the central group's blocks (radius >= 0) the batched SVD
+        spec = simple_spectrum(n, mults=[2] * (2 * n + 1))
+        part = Partition(spec, min(radius, n))
+        x, _ = sparse_block(np.random.default_rng(seed), part, sparse)
+        got = x.block_spectral_sq()
+        ulps8 = 8 * np.finfo(float).eps
+        for gi in range(part.n_groups):
+            for gj in range(part.n_groups):
+                blk = x.data[np.ix_(part.group_positions(gi), part.group_positions(gj))]
+                ref = np.linalg.svd(blk, compute_uv=False)[0] ** 2
+                assert abs(got[gi, gj] - ref) <= ulps8 * ref
+        # the chain is tight when one block holds all of x, so allow rounding
+        r = x.norms()
+        assert r.op <= r.hs_sigma * (1 + ulps8)
+        assert r.hs_sigma <= r.hs * (1 + ulps8)
+
 
 class TestBlockMatrix:
     def test_dense_round_trip(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ class TestSplitSystem:
         assert op.b1 == 1.0
         assert op.b21.shape == (8,)
         # removing row and column 0 of the cross perturbation leaves nothing
-        assert np.all(op.b22 == 0.0)
+        assert not op.live.any()
+        assert op.b22.shape == (0, 0)
         assert op.s_max == pytest.approx(1 / (2 * np.pi))
 
     def test_multiplicity_rejected(self):
@@ -136,14 +138,17 @@ class TestSplitEigenpair:
         assert wb.m == pytest.approx(1 / (2 * np.pi), rel=1e-12)
 
 
-def full_svd_m(op):
-    """Reference m: the top singular value of all of (b1 - B22) S."""
-    core = op.b1 * np.diag(op.s_diag) - op.b22 * op.s_diag[None, :]
+def full_svd_m(op, dense):
+    """Reference m: the top singular value of all of (b1 - B22) S, with
+    B22 read from the dense matrix."""
+    b22 = dense[np.ix_(op.rest, op.rest)]
+    core = op.b1 * np.diag(op.s_diag) - b22 * op.s_diag[None, :]
     return float(np.linalg.svd(core, compute_uv=False)[0])
 
 
 @st.composite
-def split_operators(draw):
+def split_problems(draw, scale=1.0):
+    """(spectrum, B, k) with B22 random, partly zero or zero."""
     # dim 2 leaves a complement of one coordinate
     dim = draw(st.integers(2, 12))
     idx = np.arange(dim) - dim // 2
@@ -163,15 +168,47 @@ def split_operators(draw):
         dense[np.ix_(rest, rest)] = 0.0
     if draw(st.booleans()):
         dense[pos, pos] = 0.0
-    b = BlockMatrix(Partition.trivial(spec), dense)
-    return split_system(spec, b, k)
+    return spec, BlockMatrix(Partition.trivial(spec), scale * dense), k
+
+
+def split_operators():
+    """(split system, dense B) over the B22 patterns of split_problems."""
+    return split_problems().map(lambda p: (split_system(*p), p[1].data))
+
+
+def dense_split_reference(spec, dense, k, tol=1e-13, max_iter=200):
+    """lambda', eigenvector and residual of the splitting iteration run
+    with all of B22, the residual taken from the dense A - B."""
+    lam = spec.position_values
+    pos = spec.positions_of(k)[0]
+    rest = np.delete(np.arange(spec.dim), pos)
+    s = 1.0 / (lam[pos] - lam[rest])
+    b1, b21, b12 = dense[pos, pos], dense[rest, pos], dense[pos, rest]
+    b22 = dense[np.ix_(rest, rest)]
+    floor = max(float(np.linalg.norm(b21)), 1e-300)
+    z = np.zeros(rest.size, dtype=complex)
+    for _ in range(max_iter):
+        sz = s * z
+        z_next = b1 * sz - b22 @ sz - (b12 @ sz) * sz + b21
+        step = float(np.linalg.norm(z_next - z))
+        z = z_next
+        if step <= tol * floor:
+            break
+    sz = s * z
+    lam_prime = lam[pos] - b1 + b12 @ sz
+    vec = np.zeros(spec.dim, dtype=complex)
+    vec[pos] = 1.0
+    vec[rest] = -sz
+    residual = float(np.linalg.norm((np.diag(lam) - dense) @ vec - lam_prime * vec))
+    return lam_prime, vec, residual
 
 
 class TestCertificateM:
     @settings(deadline=None, max_examples=150)
-    @given(op=split_operators())
-    def test_matches_full_svd(self, op):
-        ref = full_svd_m(op)
+    @given(case=split_operators())
+    def test_matches_full_svd(self, case):
+        op, dense = case
+        ref = full_svd_m(op, dense)
         assert abs(split_certificate(op).m - ref) <= 1e-13 * ref
 
     def test_bitwise_when_no_coordinate_is_free(self):
@@ -179,7 +216,7 @@ class TestCertificateM:
         spec = spectrum(6)
         dense = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
         op = split_system(spec, BlockMatrix(Partition.trivial(spec), dense), 2)
-        assert split_certificate(op).m == full_svd_m(op)
+        assert split_certificate(op).m == full_svd_m(op, dense)
 
     def test_kernel_cross_needs_no_svd(self):
         # the cross leaves B22 = 0, so every complement coordinate is free
@@ -188,14 +225,40 @@ class TestCertificateM:
         assert split_certificate(op).m == abs(op.b1) * np.abs(op.s_diag).max()
 
 
+class TestEigenpairAgainstDense:
+    @settings(deadline=None, max_examples=100)
+    @given(problem=split_problems(scale=0.05))
+    def test_matches_full_b22_iteration(self, problem):
+        spec, b, k = problem
+        res = split_eigenpair(spec, b, k)
+        lam_prime, vec, residual = dense_split_reference(spec, b.data, k)
+        bound = 1e-13 * res.residual_scale
+        assert abs(res.lam_prime - lam_prime) <= bound
+        assert float(np.abs(res.eigvec - vec).max()) <= bound
+        assert abs(res.residual - residual) <= bound
+        assert res.b_hs == b.hs()
+
+    def test_kernel_split_makes_no_dense_copy(self):
+        # a d x d complex copy is d^2 16 bytes; the live-mask pass takes d^2
+        mdl = kernel_model(512)
+        d = mdl.spectrum.dim
+        tracemalloc.start()
+        try:
+            split_eigenpair(mdl.spectrum, mdl.perturbation, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 16 / 8
+
+
 def test_operator_norm_condition_bounds_the_operator_norm():
     mdl = kernel_model(64)
-    out = operator_norm_condition(mdl.perturbation, 1 / (2 * np.pi))
+    out = operator_norm_condition(mdl.perturbation.hs(), 1 / (2 * np.pi))
     assert out["lhs"] >= np.linalg.norm(mdl.perturbation.data, 2)
 
 
 def test_operator_norm_condition_report():
     mdl = kernel_model(12)
-    out = operator_norm_condition(mdl.perturbation, 1 / (2 * np.pi))
+    out = operator_norm_condition(mdl.perturbation.hs(), 1 / (2 * np.pi))
     assert set(out) == {"lhs", "rhs", "satisfied"}
     assert out["rhs"] == pytest.approx(np.pi * np.sqrt(2.0) / 4, rel=1e-12)

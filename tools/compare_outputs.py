@@ -9,7 +9,9 @@ and compares for each run the exit code, stdout, stderr and every output
 file except ``timings_wall.json``.  The output directory, the source
 directory (numpy warnings name it) and the ``wall ...s`` line are masked
 before the text is compared.  It prints one line per run and exits 1 if
-any run differs.
+any run differs.  Under a differing run it names what moved: up to
+10 differing leaf paths of a JSON file, with both values, and the first
+differing line of stdout, stderr or any other file (a CSV row).
 
 The dirac potentials and the two benchmark workload configs are read
 from ``bench/workloads.py`` in a child process, so that this script
@@ -30,7 +32,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 SEED = "7"
 SKIPPED_FILES = {"timings_wall.json"}
+MAX_JSON_PATHS = 10
 _WALL = re.compile(r"wall \d+\.\d+s")
+_ABSENT = object()
 
 _LOAD_WORKLOADS = (
     "import json, sys\n"
@@ -147,16 +151,72 @@ def run_one(src: str, root: str, name: str, command: str, cfg) -> dict:
             "stderr": mask(proc.stderr), "files": files}
 
 
+def _leaves(obj, path: str = ""):
+    """(path, value) for every leaf of a parsed JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else str(key))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _shown(value) -> str:
+    return "<absent>" if value is _ABSENT else json.dumps(value)
+
+
+def _first_line_diff(old: str, new: str) -> list:
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    for i in range(max(len(old_lines), len(new_lines))):
+        a = old_lines[i] if i < len(old_lines) else "<absent>"
+        b = new_lines[i] if i < len(new_lines) else "<absent>"
+        if a != b:
+            return [f"line {i + 1}: {a} -> {b}"]
+    return []
+
+
+def moved(name: str, old, new) -> list:
+    """Lines naming what differs between two versions of one output.
+
+    JSON files list up to MAX_JSON_PATHS differing leaf paths with both
+    values; other text (a CSV file, stdout) gives its first differing line.
+    """
+    if old is None or new is None:
+        return ["only in the working tree" if old is None else "only in the base"]
+    if isinstance(old, bytes):
+        old, new = old.decode(errors="replace"), new.decode(errors="replace")
+    if name.endswith(".json"):
+        try:
+            a = dict(_leaves(json.loads(old)))
+            b = dict(_leaves(json.loads(new)))
+        except ValueError:
+            pass
+        else:
+            paths = [p for p in {**a, **b} if a.get(p, _ABSENT) != b.get(p, _ABSENT)]
+            lines = [f"{p}: {_shown(a.get(p, _ABSENT))} -> {_shown(b.get(p, _ABSENT))}"
+                     for p in paths[:MAX_JSON_PATHS]]
+            if len(paths) > MAX_JSON_PATHS:
+                lines.append(f"... {len(paths) - MAX_JSON_PATHS} more paths")
+            # equal leaves (key order, 1 against true) leave the text diff
+            if lines:
+                return lines
+    return _first_line_diff(old, new)
+
+
 def differences(a: dict, b: dict) -> list:
+    """(what differs, lines naming what moved) for one run."""
     diffs = []
     if a["exit"] != b["exit"]:
-        diffs.append(f"exit {a['exit']} -> {b['exit']}")
+        diffs.append((f"exit {a['exit']} -> {b['exit']}", []))
     for stream in ("stdout", "stderr"):
         if a[stream] != b[stream]:
-            diffs.append(stream)
+            diffs.append((stream, moved(stream, a[stream], b[stream])))
     for fname in sorted(set(a["files"]) | set(b["files"])):
-        if a["files"].get(fname) != b["files"].get(fname):
-            diffs.append(fname)
+        old, new = a["files"].get(fname), b["files"].get(fname)
+        if old != new:
+            diffs.append((fname, moved(fname, old, new)))
     return diffs
 
 
@@ -181,8 +241,12 @@ def main(argv=None) -> int:
                 diffs = differences(base, work)
                 any_diff = any_diff or bool(diffs)
                 status = "DIFF" if diffs else "same"
-                detail = "; ".join(diffs) if diffs else f"exit {work['exit']}"
-                print(f"{status}  {name}: {detail}", flush=True)
+                detail = "; ".join(d for d, _ in diffs) if diffs else f"exit {work['exit']}"
+                print(f"{status}  {name}: {detail}")
+                for what, lines in diffs:
+                    for line in lines:
+                        print(f"      {what}: {line}")
+                sys.stdout.flush()
     return 1 if any_diff else 0
 
 
