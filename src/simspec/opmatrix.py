@@ -11,13 +11,16 @@ pipelines) works on these three types:
   indices |n| <= m form one central group and every other index is a
   group of its own (m = -1: singletons only); it caches the tables the
   transforms read, its same-group mask and its divisor table,
-* :class:`BlockMatrix` -- a dense matrix read block by block.
+* :class:`BlockMatrix` -- an immutable dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
-and norms run at numpy speed.  A block is absent exactly when all its
-entries are exact zeros; no separate record of presence is kept, and the
-algebra keeps absent blocks absent because sums and products of exact
-zeros are exact zeros.  Per-block spectral norms take no Python loop
+and norms run at numpy speed.  The matrix is read-only once wrapped, so
+its Frobenius norm is a property of the object: it is taken once, in
+one contiguous BLAS pass over the float64 view of the entries, and
+stored.  A block is absent exactly when all its entries are exact
+zeros; no separate record of presence is kept, and the algebra keeps
+absent blocks absent because sums and products of exact zeros are exact
+zeros.  Per-block spectral norms take no Python loop
 over blocks: a block with one row or one column is a vector, whose
 spectral norm is its Frobenius norm, 2 x 2 blocks have a closed form,
 and the nonzero other blocks go through one batched SVD per pair of
@@ -278,21 +281,26 @@ def _spectral_sq_2x2(stack: np.ndarray) -> np.ndarray:
 
 
 class BlockMatrix:
-    """Dense complex d x d matrix read in blocks of a partition.
+    """Immutable dense complex d x d matrix read in blocks of a partition.
 
     ``data`` is the whole representation.  A block is absent exactly
     when its entries are all exact zeros; nothing else records presence.
+    The constructor marks ``data`` read-only (an array passed in is
+    wrapped, not copied, so the caller fills it first), and ``hs()``
+    stores the Frobenius norm the first time it is asked for.
     """
 
-    __slots__ = ("partition", "data")
+    __slots__ = ("partition", "data", "_hs")
 
     def __init__(self, partition: Partition, data):
         data = np.asarray(data, dtype=complex)
         d = partition.spectrum.dim
         if data.shape != (d, d):
             raise InvalidInputError(f"data must be {d} x {d}")
+        data.flags.writeable = False
         self.partition = partition
         self.data = data
+        self._hs = None
 
     # -- constructors -------------------------------------------------
 
@@ -332,7 +340,18 @@ class BlockMatrix:
     # -- norms ----------------------------------------------------------
 
     def hs(self) -> float:
-        return float(np.linalg.norm(self.data))
+        """Frobenius norm, taken once per object.
+
+        One dot product of the float64 view with itself: the same
+        non-negative squares as ``np.linalg.norm`` in another order, in
+        one contiguous pass instead of two strided ones.  A sum that
+        overflows gives inf without a warning.
+        """
+        if self._hs is None:
+            f = self.data.ravel(order="K").view(np.float64)
+            with np.errstate(over="ignore"):
+                self._hs = math.sqrt(f @ f)
+        return self._hs
 
     def block_spectral_sq(self) -> np.ndarray:
         """G x G matrix of squared per-block spectral norms (absent -> 0).

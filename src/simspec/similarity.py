@@ -100,11 +100,16 @@ _IDENTITY_SLACK = 1e-10
 def _move(x: BlockMatrix, partition: Partition) -> BlockMatrix:
     """The same matrix tagged by another partition of its spectrum.
 
-    Any two partitions of one spectrum are nested, so only the tag changes.
+    Any two partitions of one spectrum are nested, so only the tag changes;
+    the entries, and with them a stored Frobenius norm, carry over.
     """
     if not x.partition.spectrum.same_entries(partition.spectrum):
         raise PartitionMismatchError("partitions of different spectra")
-    return x if x.partition is partition else BlockMatrix(partition, x.data)
+    if x.partition is partition:
+        return x
+    moved = BlockMatrix(partition, x.data)
+    moved._hs = x._hs
+    return moved
 
 
 # -- fixed point --------------------------------------------------------

@@ -31,11 +31,14 @@ block b1 s_j of (b1 - B22) S, so only the remaining (live) coordinates
 need a dense singular value decomposition.  A cross-shaped perturbation
 such as the kernel family's leaves B22 = 0 and needs none.
 
-B is read where it lies: one pass over its entries finds the live
-coordinates, and only B22 restricted to them is copied, so the kernel
-cross makes no d x d complex copy at all.  The residual is one product
-with B as given, an independent check of the eigenpair against the
-input rather than against the split pieces.
+B is read where it lies: one pass over the float64 view of its
+entries, a block of rows at a time, finds the live coordinates (an
+entry is nonzero exactly when its real or its imaginary part is), and
+only B22 restricted to them is copied, so the kernel cross makes no
+d x d copy at all.  The residual is one product with B as given, an
+independent check of the eigenpair against the input rather than
+against the split pieces; its scale reads the Frobenius norm that B
+stores.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+# rows of B per block of the live-coordinate scan: the float mask of a
+# block is _SCAN_ROWS * 2d bytes, far below one d x d copy
+_SCAN_ROWS = 64
 
 
 @dataclass
@@ -106,12 +112,7 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
     if np.any(gaps == 0.0):
         raise InvalidInputError("eigenvalue coincides with another spectrum point")
     s_diag = 1.0 / gaps
-    # one pass over B: a complement coordinate is live when its row or
-    # its column of B22 (B without row and column pos) has a nonzero entry
-    nonzero = data != 0.0
-    nonzero[pos, :] = False
-    nonzero[:, pos] = False
-    live_at = nonzero.any(axis=0) | nonzero.any(axis=1)
+    live_at = _live_coordinates(data, pos)
     core = np.flatnonzero(live_at)
     return SplitOperator(
         k=int(k),
@@ -125,6 +126,28 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
         live=live_at[rest],
         b22=data[np.ix_(core, core)],
     )
+
+
+def _live_coordinates(data: np.ndarray, pos: int) -> np.ndarray:
+    """Mask of the coordinates whose row or column of B22 (B without row
+    and column ``pos``) has a nonzero entry; ``pos`` itself is not live.
+
+    One pass over the float64 view, _SCAN_ROWS rows at a time: -0.0 is
+    zero, NaN and subnormals are not.  Viewed as uint16, the two bool
+    flags of an entry (real, imaginary) are one nonzero-or-zero number.
+    """
+    d = data.shape[0]
+    row_live = np.zeros(d, dtype=bool)
+    col_live = np.zeros(d, dtype=np.uint16)
+    for top in range(0, d, _SCAN_ROWS):
+        rows = np.ascontiguousarray(data[top:top + _SCAN_ROWS]).view(np.float64)
+        nonzero = (rows != 0.0).view(np.uint16)
+        nonzero[:, pos] = 0
+        if top <= pos < top + _SCAN_ROWS:
+            nonzero[pos - top] = 0
+        row_live[top:top + _SCAN_ROWS] = nonzero.any(axis=1)
+        col_live |= np.bitwise_or.reduce(nonzero, axis=0)
+    return row_live | (col_live != 0)
 
 
 @dataclass
@@ -221,11 +244,7 @@ def split_certificate(op: SplitOperator) -> SplitBounds:
 
 @dataclass
 class SplitResult:
-    """Converged eigenpair correction for one spectrum index.
-
-    ``b_hs`` is ||B||_F, taken once per run for ``residual_scale`` and
-    read again by ``operator_norm_condition``.
-    """
+    """Converged eigenpair correction for one spectrum index."""
 
     k: int
     lam: complex
@@ -239,7 +258,6 @@ class SplitResult:
     normalized_deviation_bound: float
     residual: float
     residual_scale: float
-    b_hs: float
 
 
 def split_eigenpair(
@@ -304,8 +322,7 @@ def split_eigenpair(
     # (A - B) vec - lam' vec against B as given, not the split pieces
     lam_all = spectrum.position_values
     res_vec = (lam_all * vec - b.data @ vec) - lam_prime * vec
-    b_hs = b.hs()
-    scale = float(np.abs(lam_all).max() + b_hs)
+    scale = float(np.abs(lam_all).max() + b.hs())
     return SplitResult(
         k=op.k,
         lam=complex(lam),
@@ -319,15 +336,14 @@ def split_eigenpair(
         normalized_deviation_bound=float(norm_dev),
         residual=float(np.linalg.norm(res_vec)),
         residual_scale=scale,
-        b_hs=b_hs,
     )
 
 
 def operator_norm_condition(b_hs: float, s: float) -> dict:
     """Cruder sufficient condition ||B||_op < 1 / (4 s sqrt(2)).
 
-    The left side is ``b_hs``, the Frobenius norm of B (``SplitResult``
-    carries it), an upper bound of its operator norm that costs O(d^2)
+    The left side is ``b_hs``, the Frobenius norm of B (``BlockMatrix.hs``
+    stores it), an upper bound of its operator norm that costs O(d^2)
     instead of a dense SVD, so a satisfied condition is satisfied by
     ||B||_op as well.
     """

@@ -18,10 +18,21 @@ def test_json_names_leaf_paths_with_both_values():
     old = _json({"residual": 1.5, "bounds": {"m": [0.1, 0.2]}, "k": 0, "gone": True})
     new = _json({"residual": 1.25, "bounds": {"m": [0.1, 0.3]}, "k": 0, "added": None})
     assert compare_outputs.moved("report.json", old, new) == [
-        "residual: 1.5 -> 1.25",
-        "bounds.m[1]: 0.2 -> 0.3",
+        "residual: 1.5 -> 1.25 (rel 1.7e-01)",
+        "bounds.m[1]: 0.2 -> 0.3 (rel 5.0e-01)",
         "gone: true -> <absent>",
         "added: <absent> -> null",
+    ]
+
+
+def test_json_float_shows_its_relative_change():
+    old = _json({"ratio": 0.16194708485590262, "zero": 0.0, "n": 3, "s": "inf"})
+    new = _json({"ratio": 0.16194708485590265, "zero": 1e-300, "n": 4, "s": 1.0})
+    assert compare_outputs.moved("report.json", old, new) == [
+        "ratio: 0.16194708485590262 -> 0.16194708485590265 (rel 1.7e-16)",
+        "zero: 0.0 -> 1e-300 (rel inf)",
+        "n: 3 -> 4",
+        's: "inf" -> 1.0',
     ]
 
 

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +345,37 @@ class TestBlockMatrix:
         with pytest.raises(PartitionMismatchError):
             _ = a + b
 
+    def test_data_is_read_only(self):
+        spec = simple_spectrum(2)
+        x = BlockMatrix.zeros(Partition.trivial(spec))
+        with pytest.raises(ValueError):
+            x.data[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            x.data += 1.0
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(0, 12), seed=st.integers(0, 10_000),
+           layout=st.sampled_from(["C", "transposed", "sliced"]),
+           scale=st.sampled_from([1.0, 1e-150, 1e150]))
+    def test_hs_matches_linalg_norm(self, n, seed, layout, scale):
+        spec = simple_spectrum(n)
+        d = spec.dim
+        rng = np.random.default_rng(seed)
+        big = scale * (rng.normal(size=(2 * d, 2 * d)) + 1j * rng.normal(size=(2 * d, 2 * d)))
+        data = {"C": big[:d, :d].copy(), "transposed": big[:d, :d].copy().T,
+                "sliced": big[::2, 1::2]}[layout]
+        ref = float(np.linalg.norm(data))
+        hs = BlockMatrix(Partition.trivial(spec), data).hs()
+        assert abs(hs - ref) <= 4 * d * d * np.finfo(float).eps * ref
+
+    def test_hs_of_zero_and_of_overflow(self):
+        spec = simple_spectrum(2)
+        part = Partition.trivial(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert BlockMatrix.zeros(part).hs() == 0.0
+            assert BlockMatrix(part, np.full((5, 5), 1e200 + 0j)).hs() == math.inf
+
 
 class TestInverse:
     def test_inverse_identity_plus(self):
@@ -360,8 +394,7 @@ class TestInverse:
 
         spec = simple_spectrum(1)
         part = Partition.trivial(spec)
-        x = BlockMatrix.zeros(part)
-        x.data[:] = -np.eye(spec.dim)  # I + X = 0
+        x = BlockMatrix(part, -np.eye(spec.dim))  # I + X = 0
         with pytest.raises(NotInvertibleError):
             inv_identity_plus(x)
 

@@ -183,10 +183,10 @@ class TestEstimates:
     def test_multiplicity_two_block(self):
         idx = np.arange(-1, 2)
         spec = Spectrum(idx, 2j * np.pi * idx, mults=[1, 2, 1])
-        part = Partition.trivial(spec)
-        v = BlockMatrix.zeros(part)
         pos = spec.positions_of(0)
-        v.data[np.ix_(pos, pos)] = np.array([[0.1, 0.02], [0.02, 0.1]])
+        dense = np.zeros((spec.dim, spec.dim), dtype=complex)
+        dense[np.ix_(pos, pos)] = np.array([[0.1, 0.02], [0.02, 0.1]])
+        v = BlockMatrix(Partition.trivial(spec), dense)
         est = block_eigenvalue_estimates(v)
         zero_vals = sorted(z.real for k, z in est if k == 0)
         assert zero_vals == pytest.approx([-0.12, -0.08], rel=1e-9)

@@ -10,6 +10,7 @@ from simspec.errors import ConditionViolationError, InvalidInputError
 from simspec.models import kernel_model, kernel_split_constants
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.splitting import (
+    _SCAN_ROWS,
     certificate_from_constants,
     operator_norm_condition,
     split_certificate,
@@ -97,11 +98,11 @@ class TestSplitEigenpair:
     def test_zero_coupling_to_rest(self):
         # B21 = 0 leaves e_k already invariant up to the diagonal entry
         spec = spectrum(3)
-        part = Partition.trivial(spec)
-        b = BlockMatrix.zeros(part)
         pos = spec.positions_of(0)[0]
-        b.data[pos, pos] = 0.3
-        b.data[pos, spec.positions_of(2)[0]] = 0.5  # row coupling only
+        dense = np.zeros((spec.dim, spec.dim), dtype=complex)
+        dense[pos, pos] = 0.3
+        dense[pos, spec.positions_of(2)[0]] = 0.5  # row coupling only
+        b = BlockMatrix(Partition.trivial(spec), dense)
         res = split_eigenpair(spec, b, 0)
         assert res.iterations == 1
         assert res.b2 == 0.0
@@ -110,10 +111,10 @@ class TestSplitEigenpair:
 
     def test_no_row_coupling_gives_zero_b2(self):
         spec = spectrum(3)
-        part = Partition.trivial(spec)
-        b = BlockMatrix.zeros(part)
         pos = spec.positions_of(0)[0]
-        b.data[spec.positions_of(2)[0], pos] = 0.5  # column coupling only
+        dense = np.zeros((spec.dim, spec.dim), dtype=complex)
+        dense[spec.positions_of(2)[0], pos] = 0.5  # column coupling only
+        b = BlockMatrix(Partition.trivial(spec), dense)
         res = split_eigenpair(spec, b, 0)
         assert res.b2 == 0.0
         assert res.correction_norm > 0.0
@@ -136,6 +137,48 @@ class TestSplitEigenpair:
         assert wb.b21_norm < limit
         assert wb.b21_norm == pytest.approx(limit, abs=2e-3)
         assert wb.m == pytest.approx(1 / (2 * np.pi), rel=1e-12)
+
+
+# -0.0 is zero; subnormals and NaN are not
+_SCAN_VALUES = np.array([0.0, -0.0, 5e-324, np.nan, 1.0])
+
+
+@st.composite
+def scan_problems(draw):
+    """(spectrum, dense B, k) over 1 to 3 scan blocks with signed zeros,
+    subnormal and NaN entries, some coordinates free and ``pos`` often on
+    a block boundary."""
+    dim = draw(st.integers(2, 3 * _SCAN_ROWS))
+    idx = np.arange(dim) - dim // 2
+    spec = Spectrum(idx, 2j * np.pi * idx)
+    boundaries = [p for p in (0, _SCAN_ROWS - 1, _SCAN_ROWS, 2 * _SCAN_ROWS) if p < dim]
+    pos = draw(st.sampled_from(boundaries) | st.integers(0, dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    p = np.array([40.0, 40.0, 1.0, 1.0, 2.0]) / 84.0
+    dense = (rng.choice(_SCAN_VALUES, size=(dim, dim), p=p)
+             + 1j * rng.choice(_SCAN_VALUES, size=(dim, dim), p=p))
+    free = rng.random(dim) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    signed_zeros = np.where(rng.random((dim, dim)) < 0.5, -0.0, 0.0)
+    signed_zeros = signed_zeros + 1j * signed_zeros[::-1]
+    dense[free, :] = signed_zeros[free, :]
+    dense[:, free] = signed_zeros[:, free]
+    return spec, dense, int(idx[pos])
+
+
+class TestLiveScan:
+    @settings(deadline=None, max_examples=150)
+    @given(problem=scan_problems())
+    def test_matches_complex_reference(self, problem):
+        spec, dense, k = problem
+        pos = spec.positions_of(k)[0]
+        nonzero = dense != 0.0
+        nonzero[pos, :] = False
+        nonzero[:, pos] = False
+        ref = nonzero.any(axis=0) | nonzero.any(axis=1)
+        op = split_system(spec, BlockMatrix(Partition.trivial(spec), dense), k)
+        assert np.array_equal(op.live, ref[op.rest])
+        core = op.rest[op.live]
+        assert np.array_equal(op.b22, dense[np.ix_(core, core)], equal_nan=True)
 
 
 def full_svd_m(op, dense):
@@ -236,7 +279,6 @@ class TestEigenpairAgainstDense:
         assert abs(res.lam_prime - lam_prime) <= bound
         assert float(np.abs(res.eigvec - vec).max()) <= bound
         assert abs(res.residual - residual) <= bound
-        assert res.b_hs == b.hs()
 
     def test_kernel_split_makes_no_dense_copy(self):
         # a d x d complex copy is d^2 16 bytes; the live-mask pass takes d^2

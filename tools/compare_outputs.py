@@ -10,7 +10,8 @@ file except ``timings_wall.json``.  The output directory, the source
 directory (numpy warnings name it) and the ``wall ...s`` line are masked
 before the text is compared.  It prints one line per run and exits 1 if
 any run differs.  Under a differing run it names what moved: up to
-10 differing leaf paths of a JSON file, with both values, and the first
+10 differing leaf paths of a JSON file, with both values (and, for two
+floats, their relative change |new - old| / |old|), and the first
 differing line of stdout, stderr or any other file (a CSV row).
 
 The dirac potentials and the two benchmark workload configs are read
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -167,6 +169,15 @@ def _shown(value) -> str:
     return "<absent>" if value is _ABSENT else json.dumps(value)
 
 
+def _leaf_change(path: str, old, new) -> str:
+    """``path: old -> new``, with the relative change when both are floats."""
+    line = f"{path}: {_shown(old)} -> {_shown(new)}"
+    if isinstance(old, float) and isinstance(new, float):
+        rel = abs(new - old) / abs(old) if old else math.inf
+        line += f" (rel {rel:.1e})"
+    return line
+
+
 def _first_line_diff(old: str, new: str) -> list:
     old_lines, new_lines = old.splitlines(), new.splitlines()
     for i in range(max(len(old_lines), len(new_lines))):
@@ -195,7 +206,7 @@ def moved(name: str, old, new) -> list:
             pass
         else:
             paths = [p for p in {**a, **b} if a.get(p, _ABSENT) != b.get(p, _ABSENT)]
-            lines = [f"{p}: {_shown(a.get(p, _ABSENT))} -> {_shown(b.get(p, _ABSENT))}"
+            lines = [_leaf_change(p, a.get(p, _ABSENT), b.get(p, _ABSENT))
                      for p in paths[:MAX_JSON_PATHS]]
             if len(paths) > MAX_JSON_PATHS:
                 lines.append(f"... {len(paths) - MAX_JSON_PATHS} more paths")
