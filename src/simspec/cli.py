@@ -290,19 +290,18 @@ def build_model(cfg: dict, cfg_path=None):
                 f"'model.{key}' is not used by family {family}", cfg_path)
     base_dir = cfg.get("_base_dir", ".")
     half = cfg["truncation"]["half_width"]
-    frac = cfg["truncation"]["interior_fraction"]
     if family == "kernel":
-        model = model_lib.kernel_model(half, frac)
+        model = model_lib.kernel_model(half)
     elif family == "dirac":
         pots = _dirac_potentials(model_cfg, base_dir, cfg_path)
         gauge = model_cfg.get("gauge", True)
         _expect(isinstance(gauge, bool), "'model.gauge' must be a boolean", cfg_path)
-        model = model_lib.dirac_model(half, **pots, gauge=gauge, interior_fraction=frac)
+        model = model_lib.dirac_model(half, **pots, gauge=gauge)
     else:
         _expect(family != "hill" or "theta" in model_cfg, "family hill needs 'model.theta'", cfg_path)
         theta = _as_number(model_cfg.get("theta", 0.0), "model.theta", cfg_path)
         coeffs = _coeffs_from_config(model_cfg, base_dir, cfg_path, required=True)
-        model = MODELS[family](half, theta, coeffs, interior_fraction=frac)
+        model = MODELS[family](half, theta, coeffs)
     # hs() is taken once here and stored; its sum may overflow to inf
     hs = model.perturbation.hs()
     if not math.isfinite(hs):
@@ -536,6 +535,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
             first_order=model.first_order,
             second_order=model.second_order,
             weights=weights,
+            interior_fraction=cfg["truncation"]["interior_fraction"],
         )
     timings = {
         "dimension": model.spectrum.dim,

@@ -18,9 +18,9 @@ Four families, each reduced to a truncated block matrix on the indices
 
 Builders return a :class:`ModelProblem`; closed-form first and second
 order eigenvalue corrections are included where the family admits them,
-as an independent route against the matrix computations.  Each builder
-passes ``interior_fraction`` on to its :class:`Spectrum`, where it picks
-the indices a spectrum report shows.
+as an independent route against the matrix computations.  The window
+-N..N is the builder's; which of its indices a spectrum report shows is
+a setting of the report (``verify.build_spectrum_report``).
 """
 
 from __future__ import annotations
@@ -144,14 +144,14 @@ def _fourier_eval(coeffs: dict, grid: np.ndarray) -> np.ndarray:
 # -- kernel family --------------------------------------------------------
 
 
-def kernel_model(half_width: int, interior_fraction: float = 0.5) -> ModelProblem:
+def kernel_model(half_width: int) -> ModelProblem:
     """Differentiation plus the rank-two kernel charge on the circle.
 
     The perturbation matrix is the cross B[m, 0] = 1/(2 pi i m),
     B[0, n] = -1/(2 pi i n), B[0, 0] = 1, all other entries zero.
     """
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, 2j * np.pi * idx, interior_fraction=interior_fraction)
+    spec = Spectrum(idx, 2j * np.pi * idx)
     base = Partition.trivial(spec)
     n = half_width
     d = spec.dim
@@ -227,9 +227,7 @@ def _twist_coefficients(coeffs: dict, theta: float, kmax: int) -> dict:
     return out
 
 
-def involution_model(
-    half_width: int, theta: float, coeffs, interior_fraction: float = 0.5
-) -> ModelProblem:
+def involution_model(half_width: int, theta: float, coeffs) -> ModelProblem:
     """First order operator coupling t with 1 - t through potential v.
 
     Eigenvalues pi i (2k - theta); the perturbation entry (m, n) is
@@ -237,7 +235,7 @@ def involution_model(
     """
     coeffs = _clean_coeffs(coeffs, "involution potential")
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta), interior_fraction=interior_fraction)
+    spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta))
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width
@@ -345,7 +343,6 @@ def dirac_model(
     v3,
     v4,
     gauge: bool = True,
-    interior_fraction: float = 0.5,
 ) -> ModelProblem:
     """Dirac system on 2x2 blocks with eigenvalues 2 pi n, multiplicity 2.
 
@@ -365,7 +362,7 @@ def dirac_model(
     v3 = _clean_coeffs(v3, "v3")
     v4 = _clean_coeffs(v4, "v4")
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, 2), interior_fraction)
+    spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, 2))
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width
@@ -412,9 +409,7 @@ def dirac_model(
 # -- hill family --------------------------------------------------------------
 
 
-def hill_model(
-    half_width: int, theta: float, coeffs, interior_fraction: float = 0.5
-) -> ModelProblem:
+def hill_model(half_width: int, theta: float, coeffs) -> ModelProblem:
     """Second order operator with quasi-momentum theta and potential v.
 
     Eigenvalues (pi (2n - theta))^2; the perturbation is the Toeplitz
@@ -425,8 +420,7 @@ def hill_model(
         raise InvalidInputError("hill quasi-momentum must stay away from integers")
     coeffs = _clean_coeffs(coeffs, "hill potential")
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, (np.pi * (2.0 * idx - theta)) ** 2 + 0j,
-                    interior_fraction=interior_fraction)
+    spec = Spectrum(idx, (np.pi * (2.0 * idx - theta)) ** 2 + 0j)
     base = Partition.trivial(spec)
 
     d = spec.dim

@@ -1,7 +1,9 @@
 """Truncated operator matrices split into blocks by spectral groups.
 
 A free operator is described by its spectrum: contiguous integer
-indices, one (distinct) eigenvalue and one multiplicity per index.
+indices, one (distinct) eigenvalue and one multiplicity per index.  The
+table of eigenvalue gaps that the contraction bounds read is derived
+from the spectrum once and cached on it.
 Perturbations are dense complex matrices carved into blocks by a
 partition of the indices.  Everything downstream (transforms, weights,
 pipelines) works on these three types:
@@ -9,8 +11,10 @@ pipelines) works on these three types:
 * :class:`Spectrum` -- indices, eigenvalues and multiplicities,
 * :class:`Partition` -- a spectrum plus a coarsening radius m: the
   indices |n| <= m form one central group and every other index is a
-  group of its own (m = -1: singletons only); it caches the tables the
-  transforms read, its same-group mask and its divisor table,
+  group of its own (m = -1: singletons only); groups are numbered in
+  index order, so each group is one run of dense positions, and the
+  partition caches the tables the transforms read, its same-group mask
+  and its divisor table,
 * :class:`BlockMatrix` -- an immutable dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
@@ -67,12 +71,9 @@ class Spectrum:
         Finite, pairwise distinct eigenvalues, one per index.
     mults : array of int, optional
         Multiplicities (default all 1).
-    interior_fraction : float
-        In (0, 1]; the indices |n| <= max(1, floor(N * interior_fraction)),
-        N = max |n|, are the interior that a spectrum report shows.
     """
 
-    def __init__(self, indices, values, mults=None, interior_fraction=0.5):
+    def __init__(self, indices, values, mults=None):
         indices = np.asarray(indices, dtype=int)
         values = np.asarray(values, dtype=complex)
         if indices.ndim != 1 or values.shape != indices.shape:
@@ -91,20 +92,15 @@ class Spectrum:
             raise InvalidInputError("eigenvalues must be finite")
         if np.unique(values).size < values.size:
             raise InvalidInputError("eigenvalues must be pairwise distinct")
-        if not (0.0 < interior_fraction <= 1.0):
-            raise InvalidInputError("interior_fraction must lie in (0, 1]")
         self.indices = indices
         self.values = values
         self.mults = mults
-        self.interior_fraction = interior_fraction
         self.dim = int(mults.sum())
         # dense layout: index order, each index occupying `mult` positions
         self.offsets = np.concatenate(([0], np.cumsum(mults)))[:-1]
         self.position_entry = np.repeat(np.arange(indices.size), mults)
         self.position_values = np.repeat(values, mults)
-
-    def __len__(self):
-        return self.indices.size
+        self._gaps = None
 
     def ordinal(self, n: int) -> int:
         """Array position of index ``n``."""
@@ -121,10 +117,27 @@ class Spectrum:
     def value_of(self, n: int) -> complex:
         return complex(self.values[self.ordinal(n)])
 
-    def interior_indices(self) -> np.ndarray:
+    def interior_indices(self, fraction: float = 0.5) -> np.ndarray:
+        """The indices |n| <= max(1, floor(N * fraction)), N = max |n|;
+        ``fraction`` lies in (0, 1]."""
+        if not (0.0 < fraction <= 1.0):
+            raise InvalidInputError("interior fraction must lie in (0, 1]")
         top = int(np.abs(self.indices).max())
-        lim = max(1, int(math.floor(top * self.interior_fraction)))
+        lim = max(1, int(math.floor(top * fraction)))
         return self.indices[np.abs(self.indices) <= lim]
+
+    def gaps(self) -> np.ndarray:
+        """Table |lambda_j - lambda_l| over index pairs, inf on the diagonal.
+
+        Built on first use and cached read-only.
+        """
+        if self._gaps is None:
+            v = self.values
+            diff = np.abs(v[:, None] - v[None, :])
+            np.fill_diagonal(diff, np.inf)
+            diff.flags.writeable = False
+            self._gaps = diff
+        return self._gaps
 
     def same_entries(self, other: "Spectrum") -> bool:
         return (
@@ -135,23 +148,14 @@ class Spectrum:
 
 
 def spectral_gap(spectrum: Spectrum) -> float:
-    """Minimal distance between two distinct eigenvalues."""
-    v = spectrum.values
-    if v.size < 2:
-        return math.inf
-    diff = np.abs(v[:, None] - v[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min())
+    """Minimal distance between two distinct eigenvalues (inf for one)."""
+    return float(spectrum.gaps().min())
 
 
 def gap_inverse_square_sum(spectrum: Spectrum) -> float:
-    """Largest row sum of inverse square gaps, max_j sum_{n != j} |l_n - l_j|^-2."""
-    v = spectrum.values
-    if v.size < 2:
-        return 0.0
-    diff = np.abs(v[:, None] - v[None, :])
-    np.fill_diagonal(diff, np.inf)
-    return float((1.0 / diff**2).sum(axis=0).max())
+    """Largest row sum of inverse square gaps, max_j sum_{n != j} |l_n - l_j|^-2
+    (0 for one eigenvalue)."""
+    return float((1.0 / spectrum.gaps() ** 2).sum(axis=0).max())
 
 
 class Partition:
@@ -159,9 +163,9 @@ class Partition:
 
     Radius m >= 0 merges the indices |n| <= m into one central group;
     every other index is a group of its own.  Radius -1 (``trivial``)
-    has no central group.  Groups are numbered central group first, then
-    the singletons by index.  Groups never reorder the dense layout; they
-    only tag positions.
+    has no central group.  Groups are numbered in index order, the
+    central group at its natural place, so group g is the run of dense
+    positions ``bounds[g] .. bounds[g] + dims[g] - 1``.
     """
 
     def __init__(self, spectrum: Spectrum, radius: int):
@@ -171,17 +175,13 @@ class Partition:
         self.spectrum = spectrum
         self.radius = radius
         central = np.abs(spectrum.indices) <= radius
-        has_center = int(central.any())
-        # group per index: 0 for the center, singletons counted in index order
-        gid = np.cumsum(~central) - 1 + has_center
-        gid[central] = 0
-        self.n_groups = int((~central).sum()) + has_center
+        # a new group starts at every index but a central one after another
+        starts = np.ones(central.size, dtype=int)
+        starts[1:] -= central[1:] & central[:-1]
+        gid = np.cumsum(starts) - 1
+        self.n_groups = int(gid[-1]) + 1
         self.gid_of_position = gid[spectrum.position_entry]
         self.dims = np.bincount(self.gid_of_position, minlength=self.n_groups)
-        # positions group by group: the center is contiguous and the
-        # singletons keep position order; bounds[g] is where group g starts
-        at_center = central[spectrum.position_entry]
-        self.perm = np.concatenate((np.flatnonzero(at_center), np.flatnonzero(~at_center)))
         self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
         self._same_group = None
         self._divisors = None
@@ -222,7 +222,7 @@ class Partition:
 
     def group_positions(self, g: int) -> np.ndarray:
         """Dense positions of group ``g``, ascending."""
-        return self.perm[self.bounds[g]:self.bounds[g] + self.dims[g]]
+        return np.arange(self.bounds[g], self.bounds[g] + self.dims[g])
 
     def equivalent(self, other: "Partition") -> bool:
         """Same groups in the same order over the same spectrum."""
@@ -259,11 +259,8 @@ operator_norm_estimate = op_norm
 def _block_frobenius_sq(data: np.ndarray, partition: Partition) -> np.ndarray:
     """G x G matrix of per-block squared Frobenius norms."""
     absq = data.real**2 + data.imag**2
-    perm, bounds = partition.perm, partition.bounds
-    if perm.size and not np.array_equal(perm, np.arange(perm.size)):
-        absq = absq[np.ix_(perm, perm)]
-    s = np.add.reduceat(absq, bounds, axis=0)
-    return np.add.reduceat(s, bounds, axis=1)
+    s = np.add.reduceat(absq, partition.bounds, axis=0)
+    return np.add.reduceat(s, partition.bounds, axis=1)
 
 
 def _spectral_sq_2x2(stack: np.ndarray) -> np.ndarray:
@@ -368,7 +365,7 @@ class BlockMatrix:
         wide = []
         for w in np.unique(part.dims[part.dims > 1]):
             gids = np.flatnonzero(part.dims == w)
-            wide.append((gids, part.perm[part.bounds[gids][:, None] + np.arange(w)]))
+            wide.append((gids, part.bounds[gids][:, None] + np.arange(w)))
         for gi, rows in wide:
             for gj, cols in wide:
                 bi, bj = np.nonzero(out[np.ix_(gi, gj)] > 0.0)

@@ -472,7 +472,7 @@ def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float,
     part_k = Partition.coarse(q.partition.spectrum, k)
     fp = fixed_point(
         _move(q, part_k),
-        gamma=w.gamma(k),
+        gamma=selection["gamma"],
         norm_fn=lambda z: factorize(z, w).norm,
         norm_name="weighted",
         tol=tol, max_iter=max_iter,
@@ -618,17 +618,13 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
 
     scale = max(1.0, float(np.abs(new_vals).max()))
     reps, mults, members = _merge_sorted_values(new_vals, scale)
-    if reps.size > 1:
-        diff = np.abs(reps[:, None] - reps[None, :])
-        np.fill_diagonal(diff, np.inf)
-        if diff.min() < 1e-9 * scale:
-            raise AssumptionViolationError(
-                "re-derived eigenvalues too close to separate reliably"
-            )
-    pos_perm = np.array([p for grp in members for p in grp])
-
     lo = -(reps.size // 2)
-    tilde = Spectrum(np.arange(lo, lo + reps.size), reps, mults, spectrum.interior_fraction)
+    tilde = Spectrum(np.arange(lo, lo + reps.size), reps, mults)
+    if spectral_gap(tilde) < 1e-9 * scale:
+        raise AssumptionViolationError(
+            "re-derived eigenvalues too close to separate reliably"
+        )
+    pos_perm = np.array([p for grp in members for p in grp])
 
     if diagonal_case:
         inv_perm = np.argsort(pos_perm)

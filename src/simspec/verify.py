@@ -165,7 +165,6 @@ class SpectrumMatch:
     """Greedy nearest pairing of two equally sized eigenvalue multisets."""
 
     pairs: list
-    deviations: np.ndarray
     max_abs_deviation: float
 
 
@@ -198,11 +197,7 @@ def match_spectra(reference, computed) -> SpectrumMatch:
             break
     pairs.sort()
     dev = np.array([dist[i, j] for i, j in pairs])
-    return SpectrumMatch(
-        pairs=pairs,
-        deviations=dev,
-        max_abs_deviation=float(dev.max()) if n else 0.0,
-    )
+    return SpectrumMatch(pairs=pairs, max_abs_deviation=float(dev.max()) if n else 0.0)
 
 
 def tail_weight_check(b, w):
@@ -270,6 +265,24 @@ def projection_compare(
 
 # -- spectrum report -----------------------------------------------------------
 
+# row fields in CSV column order; a pair field holds (re, im) and takes
+# the two columns <name>_re and <name>_im
+_ROW_FIELDS = (
+    "index", "lambda", "estimate", "first_order", "second_order", "oracle", "b",
+    "residual", "flagged",
+)
+_PAIR_FIELDS = frozenset(("lambda", "estimate", "first_order", "second_order", "oracle", "b"))
+
+
+def _csv_cells(name: str, value) -> list:
+    if name in _PAIR_FIELDS:
+        return [repr(value[0]), repr(value[1])]
+    if name == "flagged":
+        return [int(value)]
+    if name == "index":
+        return [value]
+    return [repr(value)]
+
 
 @dataclass
 class SpectrumReport:
@@ -280,46 +293,13 @@ class SpectrumReport:
     matching_quality: float
 
     def to_csv(self, path):
-        cols = [
-            "index",
-            "lambda_re",
-            "lambda_im",
-            "estimate_re",
-            "estimate_im",
-            "first_order_re",
-            "first_order_im",
-            "second_order_re",
-            "second_order_im",
-            "oracle_re",
-            "oracle_im",
-            "b_re",
-            "b_im",
-            "residual",
-            "flagged",
-        ]
+        header = [col for name in _ROW_FIELDS
+                  for col in ([f"{name}_re", f"{name}_im"] if name in _PAIR_FIELDS else [name])]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(cols)
+            writer.writerow(header)
             for row in self.rows:
-                writer.writerow(
-                    [
-                        row["index"],
-                        repr(row["lambda"][0]),
-                        repr(row["lambda"][1]),
-                        repr(row["estimate"][0]),
-                        repr(row["estimate"][1]),
-                        repr(row["first_order"][0]),
-                        repr(row["first_order"][1]),
-                        repr(row["second_order"][0]),
-                        repr(row["second_order"][1]),
-                        repr(row["oracle"][0]),
-                        repr(row["oracle"][1]),
-                        repr(row["b"][0]),
-                        repr(row["b"][1]),
-                        repr(row["residual"]),
-                        int(row["flagged"]),
-                    ]
-                )
+                writer.writerow([c for name in _ROW_FIELDS for c in _csv_cells(name, row[name])])
 
 
 def values_by_position(spectrum: Spectrum, values) -> np.ndarray:
@@ -337,19 +317,21 @@ def build_spectrum_report(
     first_order=None,
     second_order=None,
     weights=None,
+    interior_fraction: float = 0.5,
 ) -> SpectrumReport:
     """Assemble the per-index comparison table on the interior window.
 
     ``est_by_pos`` and ``oracle_by_pos`` are the pipeline estimates and
     the eigenvalues of the truncated A - B arranged along the spectrum
-    positions (see ``values_by_position``).  Rows whose oracle value
+    positions (see ``values_by_position``).  The rows are the indices
+    ``spectrum.interior_indices(interior_fraction)``.  Rows whose oracle value
     strays beyond 0.4 of the least eigenvalue gap from its free
     eigenvalue are flagged as ambiguous rather than dropped.
     """
     dev_by_pos = np.abs(spectrum.position_values - oracle_by_pos)
     flag_dist = 0.4 * spectral_gap(spectrum)
 
-    interior = set(int(n) for n in spectrum.interior_indices())
+    interior = set(int(n) for n in spectrum.interior_indices(interior_fraction))
     rows = []
     b_seq = []
     w_seq = []
@@ -363,19 +345,12 @@ def build_spectrum_report(
         b = lam - oz
         p = complex(first_order[spectrum.ordinal(n)]) if first_order is not None else 0.0j
         qv = complex(second_order[spectrum.ordinal(n)]) if second_order is not None else 0.0j
-        rows.append(
-            {
-                "index": n,
-                "lambda": (float(lam.real), float(lam.imag)),
-                "estimate": (float(ez.real), float(ez.imag)),
-                "first_order": (float(p.real), float(p.imag)),
-                "second_order": (float(qv.real), float(qv.imag)),
-                "oracle": (float(oz.real), float(oz.imag)),
-                "b": (float(b.real), float(b.imag)),
-                "residual": float(abs(ez - oz)),
-                "flagged": bool(dev_by_pos[pos] > flag_dist),
-            }
-        )
+        values = (n, lam, ez, p, qv, oz, b, float(abs(ez - oz)),
+                  bool(dev_by_pos[pos] > flag_dist))
+        rows.append({
+            name: (float(v.real), float(v.imag)) if name in _PAIR_FIELDS else v
+            for name, v in zip(_ROW_FIELDS, values)
+        })
         b_seq.append(b)
         if weights is not None:
             a = weights.alpha_of(n)

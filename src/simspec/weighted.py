@@ -74,33 +74,12 @@ class WeightSequence:
             return 0.0
         return float(self.alpha[h])
 
-    def gamma(self, m: int) -> float:
-        """Contraction modulus of the commutator inverse after coarsening at m."""
-        if m < 0:
-            raise InvalidInputError("coarsening radius must be >= 0")
-        if m + 1 > self.max_level:
-            raise WindowTooSmallError(
-                f"coarsening radius {m} needs weight level {m + 1} beyond the window"
-            )
-        return float(self.alpha_tilde[m + 1])
-
     def position_weights(self, spectrum: Spectrum) -> np.ndarray:
         """alpha per dense position (by the absolute spectrum index)."""
         if not self.spectrum.same_entries(spectrum):
             raise InvalidInputError("weights were built for a different spectrum")
         lev = np.abs(spectrum.indices[spectrum.position_entry])
         return self.alpha[np.minimum(lev, self.max_level)] * (lev <= self.max_level)
-
-
-def _coupling_table(spectrum: Spectrum) -> np.ndarray:
-    """Table d(j, l) = 1/|lambda_j - lambda_l| of gap couplings.
-
-    Diagonal entries are 0: a within-index coupling must not be consumed.
-    """
-    lam = spectrum.values
-    diff2 = np.abs(lam[:, None] - lam[None, :]) ** 2
-    np.fill_diagonal(diff2, np.inf)
-    return np.sqrt(1.0 / diff2)
 
 
 def decay_weights(x: BlockMatrix) -> WeightSequence:
@@ -125,8 +104,11 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
     alpha = (np.maximum(row_tail2, col_tail2) / norm2) ** 0.25
 
     # couple inside of each level cut to the outside:
-    # alpha_prime[h] = max alpha[|l|] * d(j, l) over |l| < h <= |j|
-    dmax = _coupling_table(spec)
+    # alpha_prime[h] = max alpha[|l|] * d(j, l) over |l| < h <= |j|, with
+    # d(j, l) = 1/|lambda_j - lambda_l|, 0 on the diagonal so that a
+    # within-index coupling is never consumed; sqrt(1 / g**2) and 1 / g
+    # can differ in the last bit, and the weights are pinned to the former
+    dmax = np.sqrt(1.0 / spec.gaps() ** 2)
     m = alpha[lev_g][None, :] * dmax
     order = np.argsort(lev_g, kind="stable")
     sorted_lev = lev_g[order]

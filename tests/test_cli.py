@@ -299,6 +299,20 @@ class TestAnalyzeCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pipeline"] == "mt4"
 
+    def test_rebase_takes_the_eigenbasis_frame(self, tmp_path):
+        # the smoothing radius 1 leaves a central block whose designated
+        # diagonal part is not diagonal, so mt4 diagonalizes it numerically
+        path = write_config(tmp_path, {
+            "model": {"family": "hill", "theta": 0.9,
+                      "coeffs": {"0": [0.45, -0.38], "1": [-0.13, 3.0], "-1": [-4.0, -2.0]}},
+            "truncation": {"half_width": 11},
+            "pipeline": "mt4",
+        })
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["certificates"]["rebase"]["kind"] == "eigenbasis"
+        assert all(g["satisfied"] for g in report["invariant_gates"].values())
+
     def test_csv_and_svg_outputs(self, tmp_path):
         path = write_config(tmp_path, {
             "truncation": {"half_width": 10},

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simspec.errors import (
@@ -22,9 +22,9 @@ from simspec.opmatrix import (
 from simspec.transforms import block_diagonal, commutator_inverse
 
 
-def simple_spectrum(n=4, mults=None, interior_fraction=0.5):
+def simple_spectrum(n=4, mults=None):
     idx = np.arange(-n, n + 1)
-    return Spectrum(idx, 2j * np.pi * idx, mults=mults, interior_fraction=interior_fraction)
+    return Spectrum(idx, 2j * np.pi * idx, mults=mults)
 
 
 def random_block(rng, partition):
@@ -33,16 +33,18 @@ def random_block(rng, partition):
 
 
 class TestWindow:
-    """The window -N..N comes from the model builders, its interior
-    fraction from the spectrum."""
+    """The window -N..N comes from the model builders; the interior is
+    cut from it by a fraction in (0, 1]."""
 
     def test_bad_width(self):
         with pytest.raises(InvalidInputError):
             kernel_model(0)
 
     def test_bad_fraction(self):
-        with pytest.raises(InvalidInputError):
-            simple_spectrum(4, interior_fraction=1.5)
+        spec = simple_spectrum(4)
+        for fraction in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(InvalidInputError, match="interior fraction"):
+                spec.interior_indices(fraction)
 
 
 class TestSpectrum:
@@ -66,8 +68,13 @@ class TestSpectrum:
                 spec.ordinal(n)
 
     def test_interior(self):
-        spec = simple_spectrum(8)
-        assert list(spec.interior_indices()) == list(range(-4, 5))
+        assert list(simple_spectrum(8).interior_indices()) == list(range(-4, 5))
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 40), fraction=st.floats(0.0, 1.0, exclude_min=True))
+    def test_interior_cut(self, n, fraction):
+        lim = max(1, math.floor(n * fraction))
+        assert list(simple_spectrum(n).interior_indices(fraction)) == list(range(-lim, lim + 1))
 
     def test_rejects_duplicate_values(self):
         with pytest.raises(InvalidInputError):
@@ -106,14 +113,61 @@ class TestSpectrum:
         assert eta == pytest.approx(direct, rel=1e-12)
 
 
+def old_spectral_gap(values):
+    """Reference: ``spectral_gap`` evaluated per call, without the cached table."""
+    if values.size < 2:
+        return math.inf
+    diff = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float(diff.min())
+
+
+def old_gap_inverse_square_sum(values):
+    """Reference: ``gap_inverse_square_sum`` evaluated per call."""
+    if values.size < 2:
+        return 0.0
+    diff = np.abs(values[:, None] - values[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return float((1.0 / diff**2).sum(axis=0).max())
+
+
+def random_spectrum(size, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return Spectrum(np.arange(size) - size // 2, values)
+
+
+class TestGaps:
+    @settings(deadline=None, max_examples=60)
+    @given(size=st.integers(1, 12), seed=st.integers(0, 10_000))
+    @example(size=1, seed=0)
+    def test_gap_quantities_match_old_formulas_bitwise(self, size, seed):
+        spec = random_spectrum(size, seed)
+        gap, eta = spectral_gap(spec), gap_inverse_square_sum(spec)
+        assert gap == old_spectral_gap(spec.values)
+        assert eta == old_gap_inverse_square_sum(spec.values)
+        if size == 1:
+            assert (gap, eta) == (math.inf, 0.0)
+
+    def test_table_is_built_once_and_read_only(self):
+        spec = simple_spectrum(3)
+        table = spec.gaps()
+        assert table is spec.gaps()
+        assert np.all(np.isinf(np.diag(table)))
+        with pytest.raises(ValueError):
+            table[0, 1] = 0.0
+
+
 def reference_groups(spectrum, radius):
     """Per-group positions and the group of each position, built index by
-    index: the central group |n| <= radius first, then the other indices
-    as singletons in index order."""
-    center = [int(n) for n in spectrum.indices if abs(n) <= radius]
-    groups = ([center] if center else []) + [
-        [int(n)] for n in spectrum.indices if abs(n) > radius
-    ]
+    index: every index outside |n| <= radius is a singleton, and the
+    central group |n| <= radius takes the place of its first index."""
+    groups = []
+    for n in spectrum.indices:
+        if abs(n) <= radius and groups and abs(groups[-1][0]) <= radius:
+            groups[-1].append(int(n))
+        else:
+            groups.append([int(n)])
     positions = [np.concatenate([spectrum.positions_of(i) for i in g]) for g in groups]
     gid = np.empty(spectrum.dim, dtype=int)
     for g, pos in enumerate(positions):
@@ -132,12 +186,13 @@ class TestPartition:
     def test_coarse(self):
         spec = simple_spectrum(3, mults=[1, 2, 1, 1, 1, 2, 1])
         part = Partition.coarse(spec, 1)
-        # the central group first, then the singletons by index
+        # groups in index order, the central group at its natural place
         assert part.n_groups == 5
-        assert list(part.dims) == [3, 1, 2, 2, 1]
-        assert list(part.group_positions(0)) == [3, 4, 5]
-        assert list(part.group_positions(2)) == [1, 2]
-        assert list(part.gid_of_position) == [1, 2, 2, 0, 0, 0, 3, 3, 4]
+        assert list(part.dims) == [1, 2, 3, 2, 1]
+        assert list(part.bounds) == [0, 1, 3, 6, 8]
+        assert list(part.group_positions(2)) == [3, 4, 5]
+        assert list(part.group_positions(1)) == [1, 2]
+        assert list(part.gid_of_position) == [0, 1, 1, 2, 2, 2, 3, 3, 4]
 
     def test_coarse_refuses_empty_center(self):
         spec = simple_spectrum(2)
@@ -164,7 +219,7 @@ class TestPartition:
         assert np.array_equal(part.dims, [p.size for p in positions])
         for g, pos in enumerate(positions):
             assert np.array_equal(part.group_positions(g), pos)
-        assert np.array_equal(part.perm, np.concatenate(positions))
+            assert np.array_equal(pos, np.arange(part.bounds[g], part.bounds[g] + part.dims[g]))
         assert np.array_equal(part.bounds, np.cumsum([0] + [p.size for p in positions])[:-1])
         assert np.array_equal(part.same_group_mask(), gid[:, None] == gid[None, :])
 

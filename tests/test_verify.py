@@ -138,8 +138,7 @@ class TestMatchSpectra:
         com = np.array([1.0, 0.1], dtype=complex)
         m = match_spectra(ref, com)
         assert m.pairs == [(0, 1), (1, 0)]
-        assert m.deviations[0] == pytest.approx(0.1)
-        assert m.deviations[1] == 0.0
+        assert m.max_abs_deviation == pytest.approx(0.1)
 
 
 class TestTailChecks:

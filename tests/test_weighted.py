@@ -62,12 +62,6 @@ class TestDecayWeights:
         with pytest.raises(DegenerateWeightError):
             decay_weights(BlockMatrix.zeros(Partition.trivial(spec)))
 
-    def test_gamma_grows_past_window(self):
-        w = decay_weights(decaying_matrix(5, seed=1))
-        assert w.gamma(0) > 0.0
-        with pytest.raises(WindowTooSmallError):
-            w.gamma(6)
-
     def test_alpha_prime_against_brute_force(self):
         x = decaying_matrix(5, seed=7)
         w = decay_weights(x)
@@ -90,6 +84,32 @@ class TestDecayWeights:
                         d = max(coupling(int(j), int(l)), coupling(int(l), int(j)))
                         best = max(best, w.alpha[abs(int(l))] * d)
             assert w.alpha_prime[h] == pytest.approx(best, rel=1e-10)
+
+
+def old_coupling_table(values):
+    """Reference: the coupling table d(j, l) = 1/|lambda_j - lambda_l|, 0 on
+    the diagonal, built per call from the eigenvalues."""
+    diff2 = np.abs(values[:, None] - values[None, :]) ** 2
+    np.fill_diagonal(diff2, np.inf)
+    return np.sqrt(1.0 / diff2)
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(0, 6), seed=st.integers(0, 10_000))
+def test_alpha_prime_reads_old_coupling_table_bitwise(n, seed):
+    """alpha_prime[h] = max alpha[|l|] d(j, l) over |l| < h <= |j|; a max of
+    single products is exact, so it matches the old table bit for bit."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(-n, n + 1)
+    spec = Spectrum(idx, rng.normal(size=idx.size) + 1j * rng.normal(size=idx.size))
+    data = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+    w = decay_weights(BlockMatrix(Partition.trivial(spec), data))
+    table = old_coupling_table(spec.values)
+    lev = np.abs(idx)
+    for h in range(w.max_level + 1):
+        pairs = [w.alpha[lev[l]] * table[j, l]
+                 for j in range(idx.size) for l in range(idx.size) if lev[l] < h <= lev[j]]
+        assert w.alpha_prime[h] == max(pairs, default=0.0)
 
 
 class TestFactorization:

@@ -73,6 +73,9 @@ def run_list(repo: str) -> list:
     zero_dirac = {"family": "dirac", "potentials": {v: {} for v in ("v1", "v2", "v3", "v4")}}
     hill5 = {"family": "hill", "theta": 0.5, "coeffs": {"1": 5, "-1": 5}}
     hill03 = {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.3, "-1": 0.3}}
+    # mt4 on it rebases in a numerical eigenbasis, not a permutation
+    hill_eig = {"family": "hill", "theta": 0.9,
+                "coeffs": {"0": [0.45, -0.38], "1": [-0.13, 3.0], "-1": [-4.0, -2.0]}}
     overflow = {"family": "hill", "theta": 0.5, "coeffs": {"1": 1e200, "-1": 1e200}}
     involution = {"family": "involution", "theta": 0.3,
                   "coeffs": {"0": 0.06, "1": [0.03, -0.015], "-1": [0.03, 0.015]}}
@@ -92,6 +95,7 @@ def run_list(repo: str) -> list:
         ("dirac ungauged N=16 mt4 csv", "analyze", cfg(ungauged, 16, "mt4", csv=True)),
         ("hill5 N=64 mt3 csv svg", "analyze", cfg(hill5, 64, "mt3", csv=True, svg=True)),
         ("hill5 N=32 mt4", "analyze", cfg(hill5, 32, "mt4")),
+        ("hill eigenbasis N=11 mt4", "analyze", cfg(hill_eig, 11, "mt4")),
         ("hill0.3 N=32 mt2", "analyze", cfg(hill03, 32, "mt2")),
         ("hill0.3 split k=3 N=40", "split", cfg(hill03, 40, "auto", split_k=3)),
         ("involution N=20 mt2", "analyze", cfg(involution, 20, "mt2")),
