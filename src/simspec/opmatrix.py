@@ -13,8 +13,8 @@ pipelines) works on these three types:
   indices |n| <= m form one central group and every other index is a
   group of its own (m = -1: singletons only); groups are numbered in
   index order, so each group is one run of dense positions, and the
-  partition caches the tables the transforms read, its same-group mask
-  and its divisor table,
+  partition caches the tables the transforms read, its same-group mask,
+  its divisor table and its groups of each width above 1,
 * :class:`BlockMatrix` -- an immutable dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
@@ -28,7 +28,9 @@ zeros.  Per-block spectral norms take no Python loop
 over blocks: a block with one row or one column is a vector, whose
 spectral norm is its Frobenius norm, 2 x 2 blocks have a closed form,
 and the nonzero other blocks go through one batched SVD per pair of
-width classes.
+width classes.  ``hs_sigma`` needs only their sum, so it takes the
+squares of the entries outside the wide-by-wide blocks in one pass and
+builds no G x G table.
 """
 
 from __future__ import annotations
@@ -183,8 +185,11 @@ class Partition:
         self.gid_of_position = gid[spectrum.position_entry]
         self.dims = np.bincount(self.gid_of_position, minlength=self.n_groups)
         self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
+        # positions of the groups of width 1
+        self.narrow = self.dims[self.gid_of_position] == 1
         self._same_group = None
         self._divisors = None
+        self._wide = None
 
     @classmethod
     def trivial(cls, spectrum: Spectrum) -> "Partition":
@@ -219,6 +224,20 @@ class Partition:
             diff[self.same_group_mask()] = 1.0
             self._divisors = diff
         return self._divisors
+
+    def wide_classes(self) -> list:
+        """``(group ids, positions)`` per group width above 1, ascending.
+
+        ``positions`` is a k x w array whose row i holds the dense
+        positions of group ``group ids[i]``; every group of width w is
+        in one class, so a batched operation covers all its blocks.
+        """
+        if self._wide is None:
+            self._wide = []
+            for w in np.unique(self.dims[self.dims > 1]):
+                gids = np.flatnonzero(self.dims == w)
+                self._wide.append((gids, self.bounds[gids][:, None] + np.arange(w)))
+        return self._wide
 
     def group_positions(self, g: int) -> np.ndarray:
         """Dense positions of group ``g``, ascending."""
@@ -275,6 +294,29 @@ def _spectral_sq_2x2(stack: np.ndarray) -> np.ndarray:
     q = absq[:, 1, 0] + absq[:, 1, 1]
     r = stack[:, 0, 0] * stack[:, 1, 0].conj() + stack[:, 0, 1] * stack[:, 1, 1].conj()
     return 0.5 * (p + q) + np.hypot(0.5 * (p - q), np.abs(r))
+
+
+def _wide_spectral_sq(data: np.ndarray, partition: Partition):
+    """Squared spectral norms of the nonzero blocks whose two widths both exceed 1.
+
+    Yields ``(row group ids, column group ids, squared norms)`` once per
+    pair of width classes: one gather of the class pair's blocks, then
+    the closed form for 2 x 2 blocks or one batched SVD for the others.
+    """
+    wide = partition.wide_classes()
+    for gi, rows in wide:
+        for gj, cols in wide:
+            stack = data[rows[:, None, :, None], cols[None, :, None, :]]
+            bi, bj = np.nonzero(stack.any(axis=(2, 3)))
+            if bi.size == 0:
+                continue
+            stack = stack[bi, bj]
+            if stack.shape[1:] == (2, 2):
+                sq = _spectral_sq_2x2(stack)
+            else:
+                svals = np.linalg.svd(stack, compute_uv=False)[:, 0]
+                sq = svals * svals
+            yield gi[bi], gj[bj], sq
 
 
 class BlockMatrix:
@@ -356,31 +398,32 @@ class BlockMatrix:
         A block with one row or one column is a vector, whose spectral
         norm is its Frobenius norm, so one ``reduceat`` pass covers every
         such block.  Nonzero blocks with both widths above 1 are then
-        overwritten by one gather per pair of width classes, and by the
-        closed form for 2 x 2 blocks or one batched SVD for the others.
+        overwritten from :func:`_wide_spectral_sq`.
         """
-        part = self.partition
-        out = _block_frobenius_sq(self.data, part)
-        # (group ids, stacked positions) per width class above 1
-        wide = []
-        for w in np.unique(part.dims[part.dims > 1]):
-            gids = np.flatnonzero(part.dims == w)
-            wide.append((gids, part.bounds[gids][:, None] + np.arange(w)))
-        for gi, rows in wide:
-            for gj, cols in wide:
-                bi, bj = np.nonzero(out[np.ix_(gi, gj)] > 0.0)
-                if bi.size == 0:
-                    continue
-                stack = self.data[rows[bi][:, :, None], cols[bj][:, None, :]]
-                if stack.shape[1:] == (2, 2):
-                    out[gi[bi], gj[bj]] = _spectral_sq_2x2(stack)
-                else:
-                    svals = np.linalg.svd(stack, compute_uv=False)[:, 0]
-                    out[gi[bi], gj[bj]] = svals * svals
+        out = _block_frobenius_sq(self.data, self.partition)
+        for gi, gj, sq in _wide_spectral_sq(self.data, self.partition):
+            out[gi, gj] = sq
         return out
 
     def hs_sigma(self) -> float:
-        return float(math.sqrt(self.block_spectral_sq().sum()))
+        """Root sum of squared per-block spectral norms, in one pass.
+
+        The entries outside the blocks whose two widths both exceed 1
+        lie in vectors, so their squares enter as they are: whole rows
+        of the width-1 groups, and the width-1 columns of the other
+        rows.  Each wider block adds its largest singular value squared
+        (:func:`_wide_spectral_sq`).  Every term is non-negative, so
+        nothing cancels.
+        """
+        part = self.partition
+        narrow = part.narrow
+        f = np.ascontiguousarray(self.data).view(np.float64)
+        total = np.einsum("ij,ij->i", f, f)[narrow].sum()
+        side = self.data[np.ix_(~narrow, narrow)].view(np.float64)
+        total += np.einsum("ij,ij->", side, side)
+        for _, _, sq in _wide_spectral_sq(self.data, part):
+            total += sq.sum()
+        return math.sqrt(total)
 
     def op(self) -> float:
         return op_norm(self.data)

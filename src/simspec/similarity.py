@@ -15,6 +15,11 @@ U and V come out of a fixed point of the quadratic map
 where J keeps diagonal blocks and G is the commutator inverse.  Both
 act on the partition of the matrix they are given, and each partition
 caches its divisor table, so every step on one partition shares it.
+A step takes one dense product, B GX: the two products with a
+block-diagonal factor, GX JB and GX J(B GX), scale the columns of GX on
+the width-1 groups and take one batched product per wider width, and
+the diagonal identity checked at the fixed point reads only the
+diagonal blocks of B GX*.
 The map contracts on a ball once 4 * gamma * ||B|| < 1 for the norm
 bound gamma of G.  When the plain certificate fails, a preliminary
 transform by I + GB (valid once ||GB||_op < 1) and a coarsening of the
@@ -71,7 +76,13 @@ from .opmatrix import (
     inv_identity_plus,
     spectral_gap,
 )
-from .transforms import block_diagonal, commutator_inverse, off_diagonal_part
+from .transforms import (
+    block_diagonal,
+    block_diagonal_of_product,
+    commutator_inverse,
+    off_diagonal_part,
+    times_block_diagonal,
+)
 from .verify import match_spectra
 from .weighted import decay_weights, factorize, select_coarsening
 
@@ -116,10 +127,15 @@ def _move(x: BlockMatrix, partition: Partition) -> BlockMatrix:
 
 
 def contraction_step(x: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
-    """One application of Phi(X) = B GX - (GX) JB - (GX) J(B GX) + B."""
+    """One application of Phi(X) = B GX - (GX) JB - (GX) J(B GX) + B.
+
+    B GX is the one dense product; the two products with a
+    block-diagonal factor are column scalings and small batched
+    products (:func:`~simspec.transforms.times_block_diagonal`).
+    """
     gx = commutator_inverse(x)
     bgx = b @ gx
-    return bgx - gx @ block_diagonal(b) - gx @ block_diagonal(bgx) + b
+    return bgx - times_block_diagonal(gx, b) - times_block_diagonal(gx, bgx) + b
 
 
 @dataclass
@@ -145,9 +161,13 @@ def fixed_point(
     norm stalls below `tol`.
 
     The a priori certificate is q = 4 * gamma * ||B|| < 1; the iteration
-    refuses to start without it.  Convergence lands X* in the ball
+    refuses to start without it.  Each step takes one dense product
+    (:func:`contraction_step`).  Convergence lands X* in the ball
     ||X* - B|| <= 3 ||B||, and the diagonal identity
-    J X* = J(B G X*) + J B holds exactly; both are re-checked.
+    J X* = J(B G X*) + J B holds exactly; both are re-checked, the
+    identity from the diagonal blocks of B G X* alone (a row-column dot
+    product per width-1 group, one small product per wider group), so
+    its residual is rounding noise.
     """
     norm_b = norm_fn(b)
     q_bound = 4.0 * gamma * norm_b
@@ -191,7 +211,7 @@ def fixed_point(
         )
     resid = (
         block_diagonal(x)
-        - block_diagonal(b @ commutator_inverse(x))
+        - block_diagonal_of_product(b, commutator_inverse(x))
         - block_diagonal(b)
     ).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
@@ -581,12 +601,40 @@ def _merge_sorted_values(vals: np.ndarray, scale: float):
     return np.array(reps), np.array(mults), members
 
 
+def _block_condition(w: np.ndarray, partition: Partition) -> float:
+    """Spectral condition number of a basis W that is block diagonal on
+    ``partition``, with a unit column on each width-1 group.
+
+    The singular values of W are 1 and those of its blocks, taken by one
+    batched SVD per width class.
+    """
+    svals = [np.ones(int(partition.narrow.any()))]
+    for _, pos in partition.wide_classes():
+        blocks = w[pos[:, :, None], pos[:, None, :]]
+        svals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
+    svals = np.concatenate(svals)
+    with np.errstate(divide="ignore"):
+        return float(svals.max() / svals.min())
+
+
+def _block_inverse(w: np.ndarray, partition: Partition) -> np.ndarray:
+    """Inverse of a basis W shaped as in :func:`_block_condition`: the
+    inverse of each block, one batched inverse per width class."""
+    inv = np.eye(partition.spectrum.dim, dtype=complex)
+    for _, pos in partition.wide_classes():
+        idx = (pos[:, :, None], pos[:, None, :])
+        inv[idx] = np.linalg.inv(w[idx])
+    return inv
+
+
 def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
     """Diagonalize A - D and return the sorted eigenbasis.
 
     D must be block diagonal on its own (stage-one) partition.  A literally
     diagonal D keeps the frame exact (a permutation); otherwise each
-    block is diagonalized numerically and gated on conditioning.
+    block is diagonalized numerically and gated on conditioning.  The
+    eigenbasis W is then block diagonal too, so its condition number and
+    its inverse are read from its blocks.
     """
     lam = spectrum.position_values
     dim = spectrum.dim
@@ -603,18 +651,14 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
         new_vals = lam - np.diag(d.data)
         w_dense = None
     else:
-        new_vals = np.empty(dim, dtype=complex)
-        w_dense = np.zeros((dim, dim), dtype=complex)
-        for g in range(part.n_groups):
-            pos = part.group_positions(g)
-            blk = np.diag(lam[pos]) - d.data[np.ix_(pos, pos)]
-            if pos.size == 1:
-                new_vals[pos[0]] = blk[0, 0]
-                w_dense[pos[0], pos[0]] = 1.0
-                continue
-            vals_g, vecs_g = np.linalg.eig(blk)
-            new_vals[pos] = vals_g
-            w_dense[np.ix_(pos, pos)] = vecs_g
+        # a width-1 group keeps its unit column; each width class of the
+        # others takes one batched eigensolve of its blocks
+        new_vals = lam - np.diagonal(d.data)
+        w_dense = np.eye(dim, dtype=complex)
+        for _, pos in part.wide_classes():
+            idx = (pos[:, :, None], pos[:, None, :])
+            blocks = lam[pos][:, :, None] * np.eye(pos.shape[1]) - d.data[idx]
+            new_vals[pos], w_dense[idx] = np.linalg.eig(blocks)
 
     scale = max(1.0, float(np.abs(new_vals).max()))
     reps, mults, members = _merge_sorted_values(new_vals, scale)
@@ -632,13 +676,15 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
         pull = lambda mat: mat[np.ix_(inv_perm, inv_perm)]
         info = {"kind": "permutation"}
     else:
+        # sorting permutes the columns of W, which moves neither its
+        # singular values nor, up to the same permutation, its inverse
         w_sorted = w_dense[:, pos_perm]
-        cond = float(np.linalg.cond(w_sorted))
+        cond = _block_condition(w_dense, part)
         if not math.isfinite(cond) or cond > _REBASE_COND_LIMIT:
             raise AssumptionViolationError(
                 f"rebase eigenbasis too ill-conditioned (cond={cond:.3e})"
             )
-        w_inv = np.linalg.inv(w_sorted)
+        w_inv = _block_inverse(w_dense, part)[pos_perm]
         a_prime = np.diag(lam) - d.data
         # Frobenius: an upper bound of the operator norm of the residual
         check = float(np.linalg.norm(

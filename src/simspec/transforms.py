@@ -10,10 +10,16 @@ indices (the central group |n| <= m and singletons, see
   the unique Y with zero diagonal blocks; entrywise this divides the
   cross-group entries by the eigenvalue differences.
 
+Two products with a block-diagonal factor take no dense product:
+``times_block_diagonal`` forms X J(M) and ``block_diagonal_of_product``
+forms J(X Y).  On a width-1 group the first is a column scaling and the
+second a row-column dot product; the groups of each wider width take
+one batched product.
+
 A transform acts on the partition of the matrix it is given; the result
 lives on that same partition.  The commutator inverse divides by the
 partition's divisor table, which the partition builds once and caches,
-as it does its same-group mask.
+as it does its same-group mask and its width classes.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ from .opmatrix import BlockMatrix
 
 __all__ = [
     "block_diagonal",
+    "times_block_diagonal",
+    "block_diagonal_of_product",
     "off_diagonal_part",
     "commutator_inverse",
     "commutator_residual",
@@ -34,6 +42,39 @@ def block_diagonal(x: BlockMatrix) -> BlockMatrix:
     """Diagonal-block part of ``x`` (one block per group kept)."""
     same = x.partition.same_group_mask()
     return BlockMatrix(x.partition, np.where(same, x.data, 0.0))
+
+
+def times_block_diagonal(x: BlockMatrix, m: BlockMatrix) -> BlockMatrix:
+    """``x @ block_diagonal(m)`` without a dense product.
+
+    Column p of the result, for p in a width-1 group, is column p of
+    ``x`` scaled by ``m[p, p]``; the columns of each wider group are
+    ``x[:, group] @ m[group, group]``, one batched product per width.
+    """
+    x._require_same(m)
+    out = x.data * np.diagonal(m.data)
+    for _, pos in x.partition.wide_classes():
+        blocks = m.data[pos[:, :, None], pos[:, None, :]]
+        out[:, pos] = np.matmul(x.data[:, pos].transpose(1, 0, 2), blocks).transpose(1, 0, 2)
+    return BlockMatrix(x.partition, out)
+
+
+def block_diagonal_of_product(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
+    """``block_diagonal(x @ y)`` without a dense product.
+
+    Entry (p, p), for p in a width-1 group, is row p of ``x`` dotted
+    with column p of ``y``; each wider group takes
+    ``x[group, :] @ y[:, group]``, one batched product per width.
+    """
+    x._require_same(y)
+    part = x.partition
+    out = np.zeros_like(x.data)
+    p = np.flatnonzero(part.narrow)
+    out[p, p] = np.einsum("pk,kp->p", x.data, y.data)[p]
+    for _, pos in part.wide_classes():
+        blocks = np.matmul(x.data[pos], y.data[:, pos].transpose(1, 0, 2))
+        out[pos[:, :, None], pos[:, None, :]] = blocks
+    return BlockMatrix(part, out)
 
 
 def off_diagonal_part(x: BlockMatrix) -> BlockMatrix:

@@ -172,7 +172,11 @@ def match_spectra(reference, computed) -> SpectrumMatch:
     """Pair computed eigenvalues to reference ones, nearest first.
 
     Cardinalities must agree; ties are broken by the lower reference
-    index, then the lower computed index.
+    index, then the lower computed index.  Greedy nearest-first pairing
+    under the order (distance, i, j) takes, round by round, every pair
+    that is the least of both its row and its column among the rows and
+    columns left, so each round is one ``argmin`` per row and per column.
+    A NaN distance counts as infinite.
     """
     ref = np.asarray(reference, dtype=complex)
     com = np.asarray(computed, dtype=complex)
@@ -182,22 +186,20 @@ def match_spectra(reference, computed) -> SpectrumMatch:
         )
     n = ref.size
     dist = np.abs(ref[:, None] - com[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
-    used_ref = np.zeros(n, dtype=bool)
-    used_com = np.zeros(n, dtype=bool)
-    pairs = []
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if used_ref[i] or used_com[j]:
-            continue
-        used_ref[i] = True
-        used_com[j] = True
-        pairs.append((i, j))
-        if len(pairs) == n:
-            break
-    pairs.sort()
-    dev = np.array([dist[i, j] for i, j in pairs])
-    return SpectrumMatch(pairs=pairs, max_abs_deviation=float(dev.max()) if n else 0.0)
+    key = np.where(np.isnan(dist), np.inf, dist)
+    match = np.empty(n, dtype=int)
+    rows, cols = np.arange(n), np.arange(n)
+    while rows.size:
+        left = key[np.ix_(rows, cols)]
+        best = left.argmin(axis=1)
+        mutual = left.argmin(axis=0)[best] == np.arange(rows.size)
+        match[rows[mutual]] = cols[best[mutual]]
+        rows, cols = rows[~mutual], np.delete(cols, best[mutual])
+    dev = dist[np.arange(n), match]
+    return SpectrumMatch(
+        pairs=list(enumerate(match.tolist())),
+        max_abs_deviation=float(dev.max()) if n else 0.0,
+    )
 
 
 def tail_weight_check(b, w):

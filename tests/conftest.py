@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from simspec.models import hill_model, kernel_model, random_trig_coeffs
+from simspec.opmatrix import Partition, Spectrum
 from simspec.verify import oracle_eigenvalues
 
 _ORACLE_CACHE = {}
@@ -20,6 +21,27 @@ def oracle_cache():
         return _ORACLE_CACHE[key]
 
     return get
+
+
+def _partition(n, radius, mults=None):
+    idx = np.arange(-n, n + 1)
+    return Partition(Spectrum(idx, 2j * np.pi * idx, mults=mults), radius)
+
+
+_BLOCK_PARTITIONS = {
+    "coarse simple": lambda: _partition(5, 2),
+    "trivial mult-2": lambda: _partition(4, -1, [2] * 9),
+    "coarse mult-2": lambda: _partition(4, 1, [2] * 9),
+    "mixed widths": lambda: _partition(4, 1, [1, 2, 3] * 3),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(_BLOCK_PARTITIONS))
+def block_partition(request):
+    """Partitions whose blocks take every path of the structured block
+    algebra: singletons next to a wide central group, 2 x 2 blocks only,
+    a wide central group among 2 x 2 blocks, and widths 1 to 3 mixed."""
+    return _BLOCK_PARTITIONS[request.param]()
 
 
 @pytest.fixture(scope="session")

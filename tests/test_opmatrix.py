@@ -351,6 +351,18 @@ class TestBlockSpectralSq:
         part = Partition.coarse(simple_spectrum(3), 1)
         assert not BlockMatrix.zeros(part).block_spectral_sq().any()
 
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hs_sigma_matches_the_table_sum(self, block_partition, seed, sparse, layout):
+        x, _ = sparse_block(np.random.default_rng(seed), block_partition, sparse)
+        x = BlockMatrix(block_partition, np.asarray(x.data, order=layout))
+        ref = math.sqrt(x.block_spectral_sq().sum())
+        assert x.hs_sigma() == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_hs_sigma_of_zero(self, block_partition):
+        assert BlockMatrix.zeros(block_partition).hs_sigma() == 0.0
+
     @settings(deadline=None, max_examples=60)
     @given(
         n=st.integers(1, 5),

@@ -11,7 +11,10 @@ from simspec.opmatrix import (
 )
 from simspec.similarity import (
     PIPELINES,
+    _block_condition,
+    _block_inverse,
     block_eigenvalue_estimates,
+    contraction_step,
     fixed_point,
     pipeline_block_norm,
     pipeline_coarse,
@@ -20,7 +23,7 @@ from simspec.similarity import (
     preliminary_transform,
     similarity_residual,
 )
-from simspec.transforms import commutator_inverse
+from simspec.transforms import block_diagonal, commutator_inverse
 from simspec.verify import match_spectra, oracle_eigenvalues
 
 
@@ -78,6 +81,42 @@ class TestFixedPoint:
         with pytest.raises(NonConvergenceError):
             fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                         norm_name="full", max_iter=1)
+
+
+def random_block(rng, part, scale=1.0):
+    d = part.spectrum.dim
+    return BlockMatrix(part, scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_step_matches_three_products(block_partition, seed):
+    rng = np.random.default_rng(seed)
+    x, b = random_block(rng, block_partition), random_block(rng, block_partition, 0.1)
+    gx = commutator_inverse(x)
+    bgx = b @ gx
+    ref = bgx - gx @ block_diagonal(b) - gx @ block_diagonal(bgx) + b
+    got = contraction_step(x, b)
+    assert np.linalg.norm(got.data - ref.data) <= 1e-13 * np.linalg.norm(ref.data)
+
+
+def random_block_basis(rng, part):
+    """A basis block diagonal on ``part``, with unit columns on its
+    width-1 groups, as the rebase eigenbasis is."""
+    w = np.eye(part.spectrum.dim, dtype=complex)
+    for _, pos in part.wide_classes():
+        k, width = pos.shape
+        blocks = rng.normal(size=(k, width, width)) + 1j * rng.normal(size=(k, width, width))
+        w[pos[:, :, None], pos[:, None, :]] = blocks
+    return w
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rebase_basis_condition_and_inverse_match_dense(block_partition, seed):
+    w = random_block_basis(np.random.default_rng(seed), block_partition)
+    assert _block_condition(w, block_partition) == pytest.approx(np.linalg.cond(w), rel=1e-12)
+    inv = _block_inverse(w, block_partition)
+    dense = np.linalg.inv(w)
+    assert np.linalg.norm(inv - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
 class TestPreliminary:

@@ -14,9 +14,11 @@ from simspec.opmatrix import (
 )
 from simspec.transforms import (
     block_diagonal,
+    block_diagonal_of_product,
     commutator_inverse,
     commutator_residual,
     off_diagonal_part,
+    times_block_diagonal,
 )
 
 
@@ -98,3 +100,33 @@ def test_multiplicity_blocks_share_divisor():
     pos = spec.positions_of(0)
     sub = gx.dense()[np.ix_(pos, pos)]
     assert np.all(sub == 0.0)
+
+
+def assert_close_hs(got, ref, rel):
+    """||got - ref||_F <= rel * ||ref||_F, on the same partition."""
+    assert got.partition is ref.partition
+    assert np.linalg.norm(got.data - ref.data) <= rel * np.linalg.norm(ref.data)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_times_block_diagonal_matches_dense_product(block_partition, seed):
+    rng = np.random.default_rng(seed)
+    x, m = rand(rng, block_partition), rand(rng, block_partition)
+    assert_close_hs(times_block_diagonal(x, m), x @ block_diagonal(m), 1e-13)
+    # the commutator inverse's zero diagonal blocks give exact zeros
+    gx = commutator_inverse(x)
+    got = times_block_diagonal(gx, m)
+    assert_close_hs(got, gx @ block_diagonal(m), 1e-13)
+    assert not got.data[block_partition.same_group_mask()].any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_diagonal_of_product_matches_dense_product(block_partition, seed):
+    # the fixed point's identity check reads J(B GX)
+    rng = np.random.default_rng(seed)
+    b, x = rand(rng, block_partition), rand(rng, block_partition)
+    gx = commutator_inverse(x)
+    assert_close_hs(block_diagonal_of_product(b, gx), block_diagonal(b @ gx), 1e-13)
+    got = block_diagonal_of_product(b, x)
+    assert_close_hs(got, block_diagonal(b @ x), 1e-13)
+    assert not got.data[~block_partition.same_group_mask()].any()

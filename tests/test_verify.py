@@ -106,7 +106,39 @@ class TestOracle:
             oracle_eigenvalues(np.zeros((2, 3)))
 
 
+def match_spectra_by_loop(reference, computed):
+    """Greedy nearest-first pairing walked over all sorted distances."""
+    ref = np.asarray(reference, dtype=complex)
+    com = np.asarray(computed, dtype=complex)
+    n = ref.size
+    dist = np.abs(ref[:, None] - com[None, :])
+    used_ref = np.zeros(n, dtype=bool)
+    used_com = np.zeros(n, dtype=bool)
+    pairs = []
+    for flat in np.argsort(dist, axis=None, kind="stable"):
+        i, j = divmod(int(flat), n)
+        if not (used_ref[i] or used_com[j]):
+            used_ref[i] = used_com[j] = True
+            pairs.append((i, j))
+    return sorted(pairs)
+
+
 class TestMatchSpectra:
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n=st.integers(0, 12), tied=st.booleans())
+    def test_pairs_equal_the_loop(self, data, n, tied):
+        if tied:
+            # points of a small integer grid: many distances tie
+            values = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda t: complex(*t))
+        else:
+            values = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+        ref = data.draw(st.lists(values, min_size=n, max_size=n))
+        com = data.draw(st.lists(values, min_size=n, max_size=n))
+        m = match_spectra(ref, com)
+        assert m.pairs == match_spectra_by_loop(ref, com)
+        dist = np.abs(np.subtract.outer(np.asarray(ref, complex), np.asarray(com, complex)))
+        assert m.max_abs_deviation == max((dist[i, j] for i, j in m.pairs), default=0.0)
+
     def test_exact_match(self):
         ref = np.array([1.0, 2.0, 3.0], dtype=complex)
         m = match_spectra(ref, ref[::-1])
