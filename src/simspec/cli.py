@@ -313,29 +313,60 @@ def build_model(cfg: dict, cfg_path=None):
 # -- serialization -------------------------------------------------------------
 
 
-def _jsonify(obj):
+_float_repr = float.__repr__
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one pass, where
+    ``pad`` is the line break and indent of obj's own level.
+
+    Keys go through ``str()`` before they are sorted; a non-finite float
+    is its quoted repr, a complex value the pair [re, im], an array its
+    ``tolist()`` and any other object its quoted repr.
+    """
+    kind = type(obj)
+    if kind is float:
+        text = _float_repr(obj)
+        return text if obj - obj == 0.0 else '"' + text + '"'
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _json_string(obj)
     if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        return ("{" + inner + ("," + inner).join(
+            [_json_string(k) + ": " + _json_text(v, inner) for k, v in items]) + pad + "}")
     if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        sep = "," + inner
+        if all(isinstance(v, float) for v in obj):
+            text = sep.join(map(_float_repr, obj))
+            if "n" not in text:  # no "nan" or "inf" among the reprs
+                return "[" + inner + text + pad + "]"
+        return "[" + inner + sep.join([_json_text(v, inner) for v in obj]) + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+        return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
-        return int(obj)
+        return int.__repr__(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else repr(f)
+        return _json_text(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        return [_jsonify(float(obj.real)), _jsonify(float(obj.imag))]
+        return _json_text([float(obj.real), float(obj.imag)], pad)
     if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if obj is None or isinstance(obj, str):
-        return obj
-    return repr(obj)
+        return _json_text(obj.tolist(), pad)
+    if obj is None:
+        return "null"
+    return _json_string(obj if isinstance(obj, str) else repr(obj))
 
 
 def _write_json(path, payload: dict):
-    text = json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -404,27 +435,32 @@ def _write_series(csv_dir, model, est, weights, ora, report_obj):
     estimates and the oracle values arranged by dense position."""
     os.makedirs(csv_dir, exist_ok=True)
     spectrum = model.spectrum
-    path = os.path.join(csv_dir, "spectrum_scatter.csv")
-    with open(path, "w") as fh:
-        cols = "index,free_re,free_im,estimate_re,estimate_im"
-        fh.write(cols + (",oracle_re,oracle_im\n" if ora is not None else "\n"))
-        for pos in range(spectrum.dim):
-            n = int(spectrum.indices[spectrum.position_entry[pos]])
-            lam = spectrum.position_values[pos]
-            row = [str(n), repr(float(lam.real)), repr(float(lam.imag)),
-                   repr(float(est[pos].real)), repr(float(est[pos].imag))]
-            if ora is not None:
-                row += [repr(float(ora[pos].real)), repr(float(ora[pos].imag))]
-            fh.write(",".join(row) + "\n")
+    lam = spectrum.position_values
+    header = "index,free_re,free_im,estimate_re,estimate_im"
+    cols = [spectrum.indices[spectrum.position_entry].tolist(),
+            lam.real.tolist(), lam.imag.tolist(), est.real.tolist(), est.imag.tolist()]
+    row = "%d,%r,%r,%r,%r\n"
+    if ora is not None:
+        header += ",oracle_re,oracle_im"
+        cols += [ora.real.tolist(), ora.imag.tolist()]
+        row = "%d,%r,%r,%r,%r,%r,%r\n"
+    text = header + "\n" + "".join([row % cells for cells in zip(*cols)])
+    with open(os.path.join(csv_dir, "spectrum_scatter.csv"), "w") as fh:
+        fh.write(text)
     if report_obj is not None:
+        lines = ["index,abs_b,residual,alpha\n"]
+        for r in report_obj.rows:
+            alpha = "" if weights is None else repr(weights.alpha_of(r["index"]))
+            lines.append(f"{r['index']},{math.hypot(*r['b'])!r},{r['residual']!r},{alpha}\n")
         with open(os.path.join(csv_dir, "deviation_decay.csv"), "w") as fh:
-            fh.write("index,abs_b,residual,alpha\n")
-            for row in report_obj.rows:
-                b_abs = math.hypot(row["b"][0], row["b"][1])
-                alpha = "" if weights is None else repr(float(weights.alpha_of(row["index"])))
-                fh.write(f"{row['index']},{b_abs!r},{row['residual']!r},{alpha}\n")
+            fh.write("".join(lines))
     if weights is not None:
         weights_to_csv(weights, os.path.join(csv_dir, "weight_decay.csv"))
+
+
+def _points(values) -> list:
+    """(re, im) pairs of a complex array, as Python floats."""
+    return list(zip(values.real.tolist(), values.imag.tolist()))
 
 
 def _svg_scatter(series, path, title):
@@ -474,11 +510,8 @@ def _svg_scatter(series, path, title):
             f'y2="{sy(0):.2f}" stroke="#ccc"/>'
         )
     for si, (name, color, pts) in enumerate(series):
-        for x, y in pts:
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" '
-                f'fill="{color}" fill-opacity="0.75"/>'
-            )
+        circle = f'<circle cx="%.2f" cy="%.2f" r="3" fill="{color}" fill-opacity="0.75"/>'
+        parts += [circle % (sx(x), sy(y)) for x, y in pts]
         ly = margin + 16 + 16 * si
         parts.append(
             f'<circle cx="{margin + 12}" cy="{ly - 4}" r="4" fill="{color}"/>'
@@ -565,13 +598,12 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
             report_obj.to_csv(os.path.join(out_dir, csv_dir, "spectrum_report.csv"))
     if svg is not None:
         series = [
-            ("unperturbed", "#777777",
-             [(z.real, z.imag) for z in spectrum.position_values]),
-            ("estimates", "#c0392b", [(z.real, z.imag) for z in est]),
+            ("unperturbed", "#777777", _points(spectrum.position_values)),
+            ("estimates", "#c0392b", _points(est)),
         ]
         if oracle_vals is not None:
             # in the oracle's (re, im) order, which fixes the order of the circles
-            series.append(("reference", "#2e6da4", [(z.real, z.imag) for z in oracle_vals]))
+            series.append(("reference", "#2e6da4", _points(oracle_vals)))
         _svg_scatter(series, os.path.join(out_dir, svg), "spectrum")
     wall = {"total_seconds": time.perf_counter() - t_start, "oracle_seconds": t_oracle}
     _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})

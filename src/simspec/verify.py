@@ -14,7 +14,6 @@ eigenvalues of a diagonal block.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -276,14 +275,9 @@ _ROW_FIELDS = (
 _PAIR_FIELDS = frozenset(("lambda", "estimate", "first_order", "second_order", "oracle", "b"))
 
 
-def _csv_cells(name: str, value) -> list:
-    if name in _PAIR_FIELDS:
-        return [repr(value[0]), repr(value[1])]
-    if name == "flagged":
-        return [int(value)]
-    if name == "index":
-        return [value]
-    return [repr(value)]
+# the format of each field's cells in a CSV row
+_CSV_CELLS = {"index": "%d", "flagged": "%d", "residual": "%r",
+              **{name: "%r,%r" for name in _PAIR_FIELDS}}
 
 
 @dataclass
@@ -295,13 +289,16 @@ class SpectrumReport:
     matching_quality: float
 
     def to_csv(self, path):
-        header = [col for name in _ROW_FIELDS
-                  for col in ([f"{name}_re", f"{name}_im"] if name in _PAIR_FIELDS else [name])]
+        header = ",".join(col for name in _ROW_FIELDS
+                          for col in ([f"{name}_re", f"{name}_im"] if name in _PAIR_FIELDS
+                                      else [name]))
+        line = ",".join(_CSV_CELLS[name] for name in _ROW_FIELDS) + "\r\n"
+        text = header + "\r\n" + "".join([
+            line % tuple(c for name in _ROW_FIELDS
+                         for c in (row[name] if name in _PAIR_FIELDS else (row[name],)))
+            for row in self.rows])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in self.rows:
-                writer.writerow([c for name in _ROW_FIELDS for c in _csv_cells(name, row[name])])
+            fh.write(text)
 
 
 def values_by_position(spectrum: Spectrum, values) -> np.ndarray:

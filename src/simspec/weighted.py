@@ -24,7 +24,7 @@ iteration of the coarse pipelines contracts in that norm.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,6 +80,16 @@ class WeightSequence:
             raise InvalidInputError("weights were built for a different spectrum")
         lev = np.abs(spectrum.indices[spectrum.position_entry])
         return self.alpha[np.minimum(lev, self.max_level)] * (lev <= self.max_level)
+
+    @functools.cached_property
+    def inverse_weights(self) -> tuple:
+        """(dead, inv) per dense position of the own spectrum: where alpha
+        is zero, and 1/alpha, set to 0 where it is."""
+        apos = self.position_weights(self.spectrum)
+        dead = apos == 0.0
+        inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, apos))
+        dead.flags.writeable = inv.flags.writeable = False
+        return dead, inv
 
 
 def decay_weights(x: BlockMatrix) -> WeightSequence:
@@ -140,12 +150,12 @@ def factorize(x: BlockMatrix, w: WeightSequence) -> WeightedFactorization:
     Raises :class:`DegenerateWeightError` when X carries mass on a level
     whose weight is zero (then X is not in the weighted class).
     """
-    apos = w.position_weights(x.partition.spectrum)
-    dead = apos == 0.0
+    if not w.spectrum.same_entries(x.partition.spectrum):
+        raise InvalidInputError("weights were built for a different spectrum")
+    dead, inv = w.inverse_weights
     if np.any(dead):
         if np.any(x.data[:, dead] != 0.0) or np.any(x.data[dead, :] != 0.0):
             raise DegenerateWeightError("matrix has mass on zero-weight levels")
-    inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, apos))
     left = BlockMatrix(x.partition, x.data * inv[None, :])
     right = BlockMatrix(x.partition, x.data * inv[:, None])
     return WeightedFactorization(left, right, max(left.hs_sigma(), right.hs_sigma()))
@@ -182,11 +192,9 @@ def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, st
 
 
 def weights_to_csv(w: WeightSequence, path):
+    rows = zip(range(w.max_level + 1), w.alpha.tolist(), w.alpha_prime.tolist(),
+               w.alpha_tilde.tolist())
+    text = "level,alpha,alpha_prime,alpha_tilde\r\n" + "".join(
+        ["%d,%r,%r,%r\r\n" % row for row in rows])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "alpha", "alpha_prime", "alpha_tilde"])
-        tilde = w.alpha_tilde
-        for h in range(w.max_level + 1):
-            writer.writerow(
-                [h, repr(float(w.alpha[h])), repr(float(w.alpha_prime[h])), repr(float(tilde[h]))]
-            )
+        fh.write(text)

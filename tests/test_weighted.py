@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simspec.errors import DegenerateWeightError, WindowTooSmallError
+from simspec.errors import DegenerateWeightError, InvalidInputError, WindowTooSmallError
 from simspec.models import kernel_model
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.weighted import (
@@ -132,6 +132,50 @@ class TestFactorization:
         x = decaying_matrix(4, seed=5)
         w = decay_weights(x)
         assert factorize(x, w).norm >= x.hs_sigma() - 1e-12
+
+
+def old_factorize_norm(x, w):
+    """Reference: the weighted norm with the weights' spectrum re-checked
+    and the inverse weights rebuilt on every call."""
+    apos = w.position_weights(x.partition.spectrum)
+    dead = apos == 0.0
+    if np.any(dead) and (np.any(x.data[:, dead] != 0.0) or np.any(x.data[dead, :] != 0.0)):
+        raise DegenerateWeightError("matrix has mass on zero-weight levels")
+    inv = np.where(dead, 0.0, 1.0 / np.where(dead, 1.0, apos))
+    left = BlockMatrix(x.partition, x.data * inv[None, :])
+    right = BlockMatrix(x.partition, x.data * inv[:, None])
+    return max(left.hs_sigma(), right.hs_sigma())
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(1, 6), support=st.integers(0, 6), radius=st.integers(-1, 3),
+       mult=st.integers(1, 2), seed=st.integers(0, 10_000))
+def test_factorize_norm_matches_old_form(n, support, radius, mult, seed):
+    """Levels above `support` carry no mass, so their weights are zero."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(-n, n + 1)
+    spec = Spectrum(idx, 2j * np.pi * idx, mults=[mult] * idx.size)
+    live = np.abs(idx[spec.position_entry]) <= support
+
+    def supported():
+        d = spec.dim
+        data = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return data * (live[:, None] & live[None, :])
+
+    w = decay_weights(BlockMatrix(Partition.trivial(spec), supported()))
+    assert np.any(w.alpha == 0.0) == (support < n)
+    twin = Spectrum(idx, spec.values, mults=spec.mults)  # equal entries, another object
+    for part in (Partition(spec, min(radius, n)), Partition.trivial(twin)):
+        for _ in range(2):  # the second call reads the cached inverse weights
+            x = BlockMatrix(part, supported())
+            assert factorize(x, w).norm == old_factorize_norm(x, w)
+        if support < n:
+            x = BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim)) + 0j)
+            with pytest.raises(DegenerateWeightError):
+                factorize(x, w)
+    other = Spectrum(idx, 2j * np.pi * idx + 0.5, mults=spec.mults)
+    with pytest.raises(InvalidInputError):
+        factorize(BlockMatrix(Partition.trivial(other), supported()), w)
 
 
 class TestSelectCoarsening:

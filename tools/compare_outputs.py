@@ -93,6 +93,10 @@ def run_list(repo: str) -> list:
         ("dirac N=64 mt4 csv svg", "analyze", cfg(dirac, 64, "mt4", csv=True, svg=True)),
         ("dirac N=12 mt3", "analyze", cfg(dirac, 12, "mt3")),
         ("dirac ungauged N=16 mt4 csv", "analyze", cfg(ungauged, 16, "mt4", csv=True)),
+        ("dirac N=16 mt4 csv svg no oracle", "analyze",
+         cfg(dirac, 16, "mt4", csv=True, svg=True, oracle=False)),
+        # no decay weights: an empty alpha column and no weight_decay.csv
+        ("dirac zero N=8 mt1 csv svg", "analyze", cfg(zero_dirac, 8, "mt1", csv=True, svg=True)),
         ("hill5 N=64 mt3 csv svg", "analyze", cfg(hill5, 64, "mt3", csv=True, svg=True)),
         ("hill5 N=32 mt4", "analyze", cfg(hill5, 32, "mt4")),
         ("hill eigenbasis N=11 mt4", "analyze", cfg(hill_eig, 11, "mt4")),
