@@ -396,10 +396,7 @@ def run_pipeline(model, name: str, tols: dict) -> SimilarityResult:
     if name == "mt3":
         return PIPELINES["mt3"](spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
     if name == "mt4":
-        return pipeline_rebase(
-            spectrum, b, diag_part=model.diag_part,
-            margin=margin, tol=tol, max_iter=max_iter,
-        )
+        return pipeline_rebase(spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
     raise InvalidInputError(f"unknown pipeline {name!r}")
 
 

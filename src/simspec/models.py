@@ -52,14 +52,15 @@ __all__ = [
 
 @dataclass
 class ModelProblem:
-    """A built model: spectrum, perturbation and closed-form references."""
+    """A built model: spectrum, perturbation and closed-form references.
+
+    mt4 derives its designated diagonal part from the perturbation."""
 
     name: str
     spectrum: Spectrum
     perturbation: BlockMatrix
     first_order: np.ndarray | None = None
     second_order: np.ndarray | None = None
-    diag_part: BlockMatrix | None = None
 
 
 def _clean_coeffs(coeffs, what: str) -> dict:
@@ -355,7 +356,7 @@ def dirac_model(
     and the off-diagonal ones by the gauge-transformed versions
     u2 = v2 e^{i g}, u3 = v3 e^{-i g}, where g integrates the
     oscillating part of v1 + v4; this leaves the operator similar to
-    the original while making the designated diagonal part constant.
+    the original while making the diagonal of the perturbation constant.
     """
     v1 = _clean_coeffs(v1, "v1")
     v2 = _clean_coeffs(v2, "v2")
@@ -392,18 +393,7 @@ def dirac_model(
     data[0::2, 1::2] = w2[-n - m + kmax]
     data[1::2, 0::2] = w3[n + m + kmax]
     data[1::2, 1::2] = w4[m - n + kmax]
-    b = BlockMatrix(base, data)
-
-    diag = np.zeros(d, dtype=complex)
-    diag[0::2] = c1
-    diag[1::2] = c4
-    diag_part = BlockMatrix(base, np.diag(diag))
-    return ModelProblem(
-        name="dirac",
-        spectrum=spec,
-        perturbation=b,
-        diag_part=diag_part,
-    )
+    return ModelProblem(name="dirac", spectrum=spec, perturbation=BlockMatrix(base, data))
 
 
 # -- hill family --------------------------------------------------------------

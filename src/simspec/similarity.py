@@ -36,11 +36,11 @@ returning a ``SimilarityResult``; a failed certificate always raises:
   blockwise spectral norm.
 * ``pipeline_coarse(spectrum, b, *, margin, tol, max_iter)``: two stages
   in one frame.
-* ``pipeline_rebase(spectrum, b, *, diag_part, margin, tol, max_iter)``:
-  two stages with a change of frame between them: the free operator
-  absorbs a designated diagonal part and stage two runs in its
-  eigenbasis; handles perturbations whose diagonal blocks are too large
-  to treat as a perturbation.
+* ``pipeline_rebase(spectrum, b, *, margin, tol, max_iter)``: two
+  stages with a change of frame between them: the free operator absorbs
+  the diagonal of the stage-one blocks JB, or all of JB if that fails,
+  and stage two runs in its eigenbasis; handles perturbations whose
+  diagonal blocks are too large to treat as a perturbation.
 
 The two-stage pipelines share their stages and differ only in the frame
 change.  Stage one scans for the least smoothing radius m with
@@ -63,8 +63,8 @@ from .errors import (
     AssumptionViolationError,
     ConditionViolationError,
     ContractionViolationError,
-    InvalidInputError,
     InvariantBreachError,
+    MethodConditionError,
     NonConvergenceError,
     PartitionMismatchError,
 )
@@ -249,13 +249,17 @@ def preliminary_transform(b: BlockMatrix, g: BlockMatrix, gop: float) -> Prelimi
     jb = block_diagonal(b)
     inv = inv_identity_plus(g)
     b0 = inv @ (b @ g - g @ jb)
-
-    lam = b.partition.spectrum.position_values
-    eye_g = np.eye(lam.size) + g.data
-    lhs = lam[:, None] * eye_g - b.data @ eye_g
-    rhs = eye_g * lam[None, :] - eye_g @ (jb.data + b0.data)
-    residual = float(np.linalg.norm(lhs - rhs))
+    residual = _residual(b.partition.spectrum.position_values, b.data, g.data,
+                         jb.data + b0.data)
     return PreliminaryResult(g, jb, b0, float(gop), residual)
+
+
+def _residual(lam: np.ndarray, b: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
+    """Frobenius norm of (A - B)(I + X) - (I + X)(A - V), A = diag(lam)."""
+    eye_x = np.eye(lam.size) + x
+    lhs = lam[:, None] * eye_x - b @ eye_x
+    rhs = eye_x * lam[None, :] - eye_x @ v
+    return float(np.linalg.norm(lhs - rhs))
 
 
 # -- result assembly ------------------------------------------------------
@@ -263,11 +267,7 @@ def preliminary_transform(b: BlockMatrix, g: BlockMatrix, gop: float) -> Prelimi
 
 def similarity_residual(spectrum: Spectrum, b: BlockMatrix, u: BlockMatrix, v: BlockMatrix) -> float:
     """Frobenius norm of (A - B)(I + U) - (I + U)(A - V)."""
-    lam = spectrum.position_values
-    eye_u = np.eye(lam.size) + u.data
-    lhs = lam[:, None] * eye_u - b.data @ eye_u
-    rhs = eye_u * lam[None, :] - eye_u @ v.data
-    return float(np.linalg.norm(lhs - rhs))
+    return _residual(spectrum.position_values, b.data, u.data, v.data)
 
 
 @dataclass
@@ -601,64 +601,45 @@ def _merge_sorted_values(vals: np.ndarray, scale: float):
     return np.array(reps), np.array(mults), members
 
 
-def _block_condition(w: np.ndarray, partition: Partition) -> float:
-    """Spectral condition number of a basis W that is block diagonal on
-    ``partition``, with a unit column on each width-1 group.
+def _is_diagonal(x: BlockMatrix) -> bool:
+    """No nonzero entry off the main diagonal."""
+    return np.count_nonzero(x.data) == np.count_nonzero(np.diagonal(x.data))
 
-    The singular values of W are 1 and those of its blocks, taken by one
-    batched SVD per width class.
+
+def _conjugate(m: np.ndarray, classes: list) -> np.ndarray:
+    """L m R in place, for L and R the identity outside their blocks.
+
+    ``classes`` holds ``(positions, L blocks, R blocks)`` per width
+    class; each side takes one batched product per class.
     """
-    svals = [np.ones(int(partition.narrow.any()))]
-    for _, pos in partition.wide_classes():
-        blocks = w[pos[:, :, None], pos[:, None, :]]
-        svals.append(np.linalg.svd(blocks, compute_uv=False).ravel())
-    svals = np.concatenate(svals)
-    with np.errstate(divide="ignore"):
-        return float(svals.max() / svals.min())
-
-
-def _block_inverse(w: np.ndarray, partition: Partition) -> np.ndarray:
-    """Inverse of a basis W shaped as in :func:`_block_condition`: the
-    inverse of each block, one batched inverse per width class."""
-    inv = np.eye(partition.spectrum.dim, dtype=complex)
-    for _, pos in partition.wide_classes():
-        idx = (pos[:, :, None], pos[:, None, :])
-        inv[idx] = np.linalg.inv(w[idx])
-    return inv
+    for pos, left, _ in classes:
+        m[pos] = left @ m[pos]
+    for pos, _, right in classes:
+        m[:, pos] = (m[:, pos].transpose(1, 0, 2) @ right).transpose(1, 0, 2)
+    return m
 
 
 def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
-    """Diagonalize A - D and return the sorted eigenbasis.
+    """Diagonalize A - D; return the sorted eigenbasis as a push and a pull.
 
-    D must be block diagonal on its own (stage-one) partition.  A literally
-    diagonal D keeps the frame exact (a permutation); otherwise each
-    block is diagonalized numerically and gated on conditioning.  The
-    eigenbasis W is then block diagonal too, so its condition number and
-    its inverse are read from its blocks.
+    D is block diagonal on its (stage-one) partition, and so is the
+    eigenbasis W.  A literally diagonal D keeps W = I: the frame is the
+    exact permutation P that sorts the new eigenvalues.  Otherwise each
+    width class of wider blocks takes one batched eig and one batched
+    inv, and the condition number of W and the diagonalization residual
+    are gated, both read from the blocks.  push(M) = P^T W^-1 M W P and
+    pull(M) = W P M P^T W^-1 permute first, then apply W's blocks.
     """
     lam = spectrum.position_values
-    dim = spectrum.dim
     part = d.partition
-    off = d.data.copy()
-    np.fill_diagonal(off, 0.0)
-    diagonal_case = not off.any()
-    if not diagonal_case:
-        allowed = part.same_group_mask()
-        if np.any(d.data[~allowed] != 0.0):
-            raise InvalidInputError("designated diagonal part must respect the stage-one blocks")
-
-    if diagonal_case:
-        new_vals = lam - np.diag(d.data)
-        w_dense = None
-    else:
-        # a width-1 group keeps its unit column; each width class of the
-        # others takes one batched eigensolve of its blocks
-        new_vals = lam - np.diagonal(d.data)
-        w_dense = np.eye(dim, dtype=complex)
+    new_vals = lam - np.diagonal(d.data)
+    eig = []  # (positions, blocks of A - D, blocks of W) per width class
+    if not _is_diagonal(d):
         for _, pos in part.wide_classes():
-            idx = (pos[:, :, None], pos[:, None, :])
-            blocks = lam[pos][:, :, None] * np.eye(pos.shape[1]) - d.data[idx]
-            new_vals[pos], w_dense[idx] = np.linalg.eig(blocks)
+            blocks = (lam[pos][:, :, None] * np.eye(pos.shape[1])
+                      - d.data[pos[:, :, None], pos[:, None, :]])
+            new_vals[pos], w = np.linalg.eig(blocks)
+            eig.append((pos, blocks, w))
 
     scale = max(1.0, float(np.abs(new_vals).max()))
     reps, mults, members = _merge_sorted_values(new_vals, scale)
@@ -668,59 +649,47 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
         raise AssumptionViolationError(
             "re-derived eigenvalues too close to separate reliably"
         )
-    pos_perm = np.array([p for grp in members for p in grp])
+    perm = np.array([p for grp in members for p in grp])
+    inv = np.argsort(perm)
 
-    if diagonal_case:
-        inv_perm = np.argsort(pos_perm)
-        push = lambda mat: mat[np.ix_(pos_perm, pos_perm)]
-        pull = lambda mat: mat[np.ix_(inv_perm, inv_perm)]
-        info = {"kind": "permutation"}
-    else:
-        # sorting permutes the columns of W, which moves neither its
-        # singular values nor, up to the same permutation, its inverse
-        w_sorted = w_dense[:, pos_perm]
-        cond = _block_condition(w_dense, part)
+    push_classes, pull_classes = [], []
+    info = {"kind": "permutation"}
+    if eig:
+        # W has singular value 1 on the width-1 groups and those of its blocks
+        svals = np.concatenate([np.ones(int(part.narrow.any()))]
+                               + [np.linalg.svd(w, compute_uv=False).ravel() for _, _, w in eig])
+        with np.errstate(divide="ignore"):
+            cond = float(svals.max() / svals.min())
         if not math.isfinite(cond) or cond > _REBASE_COND_LIMIT:
             raise AssumptionViolationError(
                 f"rebase eigenbasis too ill-conditioned (cond={cond:.3e})"
             )
-        w_inv = _block_inverse(w_dense, part)[pos_perm]
-        a_prime = np.diag(lam) - d.data
-        # Frobenius: an upper bound of the operator norm of the residual
-        check = float(np.linalg.norm(
-            a_prime @ w_sorted - w_sorted @ np.diag(tilde.position_values)
-        ))
+        # Frobenius norm of (A - D) W - W diag(t), an upper bound of its
+        # operator norm; its entries outside the blocks are exact zeros
+        t = tilde.position_values[inv]
+        check = float(np.linalg.norm(np.concatenate(
+            [(new_vals - t)[part.narrow]]
+            + [(blocks @ w - w * t[pos][:, None, :]).ravel() for pos, blocks, w in eig]
+        )))
         if check > _REBASE_RESIDUAL_LIMIT * scale:
             raise AssumptionViolationError(f"rebase diagonalization residual {check:.3e}")
-        push = lambda mat: w_inv @ mat @ w_sorted
-        pull = lambda mat: w_sorted @ mat @ w_inv
-        info = {"kind": "eigenbasis", "condition": cond, "residual": float(check)}
-    return tilde, push, pull, info, pos_perm
+        for pos, _, w in eig:
+            w_inv = np.linalg.inv(w)
+            push_classes.append((inv[pos], w_inv, w))
+            pull_classes.append((pos, w, w_inv))
+        info = {"kind": "eigenbasis", "condition": cond, "residual": check}
+    forward, back = np.ix_(perm, perm), np.ix_(inv, inv)
+    push = lambda mat: _conjugate(mat[forward], push_classes)
+    pull = lambda mat: _conjugate(mat[back], pull_classes)
+    return tilde, push, pull, info, perm
 
 
-def pipeline_rebase(
-    spectrum: Spectrum,
-    b: BlockMatrix,
-    *,
-    diag_part: BlockMatrix | None = None,
-    margin: float = 0.9,
-    tol: float = 1e-12,
-    max_iter: int = 200,
-) -> SimilarityResult:
-    """Two-stage pipeline with an eigenbasis change between the stages.
-
-    After the preliminary transform the designated diagonal part D
-    (default: all the stage-one diagonal blocks) moves into the free
-    operator; the remaining perturbation (JB - D) + B0 is rewritten in
-    the eigenbasis of A - D, whose simple sorted spectrum gets fresh
-    contiguous indices, and the coarse weighted fixed point runs there.
-    Results are pulled back to the original frame.
-    """
-    one = _stage_one(spectrum, b)
+def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: float,
+             tol: float, max_iter: int) -> SimilarityResult:
+    """Stage two of mt4 in the eigenbasis of A - D, pulled back."""
     base = one.b.partition
     prelim = one.prelim
-    d = prelim.diagonal if diag_part is None else _move(diag_part, one.partition)
-    tilde, push, pull, frame_info, pos_perm = _rebase_frame(spectrum, d)
+    tilde, push, pull, frame_info, perm = _rebase_frame(spectrum, d)
 
     hat_dense = push((prelim.diagonal - d + prelim.remainder).data)
     b_hat = BlockMatrix(Partition.trivial(tilde), hat_dense)
@@ -731,13 +700,48 @@ def pipeline_rebase(
     v = BlockMatrix(base, np.diag(spectrum.position_values) - pull(a_minus_v_hat))
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
-    source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in pos_perm]
+    source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in perm]
     return _two_stage_result(
         "mt4", spectrum, one, two, u2, v,
         labels=source,
         frame_certificates={"rebase": frame_info},
         frame_stages=[{"name": "rebase", **frame_info, "new_dim": int(tilde.dim)}],
     )
+
+
+def pipeline_rebase(
+    spectrum: Spectrum,
+    b: BlockMatrix,
+    *,
+    margin: float = 0.9,
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> SimilarityResult:
+    """Two-stage pipeline with an eigenbasis change between the stages.
+
+    After the preliminary transform a designated diagonal part D moves
+    into the free operator; the remaining perturbation (JB - D) + B0 is
+    rewritten in the eigenbasis of A - D, whose simple sorted spectrum
+    gets fresh contiguous indices, and the coarse weighted fixed point
+    runs there.  Results are pulled back to the original frame.
+
+    D is the diagonal of JB, a permutation frame.  Only if that attempt
+    fails a method condition and JB is not diagonal, D is all of JB; the
+    attempts share stage one, and if both fail the first error is raised.
+    """
+    one = _stage_one(spectrum, b)
+    jb = one.prelim.diagonal
+    diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
+    kw = {"margin": margin, "tol": tol, "max_iter": max_iter}
+    try:
+        return _rebased(spectrum, one, diag, **kw)
+    except MethodConditionError as first:
+        if _is_diagonal(jb):
+            raise
+        try:
+            return _rebased(spectrum, one, jb, **kw)
+        except MethodConditionError:
+            raise first from None
 
 
 PIPELINES = {

@@ -313,6 +313,34 @@ class TestAnalyzeCommand:
         assert report["certificates"]["rebase"]["kind"] == "eigenbasis"
         assert all(g["satisfied"] for g in report["invariant_gates"].values())
 
+    def test_rebase_falls_back_to_the_whole_diagonal_blocks(self, tmp_path):
+        # the diagonal of JB leaves no certified coarsening; all of JB does
+        path = write_config(tmp_path, {
+            "model": {"family": "dirac", "gauge": False, "potentials": {
+                "v1": {"0": 0.18}, "v2": {"-1": [0.01, 0.025], "2": [0.04, -0.05]},
+                "v3": {"0": [-0.04, -0.08]},
+                "v4": {"-2": -0.04, "-1": [0.07, -0.08], "0": [0.03, 0.01], "2": [0.06, 0.02]}}},
+            "truncation": {"half_width": 16},
+            "pipeline": "mt4",
+        })
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["certificates"]["rebase"]["kind"] == "eigenbasis"
+        assert all(g["satisfied"] for g in report["invariant_gates"].values())
+
+    def test_rebase_reports_the_first_failure_when_both_frames_fail(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "model": {"family": "dirac", "gauge": False, "potentials": {
+                "v1": {"0": [0.169, 0.062], "1": [-0.153, 0.203], "-1": [-0.04, -0.088]},
+                "v2": {"0": [0.147, -0.005]}, "v3": {"0": [0.022, 0.084]},
+                "v4": {"0": [0.099, -0.138]}}},
+            "truncation": {"half_width": 5},
+            "pipeline": "mt4",
+        })
+        assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 3
+        # the permutation frame's best product; all of JB would give 0.9546...
+        assert "(best product 1.961440531799762)" in capsys.readouterr().err
+
     def test_csv_and_svg_outputs(self, tmp_path):
         path = write_config(tmp_path, {
             "truncation": {"half_width": 10},

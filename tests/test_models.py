@@ -164,12 +164,6 @@ class TestDirac:
         gauged = self.make(gauge=True, half=6)
         assert gauged.perturbation.hs() <= raw.perturbation.hs() + 1e-12
 
-    def test_diag_part_is_block_diagonal(self):
-        mdl = self.make(half=6)
-        assert mdl.diag_part is not None
-        outside = ~mdl.diag_part.partition.same_group_mask()
-        assert np.all(mdl.diag_part.dense()[outside] == 0.0)
-
 
 class TestCoeffIO:
     def test_round_trip(self, tmp_path):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from simspec.errors import ContractionViolationError, NonConvergenceError
+from simspec.errors import (
+    ContractionViolationError,
+    MethodConditionError,
+    NonConvergenceError,
+)
 from simspec.models import dirac_model, hill_model, involution_model, kernel_model
 from simspec.opmatrix import (
     BlockMatrix,
@@ -11,8 +15,9 @@ from simspec.opmatrix import (
 )
 from simspec.similarity import (
     PIPELINES,
-    _block_condition,
-    _block_inverse,
+    _rebase_frame,
+    _rebased,
+    _stage_one,
     block_eigenvalue_estimates,
     contraction_step,
     fixed_point,
@@ -99,24 +104,107 @@ def test_contraction_step_matches_three_products(block_partition, seed):
     assert np.linalg.norm(got.data - ref.data) <= 1e-13 * np.linalg.norm(ref.data)
 
 
-def random_block_basis(rng, part):
-    """A basis block diagonal on ``part``, with unit columns on its
-    width-1 groups, as the rebase eigenbasis is."""
-    w = np.eye(part.spectrum.dim, dtype=complex)
-    for _, pos in part.wide_classes():
-        k, width = pos.shape
-        blocks = rng.normal(size=(k, width, width)) + 1j * rng.normal(size=(k, width, width))
-        w[pos[:, :, None], pos[:, None, :]] = blocks
-    return w
+def random_block_diagonal(rng, part, scale=0.3):
+    """A D block diagonal on ``part``, as JB is on the stage-one partition."""
+    data = random_block(rng, part, scale).data
+    return BlockMatrix(part, np.where(part.same_group_mask(), data, 0.0))
+
+
+def dense_frame(d, perm):
+    """The sorted eigenbasis W[:, perm] of A - D and its inverse as dense
+    matrices, W built from the same eig blocks the frame takes."""
+    lam = d.partition.spectrum.position_values
+    w = np.eye(lam.size, dtype=complex)
+    for _, pos in d.partition.wide_classes():
+        idx = (pos[:, :, None], pos[:, None, :])
+        w[idx] = np.linalg.eig(lam[pos][:, :, None] * np.eye(pos.shape[1]) - d.data[idx])[1]
+    return w[:, perm], np.linalg.inv(w)[perm]
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_rebase_basis_condition_and_inverse_match_dense(block_partition, seed):
-    w = random_block_basis(np.random.default_rng(seed), block_partition)
-    assert _block_condition(w, block_partition) == pytest.approx(np.linalg.cond(w), rel=1e-12)
-    inv = _block_inverse(w, block_partition)
-    dense = np.linalg.inv(w)
-    assert np.linalg.norm(inv - dense) <= 1e-12 * np.linalg.norm(dense)
+def test_rebase_frame_matches_dense(block_partition, seed):
+    rng = np.random.default_rng(seed)
+    spec = block_partition.spectrum
+    d = random_block_diagonal(rng, block_partition)
+    tilde, push, pull, info, perm = _rebase_frame(spec, d)
+    assert info["kind"] == "eigenbasis"
+    w, w_inv = dense_frame(d, perm)
+    m = random_block(rng, block_partition).data
+
+    def close(got, ref, scale):
+        assert np.linalg.norm(got - ref) <= 1e-12 * scale
+
+    close(push(m), w_inv @ m @ w, np.linalg.norm(w_inv @ m @ w))
+    close(pull(m), w @ m @ w_inv, np.linalg.norm(w @ m @ w_inv))
+    close(pull(push(m)), m, np.linalg.norm(m))
+    assert info["condition"] == pytest.approx(np.linalg.cond(w), rel=1e-12)
+    # the residual is rounding noise, so it is compared relative to the
+    # size of the terms it is the difference of
+    a_w = (np.diag(spec.position_values) - d.data) @ w
+    close(info["residual"], np.linalg.norm(a_w - w @ np.diag(tilde.position_values)),
+          np.linalg.norm(a_w))
+
+
+def test_rebase_frame_of_a_diagonal_is_the_permutation(block_partition):
+    rng = np.random.default_rng(0)
+    d = random_block_diagonal(rng, block_partition)
+    diag = BlockMatrix(block_partition, np.diag(np.diagonal(d.data)))
+    tilde, push, pull, info, perm = _rebase_frame(block_partition.spectrum, diag)
+    assert info == {"kind": "permutation"}
+    assert np.array_equal(tilde.position_values[np.argsort(perm)],
+                          block_partition.spectrum.position_values - np.diagonal(d.data))
+    m = random_block(rng, block_partition).dense()
+    m[1, 0] = complex(-0.0, -0.0)
+    inv = np.argsort(perm)
+    for got, ref in ((push(m), m[np.ix_(perm, perm)]), (pull(m), m[np.ix_(inv, inv)])):
+        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signed zeros too
+
+
+def rebase_attempts(mdl):
+    """The two attempts of pipeline_rebase, D = diag(JB) and D = JB, each
+    returning its result or raising."""
+    one = _stage_one(mdl.spectrum, mdl.perturbation)
+    jb = one.prelim.diagonal
+    diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
+    return [lambda d=d: _rebased(mdl.spectrum, one, d, margin=0.9, tol=1e-12, max_iter=200)
+            for d in (diag, jb)]
+
+
+class TestRebaseRule:
+    def test_takes_the_permutation_frame_where_the_diagonal_certifies(self):
+        # the auto-rule config of the CLI tests: all of JB does not certify
+        pot = {0: 0.2, 1: 0.08, -1: 0.08}
+        mdl = dirac_model(8, pot, pot, pot, pot)
+        with pytest.raises(MethodConditionError):
+            rebase_attempts(mdl)[1]()
+        res = pipeline_rebase(mdl.spectrum, mdl.perturbation)
+        assert res.certificates["rebase"] == {"kind": "permutation"}
+
+    def test_falls_back_to_the_whole_blocks(self):
+        mdl = dirac_model(16, {0: 0.18}, {-1: 0.01 + 0.025j, 2: 0.04 - 0.05j},
+                          {0: -0.04 - 0.08j},
+                          {-2: -0.04, -1: 0.07 - 0.08j, 0: 0.03 + 0.01j, 2: 0.06 + 0.02j},
+                          gauge=False)
+        with pytest.raises(MethodConditionError):
+            rebase_attempts(mdl)[0]()
+        res = pipeline_rebase(mdl.spectrum, mdl.perturbation)
+        assert res.certificates["rebase"]["kind"] == "eigenbasis"
+        assert res.residual <= 1e-9 * res.residual_scale
+
+    def test_raises_the_first_error_when_both_attempts_fail(self):
+        mdl = dirac_model(5, {0: 0.169 + 0.062j, 1: -0.153 + 0.203j, -1: -0.04 - 0.088j},
+                          {0: 0.147 - 0.005j}, {0: 0.022 + 0.084j}, {0: 0.099 - 0.138j},
+                          gauge=False)
+        errors = []
+        for attempt in rebase_attempts(mdl):
+            with pytest.raises(MethodConditionError) as err:
+                attempt()
+            errors.append(err.value)
+        assert str(errors[0]) != str(errors[1])
+        with pytest.raises(type(errors[0])) as err:
+            pipeline_rebase(mdl.spectrum, mdl.perturbation)
+        assert str(err.value) == str(errors[0])
 
 
 class TestPreliminary:

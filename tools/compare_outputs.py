@@ -76,6 +76,15 @@ def run_list(repo: str) -> list:
     # mt4 on it rebases in a numerical eigenbasis, not a permutation
     hill_eig = {"family": "hill", "theta": 0.9,
                 "coeffs": {"0": [0.45, -0.38], "1": [-0.13, 3.0], "-1": [-4.0, -2.0]}}
+    # mt4 certifies only with all of JB absorbed: the diagonal of JB fails
+    jb_only = {"family": "dirac", "gauge": False, "potentials": {
+        "v1": {"0": 0.18}, "v2": {"-1": [0.01, 0.025], "2": [0.04, -0.05]},
+        "v3": {"0": [-0.04, -0.08]},
+        "v4": {"-2": -0.04, "-1": [0.07, -0.08], "0": [0.03, 0.01], "2": [0.06, 0.02]}}}
+    # mt4 fails with both the diagonal of JB and all of JB
+    no_frame = {"family": "dirac", "gauge": False, "potentials": {
+        "v1": {"0": [0.169, 0.062], "1": [-0.153, 0.203], "-1": [-0.04, -0.088]},
+        "v2": {"0": [0.147, -0.005]}, "v3": {"0": [0.022, 0.084]}, "v4": {"0": [0.099, -0.138]}}}
     overflow = {"family": "hill", "theta": 0.5, "coeffs": {"1": 1e200, "-1": 1e200}}
     involution = {"family": "involution", "theta": 0.3,
                   "coeffs": {"0": 0.06, "1": [0.03, -0.015], "-1": [0.03, 0.015]}}
@@ -100,6 +109,8 @@ def run_list(repo: str) -> list:
         ("hill5 N=64 mt3 csv svg", "analyze", cfg(hill5, 64, "mt3", csv=True, svg=True)),
         ("hill5 N=32 mt4", "analyze", cfg(hill5, 32, "mt4")),
         ("hill eigenbasis N=11 mt4", "analyze", cfg(hill_eig, 11, "mt4")),
+        ("dirac jb-only ungauged N=16 mt4", "analyze", cfg(jb_only, 16, "mt4")),
+        ("dirac both frames fail ungauged N=5 mt4", "analyze", cfg(no_frame, 5, "mt4")),
         ("hill0.3 N=32 mt2", "analyze", cfg(hill03, 32, "mt2")),
         ("hill0.3 split k=3 N=40", "split", cfg(hill03, 40, "auto", split_k=3)),
         ("involution N=20 mt2", "analyze", cfg(involution, 20, "mt2")),
