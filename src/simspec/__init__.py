@@ -37,7 +37,6 @@ from .models import (
 )
 from .opmatrix import (
     BlockMatrix,
-    NormReport,
     Partition,
     Spectrum,
 )

@@ -36,7 +36,6 @@ builds no G x G table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "Spectrum",
     "Partition",
     "BlockMatrix",
-    "NormReport",
     "spectral_gap",
     "gap_inverse_square_sum",
     "inv_identity_plus",
@@ -252,20 +250,6 @@ class Partition:
         )
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """The three norms of a block matrix.
-
-    ``hs`` is the Frobenius norm, ``hs_sigma`` the root sum of squared
-    per-block spectral norms, ``op`` the full operator norm; the chain
-    op <= hs_sigma <= hs always holds.
-    """
-
-    hs: float
-    hs_sigma: float
-    op: float
-
-
 def op_norm(a: np.ndarray) -> float:
     """Exact operator (spectral) norm: the largest singular value."""
     return float(np.linalg.norm(a, 2))
@@ -428,9 +412,6 @@ class BlockMatrix:
 
     def op(self) -> float:
         return op_norm(self.data)
-
-    def norms(self) -> NormReport:
-        return NormReport(self.hs(), self.hs_sigma(), self.op())
 
 
 def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:

@@ -47,9 +47,11 @@ change.  Stage one scans for the least smoothing radius m with
 ||GB||_op < 1 and applies the preliminary transform there.  Stage two
 builds the decay weights of the perturbation left over, selects the
 least coarse radius k whose weighted certificate clears the margin (k >=
-m for pipeline_coarse) and runs the weighted fixed point at k.  The
-result assembly composes U = G + U2 + G U2 and measures the similarity
-residual.
+m for pipeline_coarse) and runs the weighted fixed point at k.  One
+result assembly serves all four pipelines: it takes U2 = G X* and
+V2 = J X* from the last fixed point, brings them back to the frame of A,
+composes U = G + U2 + G U2 after a preliminary transform, measures the
+similarity residual and reads the estimates off the blocks of V2.
 """
 
 from __future__ import annotations
@@ -140,7 +142,11 @@ def contraction_step(x: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
 
 @dataclass
 class FixedPointResult:
+    """X* with U = G X* and V = J X*, both on the partition of X*."""
+
     x_star: BlockMatrix
+    u: BlockMatrix
+    v: BlockMatrix
     iterations: int
     step_norms: list
     observed_ratio: float
@@ -167,7 +173,8 @@ def fixed_point(
     J X* = J(B G X*) + J B holds exactly; both are re-checked, the
     identity from the diagonal blocks of B G X* alone (a row-column dot
     product per width-1 group, one small product per wider group), so
-    its residual is rounding noise.
+    its residual is rounding noise.  The check takes U = G X* and
+    V = J X*, which the result keeps.
     """
     norm_b = norm_fn(b)
     q_bound = 4.0 * gamma * norm_b
@@ -209,14 +216,11 @@ def fixed_point(
         raise InvariantBreachError(
             f"fixed point left the guaranteed ball: {drift!r} > 3 * {norm_b!r}"
         )
-    resid = (
-        block_diagonal(x)
-        - block_diagonal_of_product(b, commutator_inverse(x))
-        - block_diagonal(b)
-    ).hs()
+    u, v = commutator_inverse(x), block_diagonal(x)
+    resid = (v - block_diagonal_of_product(b, u) - block_diagonal(b)).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
-    return FixedPointResult(x, iterations, steps, ratio, certificate, float(resid))
+    return FixedPointResult(x, u, v, iterations, steps, ratio, certificate, float(resid))
 
 
 # -- preliminary transform ----------------------------------------------
@@ -336,17 +340,54 @@ class SimilarityResult:
     stages: list
 
 
-def _residual_scale(spectrum: Spectrum, b: BlockMatrix) -> float:
-    return float(np.abs(spectrum.position_values).max() + b.hs())
+def _result(
+    pipeline: str,
+    spectrum: Spectrum,
+    b: BlockMatrix,
+    fp: FixedPointResult,
+    *,
+    certificates: dict,
+    stages: list,
+    smoother: BlockMatrix | None = None,
+    frame: tuple | None = None,
+) -> SimilarityResult:
+    """The result of a run whose last fixed point is ``fp``.
 
-
-def _fixed_point_stage(fp: FixedPointResult) -> dict:
-    return {
-        "name": "fixed_point",
-        "iterations": fp.iterations,
-        "certificate": fp.certificate,
-        "identity_residual": fp.identity_residual,
-    }
+    ``b`` is B on the index-per-group partition; ``certificates`` and
+    ``stages`` hold the entries of the stages before the fixed point.
+    U2 = G X* and V2 = J X* act in the frame of X*.  A ``frame``
+    ``(tilde, pull, labels)`` brings them to the frame of A, where A - V2
+    becomes pull(diag(tilde) - V2), and a ``smoother`` G composes
+    U = G + U2 + G U2.  The estimates and the off-diagonal residual are
+    read from V2 in the frame of X*, whose positions ``labels`` tag.
+    """
+    base = b.partition
+    u, v, labels = fp.u, fp.v, None
+    if frame is not None:
+        tilde, pull, labels = frame
+        u = BlockMatrix(base, pull(u.data))
+        a_minus_v = np.diag(tilde.position_values) - v.data
+        v = BlockMatrix(base, np.diag(spectrum.position_values) - pull(a_minus_v))
+    if smoother is not None:
+        g, u = _move(smoother, base), _move(u, base)
+        u = g + u + g @ u
+    return SimilarityResult(
+        pipeline=pipeline,
+        u=u,
+        v=v,
+        certificates={**certificates, "contraction": fp.certificate},
+        iterations={"fixed_point": fp.iterations},
+        residual=similarity_residual(spectrum, b, u, _move(v, base)),
+        residual_scale=float(np.abs(spectrum.position_values).max() + b.hs()),
+        offdiag_residual=off_diagonal_part(fp.v).hs(),
+        eigenvalue_estimates=block_eigenvalue_estimates(fp.v, labels=labels),
+        stages=[*stages, {
+            "name": "fixed_point",
+            "iterations": fp.iterations,
+            "certificate": fp.certificate,
+            "identity_residual": fp.identity_residual,
+        }],
+    )
 
 
 # -- pipelines -------------------------------------------------------------
@@ -370,20 +411,7 @@ def _single_stage(
         bb, gamma=gamma, norm_fn=norm_fn, norm_name=norm_name,
         tol=tol, max_iter=max_iter,
     )
-    u = commutator_inverse(fp.x_star)
-    v = block_diagonal(fp.x_star)
-    return SimilarityResult(
-        pipeline=pipeline,
-        u=u,
-        v=v,
-        certificates={"contraction": fp.certificate},
-        iterations={"fixed_point": fp.iterations},
-        residual=similarity_residual(spectrum, bb, u, v),
-        residual_scale=_residual_scale(spectrum, bb),
-        offdiag_residual=off_diagonal_part(v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(v),
-        stages=[_fixed_point_stage(fp)],
-    )
+    return _result(pipeline, spectrum, bb, fp, certificates={}, stages=[])
 
 
 def pipeline_contraction(
@@ -453,9 +481,8 @@ class _StageOne:
     """Preliminary similarity I + GB at the smallest smoothing radius."""
 
     b: BlockMatrix  # B on the trivial partition
-    partition: Partition  # at the smoothing radius
     prelim: PreliminaryResult
-    certificate: dict
+    certificates: dict
     stages: list
 
 
@@ -468,80 +495,23 @@ def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
         {"name": "smoothing_scan", "scan": scan},
         {"name": "preliminary", **certificate, "residual": prelim.residual},
     ]
-    return _StageOne(bb, g.partition, prelim, certificate, stages)
+    return _StageOne(bb, prelim, {"smoothing": certificate}, stages)
 
 
-@dataclass
-class _StageTwo:
-    """Weighted fixed point X* on the coarse partition at radius k."""
-
-    partition: Partition
-    fp: FixedPointResult
-    selection: dict
-    u: BlockMatrix  # G X*
-    v: BlockMatrix  # J X*
-    stages: list
-
-
-def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float,
-               max_iter: int) -> _StageTwo:
+def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float, max_iter: int):
     """Decay weights of Q, the least radius k >= start that certifies
-    contraction, and the fixed point for Q at k in the weighted norm."""
+    contraction, and the fixed point for Q at k in the weighted norm;
+    returns the fixed point and the coarsening selection."""
     w = decay_weights(q)
     k, selection = select_coarsening(q, w, margin=margin, start=start)
-    part_k = Partition.coarse(q.partition.spectrum, k)
     fp = fixed_point(
-        _move(q, part_k),
+        _move(q, Partition.coarse(q.partition.spectrum, k)),
         gamma=selection["gamma"],
         norm_fn=lambda z: factorize(z, w).norm,
         norm_name="weighted",
         tol=tol, max_iter=max_iter,
     )
-    u2 = commutator_inverse(fp.x_star)
-    v2 = block_diagonal(fp.x_star)
-    stages = [{"name": "coarsening", **selection}, _fixed_point_stage(fp)]
-    return _StageTwo(part_k, fp, selection, u2, v2, stages)
-
-
-def _two_stage_result(
-    pipeline: str,
-    spectrum: Spectrum,
-    one: _StageOne,
-    two: _StageTwo,
-    u2: BlockMatrix,
-    v: BlockMatrix,
-    *,
-    labels: list | None = None,
-    frame_certificates: dict | None = None,
-    frame_stages: list | None = None,
-) -> SimilarityResult:
-    """Assemble U = G + U2 + G U2 and the result of a two-stage run.
-
-    ``u2`` and ``v`` are the stage-two U and V in the frame of A; the
-    estimates and the off-diagonal residual are read in the stage-two
-    frame from ``two``, whose positions are tagged by ``labels``.
-    """
-    base = one.b.partition
-    g = _move(one.prelim.smoother, base)
-    u2 = _move(u2, base)
-    u = g + u2 + g @ u2
-    return SimilarityResult(
-        pipeline=pipeline,
-        u=u,
-        v=v,
-        certificates={
-            "smoothing": one.certificate,
-            **(frame_certificates or {}),
-            "coarsening": two.selection,
-            "contraction": two.fp.certificate,
-        },
-        iterations={"fixed_point": two.fp.iterations},
-        residual=similarity_residual(spectrum, one.b, u, _move(v, base)),
-        residual_scale=_residual_scale(spectrum, one.b),
-        offdiag_residual=off_diagonal_part(two.v).hs(),
-        eigenvalue_estimates=block_eigenvalue_estimates(two.v, labels=labels),
-        stages=[*one.stages, *(frame_stages or []), *two.stages],
-    )
+    return fp, selection
 
 
 def pipeline_coarse(
@@ -560,21 +530,25 @@ def pipeline_coarse(
     diagonal survives the stage-two projection.
     """
     one = _stage_one(spectrum, b)
-    base = one.b.partition
     prelim = one.prelim
-    two = _stage_two(_move(prelim.diagonal + prelim.remainder, base),
-                     start=one.partition.radius, margin=margin, tol=tol, max_iter=max_iter)
+    fp, selection = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
+                               start=prelim.smoother.partition.radius,
+                               margin=margin, tol=tol, max_iter=max_iter)
 
     # the stage-one diagonal must survive inside V:
     # V = JB|_m + (B0 (I + G_k X*)) projected onto the coarse blocks
-    part_k = two.partition
+    part_k = fp.x_star.partition
     b0_k = _move(prelim.remainder, part_k)
     jb_k = _move(prelim.diagonal, part_k)
-    v_alt = jb_k + block_diagonal(b0_k @ (BlockMatrix.identity(part_k) + two.u))
-    cross = (two.v - v_alt).hs()
-    if cross > 1e-8 * max(1.0, two.v.hs()):
+    v_alt = jb_k + block_diagonal(b0_k @ (BlockMatrix.identity(part_k) + fp.u))
+    cross = (fp.v - v_alt).hs()
+    if cross > 1e-8 * max(1.0, fp.v.hs()):
         raise InvariantBreachError(f"diagonal reconstruction mismatch {cross!r}")
-    return _two_stage_result("mt3", spectrum, one, two, two.u, two.v)
+    return _result(
+        "mt3", spectrum, one.b, fp, smoother=prelim.smoother,
+        certificates={**one.certificates, "coarsening": selection},
+        stages=[*one.stages, {"name": "coarsening", **selection}],
+    )
 
 
 # -- rebase pipeline -------------------------------------------------------
@@ -687,25 +661,19 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
 def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: float,
              tol: float, max_iter: int) -> SimilarityResult:
     """Stage two of mt4 in the eigenbasis of A - D, pulled back."""
-    base = one.b.partition
     prelim = one.prelim
     tilde, push, pull, frame_info, perm = _rebase_frame(spectrum, d)
-
     hat_dense = push((prelim.diagonal - d + prelim.remainder).data)
-    b_hat = BlockMatrix(Partition.trivial(tilde), hat_dense)
-    two = _stage_two(b_hat, start=0, margin=margin, tol=tol, max_iter=max_iter)
-
-    u2 = BlockMatrix(base, pull(two.u.data))
-    a_minus_v_hat = np.diag(tilde.position_values) - two.v.data
-    v = BlockMatrix(base, np.diag(spectrum.position_values) - pull(a_minus_v_hat))
+    fp, selection = _stage_two(BlockMatrix(Partition.trivial(tilde), hat_dense),
+                               start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
     source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in perm]
-    return _two_stage_result(
-        "mt4", spectrum, one, two, u2, v,
-        labels=source,
-        frame_certificates={"rebase": frame_info},
-        frame_stages=[{"name": "rebase", **frame_info, "new_dim": int(tilde.dim)}],
+    return _result(
+        "mt4", spectrum, one.b, fp, smoother=prelim.smoother, frame=(tilde, pull, source),
+        certificates={**one.certificates, "rebase": frame_info, "coarsening": selection},
+        stages=[*one.stages, {"name": "rebase", **frame_info, "new_dim": int(tilde.dim)},
+                {"name": "coarsening", **selection}],
     )
 
 

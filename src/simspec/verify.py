@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NotInvertibleError, OracleFailureError
-from .opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
+from .errors import InvalidInputError, OracleFailureError
+from .opmatrix import BlockMatrix, Partition, Spectrum, inv_identity_plus, spectral_gap
 
 __all__ = [
     "oracle_eigenvalues",
@@ -237,15 +237,17 @@ def projection_compare(
     2 * ||U||_w * alpha_sigma / (1 - ||U||_sigma) with ||U||_w supplied
     by the caller (falls back to the block norm of U).  The direct
     evaluation (I + U) P (I + U)^{-1} - P is carried along as a
-    consistency residual.
+    consistency residual.  The inverse comes from
+    :func:`~simspec.opmatrix.inv_identity_plus`, which raises
+    ``NotInvertibleError`` when kappa_F = ||I+U||_F ||(I+U)^-1||_F
+    exceeds 1e12 (kappa_F >= kappa_2, so this refuses at least every
+    I + U with kappa_2 above 1e12) or when ||(I+U)(I+U)^-1 - I||_F
+    exceeds 1e-10.
     """
     spec = partition.spectrum
     p = _group_projection_diag(spec, sigma_group)
     eye_u = np.eye(spec.dim) + u.data
-    cond = np.linalg.cond(eye_u)
-    if not math.isfinite(cond) or cond > 1e12:
-        raise NotInvertibleError("I + U is numerically singular", cond=float(cond))
-    inv = np.linalg.inv(eye_u)
+    inv = inv_identity_plus(u).data
     diff = (u.data * p[None, :] - p[:, None] * u.data) @ inv
     direct = eye_u @ (p[:, None] * inv) - np.diag(p)
     consistency = float(np.linalg.norm(diff - direct))

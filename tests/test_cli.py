@@ -174,6 +174,21 @@ class TestExitCodes:
         assert code == 5
         assert "invariant gate 'v_block_diagonal' failed" in capsys.readouterr().err
 
+    def test_moved_estimate_fails_the_spectral_gate(self, tmp_path, capsys, monkeypatch):
+        # the oracle of A - B is compared with the estimates the run reports
+        run = cli.run_pipeline
+
+        def moved(*args):
+            result = run(*args)
+            (k, z), *rest = result.eigenvalue_estimates
+            return dataclasses.replace(result, eigenvalue_estimates=[(k, z + 1e-6), *rest])
+
+        monkeypatch.setattr(cli, "run_pipeline", moved)
+        path = write_config(tmp_path, {"truncation": {"half_width": 8}})
+        code = main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"])
+        assert code == 5
+        assert "invariant gate 'spectra_agree' failed" in capsys.readouterr().err
+
     def test_split_condition_failure_prints_sides(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "model": {"family": "hill", "theta": 0.5,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simspec.errors import InvalidInputError, OracleFailureError
+from simspec.errors import InvalidInputError, NotInvertibleError, OracleFailureError
 from simspec.models import kernel_model
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum
 from simspec.similarity import pipeline_contraction
@@ -221,6 +221,17 @@ class TestProjectionCompare:
         mdl, result, w = kernel_run
         with pytest.raises(InvalidInputError):
             projection_compare(result.u, result.u.partition, [999], 1.0)
+
+    @pytest.mark.parametrize("last", [0.0, 2e-12])
+    def test_refuses_where_the_frobenius_condition_number_exceeds_the_limit(self, last):
+        # I + U = diag(1, ..., 1, last): singular, or kappa_2 = 5e11 below the
+        # 1e12 limit while kappa_F = sqrt(6) * 5e11 lies above it
+        spec = Spectrum(np.arange(-3, 4), 2j * np.pi * np.arange(-3, 4))
+        part = Partition.trivial(spec)
+        u = np.zeros((7, 7), dtype=complex)
+        u[6, 6] = last - 1.0
+        with pytest.raises(NotInvertibleError):
+            projection_compare(BlockMatrix(part, u), part, [0], 1.0)
 
 
 class TestSpectrumReport:

@@ -101,6 +101,9 @@ def run_list(repo: str) -> list:
         ("workload kernel-split", "split", workloads["kernel-split"]),
         ("dirac N=64 mt4 csv svg", "analyze", cfg(dirac, 64, "mt4", csv=True, svg=True)),
         ("dirac N=12 mt3", "analyze", cfg(dirac, 12, "mt3")),
+        # converges at coarsening radius 5: a wide central group, blocks of
+        # multiplicity 2 and the mt3 cross-check
+        ("dirac N=6 mt3 csv", "analyze", cfg(dirac, 6, "mt3", csv=True)),
         ("dirac ungauged N=16 mt4 csv", "analyze", cfg(ungauged, 16, "mt4", csv=True)),
         ("dirac N=16 mt4 csv svg no oracle", "analyze",
          cfg(dirac, 16, "mt4", csv=True, svg=True, oracle=False)),
