@@ -123,13 +123,13 @@ def default_config() -> dict:
     }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str, cfg_path):
+def _reject_unknown(section: dict, allowed: set, where: str, cfg_path=None):
     for key in section:
         if key not in allowed:
             raise ParseError(f"unknown config key '{where}{key}'", path=cfg_path)
 
 
-def _expect(cond: bool, message: str, cfg_path):
+def _expect(cond: bool, message: str, cfg_path=None):
     if not cond:
         raise ParseError(message, path=cfg_path)
 
@@ -140,7 +140,7 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _as_number(value, name, cfg_path) -> float:
+def _as_number(value, name, cfg_path=None) -> float:
     _expect(_is_number(value), f"'{name}' must be a finite number", cfg_path)
     return float(value)
 
@@ -178,8 +178,8 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
         _expect(isinstance(raw["oracle"], bool), "'oracle' must be a boolean", cfg_path)
         cfg["oracle"] = raw["oracle"]
     if "seed" in raw:
-        _expect(isinstance(raw["seed"], int) and not isinstance(raw["seed"], bool),
-                "'seed' must be an integer", cfg_path)
+        _expect(type(raw["seed"]) is int and raw["seed"] >= 0,  # a bool is no seed
+                "'seed' must be a non-negative integer", cfg_path)
         cfg["seed"] = raw["seed"]
     trunc = cfg["truncation"]
     _expect(isinstance(trunc["half_width"], int) and trunc["half_width"] >= 2,
@@ -200,7 +200,8 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
     for key, path in cfg["output"].items():
         _expect(isinstance(path, str), f"'output.{key}' must be a string", cfg_path)
     family = cfg["model"].get("family")
-    _expect(family in MODELS, f"'model.family' must be one of {', '.join(sorted(MODELS))}", cfg_path)
+    _expect(isinstance(family, str) and family in MODELS,  # a list or object is unhashable
+            f"'model.family' must be one of {', '.join(sorted(MODELS))}", cfg_path)
     # dirac carries two coordinates per index, the other families one
     dim = (2 * trunc["half_width"] + 1) * (2 if family == "dirac" else 1)
     _expect(16 * dim * dim <= _DENSE_ARRAY_CAP_MIB * 2**20,
@@ -227,80 +228,74 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _parse_coeff_map(obj, where: str, cfg_path) -> dict:
-    _expect(isinstance(obj, dict), f"'{where}' must be an object of index: value", cfg_path)
+def _parse_coeff_map(obj, where: str) -> dict:
+    _expect(isinstance(obj, dict), f"'{where}' must be an object of index: value")
     out = {}
     for key, val in obj.items():
         try:
             k = int(key)
         except (TypeError, ValueError):
-            raise ParseError(f"'{where}' key {key!r} is not an integer index", path=cfg_path)
+            raise ParseError(f"'{where}' key {key!r} is not an integer index")
         if _is_number(val):
             out[k] = complex(val)
         elif isinstance(val, list) and len(val) == 2 and all(_is_number(p) for p in val):
             out[k] = complex(val[0], val[1])
         else:
-            raise ParseError(
-                f"'{where}.{key}' must be a finite number or a [re, im] pair", path=cfg_path
-            )
+            raise ParseError(f"'{where}.{key}' must be a finite number or a [re, im] pair")
     return out
 
 
-def _coeffs_from_config(model_cfg: dict, base_dir: str, cfg_path, required: bool):
+def _coeffs_from_config(model_cfg: dict, base_dir: str) -> dict:
     inline = model_cfg.get("coeffs")
     fname = model_cfg.get("coeffs_file")
     if inline is not None and fname is not None:
-        raise ParseError("'model.coeffs' and 'model.coeffs_file' are mutually exclusive",
-                         path=cfg_path)
+        raise ParseError("'model.coeffs' and 'model.coeffs_file' are mutually exclusive")
     if inline is not None:
-        return _parse_coeff_map(inline, "model.coeffs", cfg_path)
+        return _parse_coeff_map(inline, "model.coeffs")
     if fname is not None:
-        _expect(isinstance(fname, str), "'model.coeffs_file' must be a string", cfg_path)
+        _expect(isinstance(fname, str), "'model.coeffs_file' must be a string")
         return coeffs_from_csv(os.path.join(base_dir, fname))
-    if required:
-        raise ParseError("this model family needs 'model.coeffs' or 'model.coeffs_file'",
-                         path=cfg_path)
-    return None
+    raise ParseError("this model family needs 'model.coeffs' or 'model.coeffs_file'")
 
 
-def _dirac_potentials(model_cfg: dict, base_dir: str, cfg_path) -> dict:
+def _dirac_potentials(model_cfg: dict, base_dir: str) -> dict:
     pots = model_cfg.get("potentials")
-    _expect(isinstance(pots, dict), "family dirac needs 'model.potentials'", cfg_path)
-    _reject_unknown(pots, {"v1", "v2", "v3", "v4"}, "model.potentials.", cfg_path)
+    _expect(isinstance(pots, dict), "family dirac needs 'model.potentials'")
+    _reject_unknown(pots, {"v1", "v2", "v3", "v4"}, "model.potentials.")
     parsed = {}
     for name in ("v1", "v2", "v3", "v4"):
-        _expect(name in pots, f"'model.potentials.{name}' is required", cfg_path)
+        _expect(name in pots, f"'model.potentials.{name}' is required")
         entry = pots[name]
         if isinstance(entry, dict) and set(entry) == {"file"}:
             _expect(isinstance(entry["file"], str),
-                    f"'model.potentials.{name}.file' must be a string", cfg_path)
+                    f"'model.potentials.{name}.file' must be a string")
             parsed[name] = coeffs_from_csv(os.path.join(base_dir, entry["file"]))
         else:
-            parsed[name] = _parse_coeff_map(entry, f"model.potentials.{name}", cfg_path)
+            parsed[name] = _parse_coeff_map(entry, f"model.potentials.{name}")
     return parsed
 
 
-def build_model(cfg: dict, cfg_path=None):
+def build_model(cfg: dict):
     """Instantiate the configured model problem; refuse a perturbation
     whose norm overflows."""
     model_cfg = cfg["model"]
     family = model_cfg["family"]
     for key in _MODEL_KEYS[1:]:
         _expect(key in _FAMILY_KEYS[family] or key not in model_cfg,
-                f"'model.{key}' is not used by family {family}", cfg_path)
+                f"'model.{key}' is not used by family {family}")
     base_dir = cfg.get("_base_dir", ".")
     half = cfg["truncation"]["half_width"]
     if family == "kernel":
         model = model_lib.kernel_model(half)
     elif family == "dirac":
-        pots = _dirac_potentials(model_cfg, base_dir, cfg_path)
+        pots = _dirac_potentials(model_cfg, base_dir)
         gauge = model_cfg.get("gauge", True)
-        _expect(isinstance(gauge, bool), "'model.gauge' must be a boolean", cfg_path)
+        _expect(isinstance(gauge, bool), "'model.gauge' must be a boolean")
         model = model_lib.dirac_model(half, **pots, gauge=gauge)
     else:
-        _expect(family != "hill" or "theta" in model_cfg, "family hill needs 'model.theta'", cfg_path)
-        theta = _as_number(model_cfg.get("theta", 0.0), "model.theta", cfg_path)
-        coeffs = _coeffs_from_config(model_cfg, base_dir, cfg_path, required=True)
+        _expect(family != "hill" or "theta" in model_cfg, "family hill needs 'model.theta'")
+        theta = _as_number(model_cfg.get("theta", 0.0), "model.theta")
+        coeffs = _coeffs_from_config(model_cfg, base_dir)
         model = MODELS[family](half, theta, coeffs)
     # hs() is taken once here and stored; its sum may overflow to inf
     hs = model.perturbation.hs()
@@ -464,8 +459,6 @@ def _svg_scatter(series, path, title):
     width, height, margin = 640, 420, 56
     xs = [p[0] for _, _, pts in series for p in pts]
     ys = [p[1] for _, _, pts in series for p in pts]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
     # an axis span below 1e-6 max|coordinate| is rounding noise (the
     # imaginary parts of a real spectrum): widen it about its midpoint,
     # so that the noise neither sets the scale nor moves a point
@@ -849,6 +842,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process at the first call."""
@@ -865,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text, description=text)
         sp.add_argument("--config", default=None, help="JSON run configuration")
         sp.add_argument("--out", default=".", help="directory for reports")
-        sp.add_argument("--seed", type=int, default=None, help="seed for randomized checks")
+        sp.add_argument("--seed", type=_seed, default=None, help="seed for randomized checks")
         sp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     return parser
 

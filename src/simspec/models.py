@@ -424,8 +424,6 @@ def hill_model(half_width: int, theta: float, coeffs) -> ModelProblem:
         z = 0.0 + 0.0j
         for k in support:
             ell = n - k  # then n - ell = k runs over the support
-            if ell == n:
-                continue
             z += (
                 coeffs.get(n - ell, 0.0)
                 * coeffs.get(ell - n, 0.0)

@@ -333,11 +333,6 @@ class BlockMatrix:
         d = partition.spectrum.dim
         return cls(partition, np.zeros((d, d), dtype=complex))
 
-    @classmethod
-    def identity(cls, partition: Partition) -> "BlockMatrix":
-        d = partition.spectrum.dim
-        return cls(partition, np.eye(d, dtype=complex))
-
     # -- structure ----------------------------------------------------
 
     def dense(self) -> np.ndarray:

@@ -525,25 +525,17 @@ def pipeline_coarse(
     """Two stages: preliminary transform at radius m, then a weighted
     coarse fixed point at radius k >= m.
 
-    Stage one trades B for JB + B0 with small B0; stage two needs its
-    own coarsening at least as coarse as stage one so the stage-one
-    diagonal survives the stage-two projection.
+    Stage one trades B for Q = JB + B0 with small B0; stage two runs on
+    a coarsening at least as coarse as stage one, so that J_k(JB G_k X*)
+    vanishes and the stage-one diagonal survives the projection: the
+    fixed point's own identity J X* = J(Q G X*) + J Q then reads
+    V = JB + J_k(B0 (I + G_k X*)).
     """
     one = _stage_one(spectrum, b)
     prelim = one.prelim
     fp, selection = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
                                start=prelim.smoother.partition.radius,
                                margin=margin, tol=tol, max_iter=max_iter)
-
-    # the stage-one diagonal must survive inside V:
-    # V = JB|_m + (B0 (I + G_k X*)) projected onto the coarse blocks
-    part_k = fp.x_star.partition
-    b0_k = _move(prelim.remainder, part_k)
-    jb_k = _move(prelim.diagonal, part_k)
-    v_alt = jb_k + block_diagonal(b0_k @ (BlockMatrix.identity(part_k) + fp.u))
-    cross = (fp.v - v_alt).hs()
-    if cross > 1e-8 * max(1.0, fp.v.hs()):
-        raise InvariantBreachError(f"diagonal reconstruction mismatch {cross!r}")
     return _result(
         "mt3", spectrum, one.b, fp, smoother=prelim.smoother,
         certificates={**one.certificates, "coarsening": selection},

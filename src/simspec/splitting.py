@@ -284,7 +284,7 @@ def split_eigenpair(
             rhs=cert["rhs"],
         )
     s = op.s_diag
-    b21_norm = float(np.linalg.norm(op.b21))
+    b21_norm = bounds.b21_norm
     floor = max(b21_norm, 1e-300)
     z = np.zeros_like(op.b21)
     # B22 S z is zero off the live coordinates; with none live (the

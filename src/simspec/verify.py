@@ -252,7 +252,7 @@ def projection_compare(
     direct = eye_u @ (p[:, None] * inv) - np.diag(p)
     consistency = float(np.linalg.norm(diff - direct))
     lhs = BlockMatrix(partition, diff).hs_sigma()
-    u_sigma = BlockMatrix(partition, u.data.copy()).hs_sigma()
+    u_sigma = BlockMatrix(partition, u.data).hs_sigma()
     u_w = float(weighted_norm) if weighted_norm is not None else u_sigma
     rhs = 2.0 * u_w * alpha_sigma / (1.0 - u_sigma) if u_sigma < 1.0 else math.inf
     return {

@@ -136,6 +136,14 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
         assert main([]) == 1
 
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # numpy's generators take no negative seed; refused before any run
+        assert main(["verify", "--seed", "-1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --seed: must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "verify_report.json").exists()
+
     def test_missing_config(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -472,7 +480,7 @@ def _configs(draw):
     # v.csv is a valid coefficient file, bad.csv a malformed one, missing.csv absent
     files = st.sampled_from(["bad.csv", "missing.csv", 3, None, ["v.csv"]])
     family = draw(st.sampled_from(["kernel", "involution", "hill", "dirac"]))
-    model = {"family": family}
+    model = {"family": pick(st.just(family), st.sampled_from([[family], {}, 1, None]))}
     if family in ("involution", "hill"):
         model["theta"] = draw(st.floats(-2.0, 2.0))
         if draw(st.booleans()):
@@ -502,6 +510,7 @@ def _configs(draw):
         },
         "oracle": draw(st.booleans()),
         "output": output,
+        "seed": pick(st.integers(0, 2**64), st.integers(-2**64, -1)),
     }
 
 
@@ -554,10 +563,14 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
       "truncation": {"half_width": 2}, "pipeline": "mt2"}, 0),
     ({"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
       "truncation": {"half_width": 8}, "pipeline": "mt3"}, 2),
+    ({"model": {"family": ["kernel"]}}, 2),
+    ({"model": {"family": {}}}, 2),
+    ({"model": _HILL, "seed": -1}, 2),
 ], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
         "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
         "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
-        "hill-near-integer-theta", "hill-overflow"])
+        "hill-near-integer-theta", "hill-overflow", "family-list", "family-object",
+        "negative-seed"])
 def test_exit_code_probes(tmp_path, capsys, cfg, code):
     path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
     assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == code
@@ -575,7 +588,9 @@ _OVERFLOW = {"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
     ("verify", _OVERFLOW, 2),
     ("verify", {"model": {"family": "kernel", "theta": 0.5}, "truncation": {"half_width": 8}}, 2),
     ("verify", {"truncation": {"half_width": 32}, "pipeline": "mt2"}, 3),
-], ids=["split-overflow", "verify-overflow", "verify-kernel-theta", "verify-kernel-mt2"])
+    ("verify", {"truncation": {"half_width": 8}, "seed": -1}, 2),
+], ids=["split-overflow", "verify-overflow", "verify-kernel-theta", "verify-kernel-mt2",
+        "verify-negative-seed"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
     # split refuses what analyze refuses (see test_exit_code_probes), and
@@ -584,7 +599,11 @@ def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
     assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if command == "verify":
+    if "seed" in cfg:
+        # refused with the config, before the battery runs or seeds anything
+        assert err.startswith("error: 'seed' must be a non-negative integer")
+        assert not (tmp_path / "verify_report.json").exists()
+    elif command == "verify":
         report = json.loads((tmp_path / "verify_report.json").read_text())
         failed = [c for c in report["checks"] if not c["passed"]]
         assert [(c["name"], c["severity"]) for c in failed] == [("pipeline_invariants", code)]

@@ -69,3 +69,12 @@ def test_differences_pairs_each_item_with_what_moved():
         ("stdout", ["line 2: b -> c"]),
         ("r.json", ["x: 1 -> 2"]),
     ]
+
+
+def test_package_lines_counts_only_python_files(tmp_path):
+    pkg = tmp_path / "simspec"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "a.cpython-311.pyc").write_bytes(b"\n\n\n\n")
+    assert compare_outputs.package_lines(str(tmp_path)) == 3

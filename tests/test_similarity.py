@@ -15,9 +15,11 @@ from simspec.opmatrix import (
 )
 from simspec.similarity import (
     PIPELINES,
+    _move,
     _rebase_frame,
     _rebased,
     _stage_one,
+    _stage_two,
     block_eigenvalue_estimates,
     contraction_step,
     fixed_point,
@@ -298,6 +300,28 @@ def test_smoother_gate_reads_the_exact_operator_norm(build, pipeline):
     g = commutator_inverse(BlockMatrix(part, mdl.perturbation.data))
     assert cert["smoother_op_norm"] == np.linalg.norm(g.data, 2)
     assert res.stages[0]["scan"][-1]["smoother_op_norm"] == cert["smoother_op_norm"]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: kernel_model(64),
+    lambda: hill_model(32, 0.5, {1: 5, -1: 5}),
+    lambda: dirac_model(6, {0: 0.15}, {1: 0.1, -1: 0.1}, {0: 0.1}, {2: 0.05, -2: 0.05}),
+], ids=["kernel64", "hill5-32", "dirac6-gauged"])
+def test_coarse_fixed_point_keeps_the_stage_one_diagonal(build):
+    # stage two of mt3 runs on Q = JB_m + B0 at k >= m, where
+    # J_k(JB_m G_k X*) = 0; the fixed point's own identity
+    # J X* = J(Q G X*) + J Q then reads J X* = JB_m + J_k(B0 (I + G_k X*))
+    mdl = build()
+    one = _stage_one(mdl.spectrum, mdl.perturbation)
+    prelim = one.prelim
+    fp, _ = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
+                       start=prelim.smoother.partition.radius,
+                       margin=0.9, tol=1e-12, max_iter=200)
+    part = fp.x_star.partition
+    eye = BlockMatrix(part, np.eye(mdl.spectrum.dim))
+    v_ref = _move(prelim.diagonal, part) + block_diagonal(_move(prelim.remainder, part) @ (eye + fp.u))
+    assert part.radius >= prelim.smoother.partition.radius
+    assert (fp.v - v_ref).hs() <= 1e-12 * max(1.0, fp.v.hs())
 
 
 class TestEstimates:

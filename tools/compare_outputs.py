@@ -12,7 +12,9 @@ before the text is compared.  It prints one line per run and exits 1 if
 any run differs.  Under a differing run it names what moved: up to
 10 differing leaf paths of a JSON file, with both values (and, for two
 floats, their relative change |new - old| / |old|), and the first
-differing line of stdout, stderr or any other file (a CSV row).
+differing line of stdout, stderr or any other file (a CSV row).  Its
+last line gives the number of lines in the ``.py`` files of
+``src/simspec`` in both trees.
 
 The dirac potentials and the two benchmark workload configs are read
 from ``bench/workloads.py`` in a child process, so that this script
@@ -101,8 +103,8 @@ def run_list(repo: str) -> list:
         ("workload kernel-split", "split", workloads["kernel-split"]),
         ("dirac N=64 mt4 csv svg", "analyze", cfg(dirac, 64, "mt4", csv=True, svg=True)),
         ("dirac N=12 mt3", "analyze", cfg(dirac, 12, "mt3")),
-        # converges at coarsening radius 5: a wide central group, blocks of
-        # multiplicity 2 and the mt3 cross-check
+        # converges at coarsening radius 5: a wide central group and blocks
+        # of multiplicity 2
         ("dirac N=6 mt3 csv", "analyze", cfg(dirac, 6, "mt3", csv=True)),
         ("dirac ungauged N=16 mt4 csv", "analyze", cfg(ungauged, 16, "mt4", csv=True)),
         ("dirac N=16 mt4 csv svg no oracle", "analyze",
@@ -128,10 +130,13 @@ def run_list(repo: str) -> list:
         ("spectra_agree dirac N=5 mt3", "analyze", cfg(ill, 5, "mt3")),
         ("overflow hill N=8 mt3", "analyze", cfg(overflow, 8, "mt3")),
         ("overflow hill N=8 split", "split", cfg(overflow, 8, "mt3")),
+        ("family list analyze", "analyze", cfg({"family": ["kernel"]}, 8, "mt1")),
         ("verify", "verify", None),
         ("verify kernel theta N=8", "verify", cfg({**kernel, "theta": 0.5}, 8, "auto")),
         ("verify kernel N=32 mt2", "verify", cfg(kernel, 32, "mt2")),
         ("verify overflow hill N=8", "verify", cfg(overflow, 8, "mt3")),
+        # the --seed 7 of every run overrides this seed only once it is valid
+        ("verify config seed -1", "verify", cfg(kernel, 8, "auto", seed=-1)),
     ]
 
 
@@ -144,6 +149,17 @@ def extract_src(rev: str, dest: str) -> str:
         else:
             archive.extractall(dest)
     return os.path.join(dest, "src")
+
+
+def package_lines(src: str) -> int:
+    """Number of lines in the ``.py`` files of ``src/simspec``."""
+    pkg = os.path.join(src, "simspec")
+    total = 0
+    for fname in sorted(os.listdir(pkg)):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname), "rb") as fh:
+                total += fh.read().count(b"\n")
+    return total
 
 
 def run_one(src: str, root: str, name: str, command: str, cfg) -> dict:
@@ -280,6 +296,8 @@ def main(argv=None) -> int:
                     for line in lines:
                         print(f"      {what}: {line}")
                 sys.stdout.flush()
+        print(f"src/simspec lines: base {package_lines(sides['base'])}, "
+              f"work {package_lines(sides['work'])}")
     return 1 if any_diff else 0
 
 
