@@ -249,13 +249,15 @@ def involution_model(half_width: int, theta: float, coeffs) -> ModelProblem:
     first = np.array([phase * tw.get(2 * n, 0.0) for n in idx], dtype=complex)
     # second order: sum over ell != n of (phase c_{ell+n})^2 / (2 pi i (ell - n)),
     # added in ascending ell for all n at once; a sum that starts at +0.0
-    # never turns -0.0, so the zero terms of absent coefficients change nothing
+    # never turns -0.0, so the zero terms of absent coefficients change nothing;
+    # a square that overflows makes ||B||_F overflow, and the CLI refuses B
     squares = _coeff_table({k: phase * phase * c * c for k, c in tw.items()}, kmax)
     second = np.zeros(spec.dim, dtype=complex)
-    for ell in idx:
-        gap = ell - idx
-        off = gap != 0
-        second[off] += squares[ell + idx[off] + kmax] / (2j * np.pi * gap[off])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in idx:
+            gap = ell - idx
+            off = gap != 0
+            second[off] += squares[ell + idx[off] + kmax] / (2j * np.pi * gap[off])
     return ModelProblem(
         name="involution",
         spectrum=spec,
@@ -306,13 +308,16 @@ _FFT_STABLE = 1e-10
 
 
 def _fft_coefficients(values_on, kmax: int, grid_size: int) -> np.ndarray:
-    """Coefficients c_r, |r| <= kmax, of a 1-periodic callable by FFT."""
+    """Coefficients c_r, |r| <= kmax, of a 1-periodic callable by FFT;
+    refuses samples, then coefficients, that are not finite."""
     t = np.arange(grid_size) / grid_size
-    c = np.fft.fft(values_on(t)) / grid_size
-    out = np.empty(2 * kmax + 1, dtype=complex)
-    for r in range(-kmax, kmax + 1):
-        out[r + kmax] = c[r % grid_size]
-    return out
+    values = values_on(t)
+    if np.isfinite(values).all():
+        c = np.fft.fft(values) / grid_size
+        if np.isfinite(c).all():
+            return c[np.arange(-kmax, kmax + 1) % grid_size]
+    raise InvalidInputError("the gauged potential overflows on the FFT grid; "
+                            "scale the potentials down")
 
 
 def _stable_fft_coefficients(values_on, kmax: int) -> np.ndarray:
@@ -324,14 +329,15 @@ def _stable_fft_coefficients(values_on, kmax: int) -> np.ndarray:
     size = _FFT_START
     while size <= 4 * kmax:
         size *= 2
-    prev = _fft_coefficients(values_on, kmax, size)
-    while size <= _FFT_LIMIT:
-        size *= 2
-        cur = _fft_coefficients(values_on, kmax, size)
-        scale = max(1.0, float(np.abs(cur).max()))
-        if float(np.abs(cur - prev).max()) <= _FFT_STABLE * scale:
-            return cur
-        prev = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        prev = _fft_coefficients(values_on, kmax, size)
+        while size <= _FFT_LIMIT:
+            size *= 2
+            cur = _fft_coefficients(values_on, kmax, size)
+            scale = max(1.0, float(np.abs(cur).max()))
+            if float(np.abs(cur - prev).max()) <= _FFT_STABLE * scale:
+                return cur
+            prev = cur
     raise ResolutionError(
         f"potential coefficients did not stabilize below grid size {_FFT_LIMIT}"
     )
@@ -422,13 +428,8 @@ def hill_model(half_width: int, theta: float, coeffs) -> ModelProblem:
     support = sorted(k for k in coeffs if k != 0)
     for i, n in enumerate(idx.tolist()):
         z = 0.0 + 0.0j
-        for k in support:
-            ell = n - k  # then n - ell = k runs over the support
-            z += (
-                coeffs.get(n - ell, 0.0)
-                * coeffs.get(ell - n, 0.0)
-                / (4.0 * np.pi**2 * (ell - n) * (ell + n - theta))
-            )
+        for k in support:  # ell = n - k, so ell - n = -k and ell + n = 2n - k
+            z += coeffs[k] * coeffs.get(-k, 0.0) / (4.0 * np.pi**2 * -k * (2 * n - k - theta))
         second[i] = z
     return ModelProblem(
         name="hill",

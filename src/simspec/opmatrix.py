@@ -12,9 +12,9 @@ pipelines) works on these three types:
 * :class:`Partition` -- a spectrum plus a coarsening radius m: the
   indices |n| <= m form one central group and every other index is a
   group of its own (m = -1: singletons only); groups are numbered in
-  index order, so each group is one run of dense positions, and the
-  partition caches the tables the transforms read, its same-group mask,
-  its divisor table and its groups of each width above 1,
+  index order, so each group is one run of dense positions; the
+  partition caches no d x d table, only its groups of each width above
+  1 and the positions of the entries inside its diagonal blocks,
 * :class:`BlockMatrix` -- an immutable dense matrix read block by block.
 
 A block operator has one representation, its dense matrix, so products
@@ -186,9 +186,8 @@ class Partition:
         self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
         # positions of the groups of width 1
         self.narrow = self.dims[self.gid_of_position] == 1
-        self._same_group = None
-        self._divisors = None
         self._wide = None
+        self._in_block = None
 
     @classmethod
     def trivial(cls, spectrum: Spectrum) -> "Partition":
@@ -204,26 +203,6 @@ class Partition:
             raise InvalidInputError("central group is empty")
         return cls(spectrum, m)
 
-    def same_group_mask(self) -> np.ndarray:
-        """Boolean D x D mask, True where row and column share a group."""
-        if self._same_group is None:
-            g = self.gid_of_position
-            self._same_group = g[:, None] == g[None, :]
-        return self._same_group
-
-    def divisors(self) -> np.ndarray:
-        """D x D table lambda_row - lambda_col with same-group entries set to 1.
-
-        Same-group entries are placeholders, never legitimate divisions;
-        the commutator inverse zeroes them.
-        """
-        if self._divisors is None:
-            lam = self.spectrum.position_values
-            diff = lam[:, None] - lam[None, :]
-            diff[self.same_group_mask()] = 1.0
-            self._divisors = diff
-        return self._divisors
-
     def wide_classes(self) -> list:
         """``(group ids, positions)`` per group width above 1, ascending.
 
@@ -238,9 +217,18 @@ class Partition:
                 self._wide.append((gids, self.bounds[gids][:, None] + np.arange(w)))
         return self._wide
 
-    def group_positions(self, g: int) -> np.ndarray:
-        """Dense positions of group ``g``, ascending."""
-        return np.arange(self.bounds[g], self.bounds[g] + self.dims[g])
+    def block_entries(self) -> tuple:
+        """``(rows, cols)`` of every entry inside a diagonal block: the
+        width-1 groups, then the w x w blocks of each width class."""
+        if self._in_block is None:
+            p = np.flatnonzero(self.narrow)
+            rows, cols = [p], [p]
+            for _, pos in self.wide_classes():
+                w = pos.shape[1]
+                rows.append(np.repeat(pos, w, axis=1).ravel())
+                cols.append(np.tile(pos, w).ravel())
+            self._in_block = (np.concatenate(rows), np.concatenate(cols))
+        return self._in_block
 
     def equivalent(self, other: "Partition") -> bool:
         """Same groups in the same order over the same spectrum."""

@@ -13,9 +13,9 @@ U and V come out of a fixed point of the quadratic map
     Phi(X) = B GX - (GX) JB - (GX) J(B GX) + B,
 
 where J keeps diagonal blocks and G is the commutator inverse.  Both
-act on the partition of the matrix they are given, and each partition
-caches its divisor table, so every step on one partition shares it.
-A step takes one dense product, B GX: the two products with a
+act on the partition of the matrix they are given and reach its diagonal
+blocks through the positions of their entries, which the partition
+caches.  A step takes one dense product, B GX: the two products with a
 block-diagonal factor, GX JB and GX J(B GX), scale the columns of GX on
 the width-1 groups and take one batched product per wider width, and
 the diagonal identity checked at the fixed point reads only the
@@ -300,28 +300,28 @@ def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
     """Eigenvalues of A - V per diagonal block of the partition of ``v``,
     tagged by spectrum index.
 
-    Singleton positions give lambda_n - V_nn directly; larger blocks are
-    diagonalized and their eigenvalues paired to member indices by
-    closeness to the free eigenvalues.  ``labels`` overrides the tag per
-    position (used when the working spectrum is a relabeling of another).
+    Width-1 groups give lambda_p - V_pp at once; each wider width takes
+    one batched ``eigvals``, and a block's eigenvalues are paired to its
+    indices by closeness to the free eigenvalues.  ``labels``, an index
+    array, overrides the tag per position (a relabeled working spectrum).
     """
     partition = v.partition
     spectrum = partition.spectrum
     lam = spectrum.position_values
     if labels is None:
-        labels = [int(spectrum.indices[spectrum.position_entry[p]])
-                  for p in range(spectrum.dim)]
-    out = []
-    for g in range(partition.n_groups):
-        pos = partition.group_positions(g)
-        if pos.size == 1:
-            p = int(pos[0])
-            out.append((labels[p], complex(lam[p] - v.data[p, p])))
-            continue
-        blk = np.diag(lam[pos]) - v.data[np.ix_(pos, pos)]
-        vals = np.linalg.eigvals(blk)
-        match = match_spectra(lam[pos], vals)
-        out.extend((labels[pos[i]], complex(vals[j])) for i, j in match.pairs)
+        labels = spectrum.indices[spectrum.position_entry]
+    p = np.flatnonzero(partition.narrow)
+    tags, vals = [labels[p]], [lam[p] - v.data[p, p]]
+    for _, pos in partition.wide_classes():
+        w = pos.shape[1]
+        blocks = np.zeros((pos.shape[0], w, w), dtype=complex)
+        blocks[:, np.arange(w), np.arange(w)] = lam[pos]
+        blocks -= v.data[pos[:, :, None], pos[:, None, :]]
+        for block_pos, block_vals in zip(pos, np.linalg.eigvals(blocks)):
+            match = match_spectra(lam[block_pos], block_vals)
+            tags.append(labels[block_pos])
+            vals.append(block_vals[[j for _, j in match.pairs]])
+    out = list(zip(np.concatenate(tags).tolist(), np.concatenate(vals).tolist()))
     out.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
     return out
 
@@ -624,7 +624,7 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
         # W has singular value 1 on the width-1 groups and those of its blocks
         svals = np.concatenate([np.ones(int(part.narrow.any()))]
                                + [np.linalg.svd(w, compute_uv=False).ravel() for _, _, w in eig])
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             cond = float(svals.max() / svals.min())
         if not math.isfinite(cond) or cond > _REBASE_COND_LIMIT:
             raise AssumptionViolationError(
@@ -660,7 +660,7 @@ def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: floa
                                start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
-    source = [int(spectrum.indices[spectrum.position_entry[int(p)]]) for p in perm]
+    source = spectrum.indices[spectrum.position_entry[perm]]
     return _result(
         "mt4", spectrum, one.b, fp, smoother=prelim.smoother, frame=(tilde, pull, source),
         certificates={**one.certificates, "rebase": frame_info, "coarsening": selection},

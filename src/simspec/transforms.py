@@ -17,9 +17,9 @@ second a row-column dot product; the groups of each wider width take
 one batched product.
 
 A transform acts on the partition of the matrix it is given; the result
-lives on that same partition.  The commutator inverse divides by the
-partition's divisor table, which the partition builds once and caches,
-as it does its same-group mask and its width classes.
+lives on that same partition.  Each reaches the diagonal blocks through
+the positions of their entries, which the partition caches; no d x d
+table outlives a call.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ __all__ = [
 
 def block_diagonal(x: BlockMatrix) -> BlockMatrix:
     """Diagonal-block part of ``x`` (one block per group kept)."""
-    same = x.partition.same_group_mask()
-    return BlockMatrix(x.partition, np.where(same, x.data, 0.0))
+    rows, cols = x.partition.block_entries()
+    out = np.zeros(x.data.shape, dtype=complex)
+    out[rows, cols] = x.data[rows, cols]
+    return BlockMatrix(x.partition, out)
 
 
 def times_block_diagonal(x: BlockMatrix, m: BlockMatrix) -> BlockMatrix:
@@ -79,8 +81,10 @@ def block_diagonal_of_product(x: BlockMatrix, y: BlockMatrix) -> BlockMatrix:
 
 def off_diagonal_part(x: BlockMatrix) -> BlockMatrix:
     """``x`` minus its diagonal blocks."""
-    same = x.partition.same_group_mask()
-    return BlockMatrix(x.partition, np.where(same, 0.0, x.data))
+    rows, cols = x.partition.block_entries()
+    out = x.data.copy()
+    out[rows, cols] = 0.0
+    return BlockMatrix(x.partition, out)
 
 
 def commutator_inverse(x: BlockMatrix) -> BlockMatrix:
@@ -90,8 +94,13 @@ def commutator_inverse(x: BlockMatrix) -> BlockMatrix:
     positions in different groups and exactly zero inside a group.
     """
     part = x.partition
-    data = np.where(part.same_group_mask(), 0.0, x.data / part.divisors())
-    return BlockMatrix(part, data)
+    rows, cols = part.block_entries()
+    lam = part.spectrum.position_values
+    out = lam[:, None] - lam[None, :]
+    out[rows, cols] = 1.0
+    np.divide(x.data, out, out=out)
+    out[rows, cols] = 0.0
+    return BlockMatrix(part, out)
 
 
 def commutator_residual(x: BlockMatrix) -> float:

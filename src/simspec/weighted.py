@@ -124,12 +124,11 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
     sorted_lev = lev_g[order]
     cm = np.maximum.accumulate(m[:, order], axis=1)[order]
     sm = np.maximum.accumulate(cm[::-1], axis=0)[::-1]
+    # level h reads row ncols and column ncols - 1, ncols = #{|l| < h}
+    ncols = np.searchsorted(sorted_lev, np.arange(1, kmax + 1))
+    ok = (ncols >= 1) & (ncols < sorted_lev.size)
     alpha_prime = np.zeros(kmax + 1)
-    for h in range(1, kmax + 1):
-        ncols = int(np.searchsorted(sorted_lev, h, side="left"))
-        rstart = ncols
-        if ncols >= 1 and rstart < sorted_lev.size:
-            alpha_prime[h] = sm[rstart, ncols - 1]
+    alpha_prime[1:][ok] = sm[ncols[ok], ncols[ok] - 1]
 
     sqrt_eta = float(np.sqrt(gap_inverse_square_sum(spec)))
     return WeightSequence(spectrum=spec, alpha=alpha, alpha_prime=alpha_prime, sqrt_eta=sqrt_eta)

@@ -531,6 +531,7 @@ def _configs(draw):
 @example(command="analyze", cfg={"model": {**_HILL, "coeffs": {"100000000000000000000": 1}}})
 @example(command="analyze", cfg={"model": _HILL, "pipeline": "mt3",
                                  "tolerances": {"contraction_margin": 1.0}})
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
     # exit 1 is usage and 4 / 5 are oracle and invariant failures; no
     # config may reach them, nor end in an exception
@@ -566,17 +567,28 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
     ({"model": {"family": ["kernel"]}}, 2),
     ({"model": {"family": {}}}, 2),
     ({"model": _HILL, "seed": -1}, 2),
+    # gauged dirac: a potential sum that overflows, and a gauge factor
+    # exp(-Im g) that does; both are refused before the FFT
+    ({"model": {"family": "dirac", "gauge": True, "potentials": {
+        "v1": {}, "v2": {"1": 1.7e308, "-1": 1.7e308}, "v3": {}, "v4": {}}},
+      "truncation": {"half_width": 4}, "pipeline": "mt4"}, 2),
+    ({"model": {"family": "dirac", "gauge": True, "potentials": {
+        "v1": {"1": [0, 1e5]}, "v2": {"0": 0.1}, "v3": {"0": 0.1}, "v4": {}}},
+      "truncation": {"half_width": 4}, "pipeline": "mt4"}, 2),
 ], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
         "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
         "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
         "hill-near-integer-theta", "hill-overflow", "family-list", "family-object",
-        "negative-seed"])
+        "negative-seed", "dirac-gauged-sum-overflow", "dirac-gauged-exp-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_probes(tmp_path, capsys, cfg, code):
     path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
     assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert (code == 0) == (not err.startswith("error:"))
+    if code:
+        assert err.count("\n") == 1
 
 
 _OVERFLOW = {"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},

@@ -21,6 +21,8 @@ from simspec.opmatrix import (
 )
 from simspec.transforms import block_diagonal, commutator_inverse
 
+from partition_reference import group_positions, same_group_mask
+
 
 def simple_spectrum(n=4, mults=None):
     idx = np.arange(-n, n + 1)
@@ -175,6 +177,14 @@ def reference_groups(spectrum, radius):
     return positions, gid
 
 
+def in_block_mask(part):
+    """Boolean d x d mask of the entries ``part.block_entries()`` lists."""
+    d = part.spectrum.dim
+    mask = np.zeros((d, d), dtype=bool)
+    mask[part.block_entries()] = True
+    return mask
+
+
 class TestPartition:
     def test_trivial(self):
         spec = simple_spectrum(2)
@@ -190,8 +200,8 @@ class TestPartition:
         assert part.n_groups == 5
         assert list(part.dims) == [1, 2, 3, 2, 1]
         assert list(part.bounds) == [0, 1, 3, 6, 8]
-        assert list(part.group_positions(2)) == [3, 4, 5]
-        assert list(part.group_positions(1)) == [1, 2]
+        assert list(group_positions(part, 2)) == [3, 4, 5]
+        assert list(group_positions(part, 1)) == [1, 2]
         assert list(part.gid_of_position) == [0, 1, 1, 2, 2, 2, 3, 3, 4]
 
     def test_coarse_refuses_empty_center(self):
@@ -218,19 +228,24 @@ class TestPartition:
         assert np.array_equal(part.gid_of_position, gid)
         assert np.array_equal(part.dims, [p.size for p in positions])
         for g, pos in enumerate(positions):
-            assert np.array_equal(part.group_positions(g), pos)
+            assert np.array_equal(group_positions(part, g), pos)
             assert np.array_equal(pos, np.arange(part.bounds[g], part.bounds[g] + part.dims[g]))
         assert np.array_equal(part.bounds, np.cumsum([0] + [p.size for p in positions])[:-1])
-        assert np.array_equal(part.same_group_mask(), gid[:, None] == gid[None, :])
+        assert np.array_equal(same_group_mask(part), gid[:, None] == gid[None, :])
+        assert np.array_equal(in_block_mask(part), gid[:, None] == gid[None, :])
 
     def test_same_group_mask(self):
         spec = simple_spectrum(2)
         part = Partition.coarse(spec, 1)
-        mask = part.same_group_mask()
+        mask = same_group_mask(part)
         assert mask.shape == (5, 5)
         # center 3x3 block plus the two singletons
         assert mask[1:4, 1:4].all()
         assert not mask[0, 1]
+        # the partition's in-block entries are the mask's, each once
+        rows, cols = part.block_entries()
+        assert rows.size == mask.sum()
+        assert np.array_equal(in_block_mask(part), mask)
 
 
 class TestNorms:
@@ -276,7 +291,7 @@ def reference_block_spectral_sq(x):
     out = np.zeros((part.n_groups, part.n_groups))
     for gi in range(part.n_groups):
         for gj in range(part.n_groups):
-            blk = x.data[np.ix_(part.group_positions(gi), part.group_positions(gj))]
+            blk = x.data[np.ix_(group_positions(part, gi), group_positions(part, gj))]
             out[gi, gj] = np.linalg.norm(blk, 2) ** 2
     return out
 
@@ -380,7 +395,7 @@ class TestBlockSpectralSq:
         ulps8 = 8 * np.finfo(float).eps
         for gi in range(part.n_groups):
             for gj in range(part.n_groups):
-                blk = x.data[np.ix_(part.group_positions(gi), part.group_positions(gj))]
+                blk = x.data[np.ix_(group_positions(part, gi), group_positions(part, gj))]
                 ref = np.linalg.svd(blk, compute_uv=False)[0] ** 2
                 assert abs(got[gi, gj] - ref) <= ulps8 * ref
         # the chain is tight when one block holds all of x, so allow rounding

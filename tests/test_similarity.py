@@ -33,6 +33,8 @@ from simspec.similarity import (
 from simspec.transforms import block_diagonal, commutator_inverse
 from simspec.verify import match_spectra, oracle_eigenvalues
 
+from partition_reference import same_group_mask
+
 
 def spectrum(n):
     idx = np.arange(-n, n + 1)
@@ -109,7 +111,7 @@ def test_contraction_step_matches_three_products(block_partition, seed):
 def random_block_diagonal(rng, part, scale=0.3):
     """A D block diagonal on ``part``, as JB is on the stage-one partition."""
     data = random_block(rng, part, scale).data
-    return BlockMatrix(part, np.where(part.same_group_mask(), data, 0.0))
+    return BlockMatrix(part, np.where(same_group_mask(part), data, 0.0))
 
 
 def dense_frame(d, perm):

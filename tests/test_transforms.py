@@ -21,6 +21,8 @@ from simspec.transforms import (
     times_block_diagonal,
 )
 
+from partition_reference import same_group_mask
+
 
 def spectrum(n=4):
     idx = np.arange(-n, n + 1)
@@ -40,7 +42,7 @@ def test_projection_splits_matrix():
     off = off_diagonal_part(x)
     assert np.allclose(j.dense() + off.dense(), x.dense())
     # the block diagonal lives on the same-group mask only
-    assert np.all(j.dense()[~part.same_group_mask()] == 0.0)
+    assert np.all(j.dense()[~same_group_mask(part)] == 0.0)
 
 
 def test_projection_is_idempotent():
@@ -65,7 +67,7 @@ def test_commutator_inverse_is_off_diagonal():
     rng = np.random.default_rng(2)
     part = Partition.coarse(spectrum(4), 2)
     gx = commutator_inverse(rand(rng, part))
-    assert np.all(gx.dense()[part.same_group_mask()] == 0.0)
+    assert np.all(gx.dense()[same_group_mask(part)] == 0.0)
     assert block_diagonal(gx).hs() == 0.0
 
 
@@ -117,7 +119,7 @@ def test_times_block_diagonal_matches_dense_product(block_partition, seed):
     gx = commutator_inverse(x)
     got = times_block_diagonal(gx, m)
     assert_close_hs(got, gx @ block_diagonal(m), 1e-13)
-    assert not got.data[block_partition.same_group_mask()].any()
+    assert not got.data[same_group_mask(block_partition)].any()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -129,4 +131,20 @@ def test_block_diagonal_of_product_matches_dense_product(block_partition, seed):
     assert_close_hs(block_diagonal_of_product(b, gx), block_diagonal(b @ gx), 1e-13)
     got = block_diagonal_of_product(b, x)
     assert_close_hs(got, block_diagonal(b @ x), 1e-13)
-    assert not got.data[~block_partition.same_group_mask()].any()
+    assert not got.data[~same_group_mask(block_partition)].any()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_transforms_match_the_dense_mask_reference_bit_for_bit(block_partition, seed):
+    # the d x d same-group mask and divisor table, built here, give the same bits
+    rng = np.random.default_rng(seed)
+    x = rand(rng, block_partition)
+    same = same_group_mask(block_partition)
+    lam = block_partition.spectrum.position_values
+    divisors = np.where(same, 1.0, lam[:, None] - lam[None, :])
+    for got, ref in [
+        (block_diagonal(x), np.where(same, x.data, 0.0)),
+        (off_diagonal_part(x), np.where(same, 0.0, x.data)),
+        (commutator_inverse(x), np.where(same, 0.0, x.data / divisors)),
+    ]:
+        assert got.data.tobytes() == ref.tobytes()

@@ -88,6 +88,12 @@ def run_list(repo: str) -> list:
         "v1": {"0": [0.169, 0.062], "1": [-0.153, 0.203], "-1": [-0.04, -0.088]},
         "v2": {"0": [0.147, -0.005]}, "v3": {"0": [0.022, 0.084]}, "v4": {"0": [0.099, -0.138]}}}
     overflow = {"family": "hill", "theta": 0.5, "coeffs": {"1": 1e200, "-1": 1e200}}
+    # gauged dirac whose potential sum overflows, and one whose gauge
+    # factor exp(-Im g) does
+    sum_overflow = {"family": "dirac", "gauge": True, "potentials": {
+        "v1": {}, "v2": {"1": 1.7e308, "-1": 1.7e308}, "v3": {}, "v4": {}}}
+    gauge_overflow = {"family": "dirac", "gauge": True, "potentials": {
+        "v1": {"1": [0, 1e5]}, "v2": {"0": 0.1}, "v3": {"0": 0.1}, "v4": {}}}
     involution = {"family": "involution", "theta": 0.3,
                   "coeffs": {"0": 0.06, "1": [0.03, -0.015], "-1": [0.03, 0.015]}}
     kernel = {"family": "kernel"}
@@ -130,6 +136,8 @@ def run_list(repo: str) -> list:
         ("spectra_agree dirac N=5 mt3", "analyze", cfg(ill, 5, "mt3")),
         ("overflow hill N=8 mt3", "analyze", cfg(overflow, 8, "mt3")),
         ("overflow hill N=8 split", "split", cfg(overflow, 8, "mt3")),
+        ("overflow gauged dirac N=4 mt4", "analyze", cfg(sum_overflow, 4, "mt4")),
+        ("overflow gauge factor dirac N=4 mt4", "analyze", cfg(gauge_overflow, 4, "mt4")),
         ("family list analyze", "analyze", cfg({"family": ["kernel"]}, 8, "mt1")),
         ("verify", "verify", None),
         ("verify kernel theta N=8", "verify", cfg({**kernel, "theta": 0.5}, 8, "auto")),
