@@ -19,7 +19,7 @@ from simspec.weighted import decay_weights, factorize
 mdl = kernel_model(48)
 result = pipeline_contraction(mdl.spectrum, mdl.perturbation)
 w = decay_weights(mdl.perturbation)
-uw = factorize(result.u, w).norm
+uw = factorize(result.u, w)
 
 print(f"transform norms: plain {result.u.hs_sigma():.4f}, weighted {uw:.4f}")
 print("\n   n   ||P'-P||_sigma   bound        ratio")

@@ -81,7 +81,6 @@ from .verify import (
 )
 from .weighted import (
     WeightSequence,
-    WeightedFactorization,
     decay_weights,
     factorize,
     select_coarsening,

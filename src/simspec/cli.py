@@ -55,8 +55,8 @@ from .weighted import decay_weights, weights_to_csv
 
 _SCHEMA_VERSION = 1
 _ORACLE_GATE_DIM = 600
-# a run's traced peak is 16.6 dense d x d complex arrays (16 d^2 bytes
-# each) for gauged dirac mt4 at d = 1026, 8.6 for kernel mt1 at d = 1025;
+# a run's traced peak is 13.6 dense d x d complex arrays (16 d^2 bytes
+# each) for gauged dirac mt4 at d = 1026, 7.5 for kernel mt1 at d = 1025;
 # a config whose one such array exceeds this is refused up front
 _DENSE_ARRAY_CAP_MIB = 128
 _DEFAULT_SEED = 2026

@@ -142,9 +142,12 @@ def contraction_step(x: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
 
 @dataclass
 class FixedPointResult:
-    """X* with U = G X* and V = J X*, both on the partition of X*."""
+    """U = G X* and V = J X* for the fixed point X*, both on its partition.
 
-    x_star: BlockMatrix
+    X* itself is not kept: the similarity reads it only through U and V,
+    and X* = V + [A, U] recovers it.
+    """
+
     u: BlockMatrix
     v: BlockMatrix
     iterations: int
@@ -174,7 +177,7 @@ def fixed_point(
     identity from the diagonal blocks of B G X* alone (a row-column dot
     product per width-1 group, one small product per wider group), so
     its residual is rounding noise.  The check takes U = G X* and
-    V = J X*, which the result keeps.
+    V = J X*, which the result keeps in place of X*.
     """
     norm_b = norm_fn(b)
     q_bound = 4.0 * gamma * norm_b
@@ -220,7 +223,7 @@ def fixed_point(
     resid = (v - block_diagonal_of_product(b, u) - block_diagonal(b)).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
-    return FixedPointResult(x, u, v, iterations, steps, ratio, certificate, float(resid))
+    return FixedPointResult(u, v, iterations, steps, ratio, certificate, float(resid))
 
 
 # -- preliminary transform ----------------------------------------------
@@ -366,8 +369,8 @@ def _result(
     if frame is not None:
         tilde, pull, labels = frame
         u = BlockMatrix(base, pull(u.data))
-        a_minus_v = np.diag(tilde.position_values) - v.data
-        v = BlockMatrix(base, np.diag(spectrum.position_values) - pull(a_minus_v))
+        v = BlockMatrix(base, np.diag(spectrum.position_values)
+                        - pull(np.diag(tilde.position_values) - v.data))
     if smoother is not None:
         g, u = _move(smoother, base), _move(u, base)
         u = g + u + g @ u
@@ -507,7 +510,7 @@ def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float, max_ite
     fp = fixed_point(
         _move(q, Partition.coarse(q.partition.spectrum, k)),
         gamma=selection["gamma"],
-        norm_fn=lambda z: factorize(z, w).norm,
+        norm_fn=lambda z: factorize(z, w),
         norm_name="weighted",
         tol=tol, max_iter=max_iter,
     )
@@ -655,9 +658,10 @@ def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: floa
     """Stage two of mt4 in the eigenbasis of A - D, pulled back."""
     prelim = one.prelim
     tilde, push, pull, frame_info, perm = _rebase_frame(spectrum, d)
-    hat_dense = push((prelim.diagonal - d + prelim.remainder).data)
-    fp, selection = _stage_two(BlockMatrix(Partition.trivial(tilde), hat_dense),
-                               start=0, margin=margin, tol=tol, max_iter=max_iter)
+    # the pushed perturbation goes in unbound, so it is freed with stage two
+    fp, selection = _stage_two(
+        BlockMatrix(Partition.trivial(tilde), push((prelim.diagonal - d + prelim.remainder).data)),
+        start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
     source = spectrum.indices[spectrum.position_entry[perm]]

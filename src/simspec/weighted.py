@@ -17,9 +17,11 @@ The derived sequences feed the contraction certificates:
 Weights are read on the trivial partition (radius -1), where the gap
 couplings are the plain table 1/|lambda_j - lambda_l|.
 
-Factorizing X = X_l f(A) = f(A) X_r against the weight operator
-f(A) = sum_h alpha_h P_h turns tail decay into a norm; the fixed point
-iteration of the coarse pipelines contracts in that norm.
+The weight operator f(A) = sum_h alpha_h P_h turns tail decay into a
+norm: the larger blockwise spectral norm of X f(A)^-1 and f(A)^-1 X,
+the two factors of X = (X f(A)^-1) f(A) = f(A) (f(A)^-1 X).  The fixed
+point iteration of the coarse pipelines contracts in that norm, and
+only the norm is kept, not the factors.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .opmatrix import BlockMatrix, Partition, Spectrum, gap_inverse_square_sum
 
 __all__ = [
     "WeightSequence",
-    "WeightedFactorization",
     "decay_weights",
     "factorize",
     "select_coarsening",
@@ -134,20 +135,15 @@ def decay_weights(x: BlockMatrix) -> WeightSequence:
     return WeightSequence(spectrum=spec, alpha=alpha, alpha_prime=alpha_prime, sqrt_eta=sqrt_eta)
 
 
-@dataclass(frozen=True)
-class WeightedFactorization:
-    """X = left * f(A) = f(A) * right and the induced norm."""
+def factorize(x: BlockMatrix, w: WeightSequence) -> float:
+    """The weighted norm of X: the larger ``hs_sigma`` of X f(A)^-1 and
+    f(A)^-1 X, the two factors of X against the weight operator.
 
-    left: BlockMatrix
-    right: BlockMatrix
-    norm: float
-
-
-def factorize(x: BlockMatrix, w: WeightSequence) -> WeightedFactorization:
-    """Split X against the weight operator and take the weighted norm.
-
-    Raises :class:`DegenerateWeightError` when X carries mass on a level
-    whose weight is zero (then X is not in the weighted class).
+    Only the norm is returned; each factor is dropped once its norm is
+    read.  The name stays because ``bench/tracing.py`` times this
+    function by name (``weighted.factorize``).  Raises
+    :class:`DegenerateWeightError` when X carries mass on a level whose
+    weight is zero (then X is not in the weighted class).
     """
     if not w.spectrum.same_entries(x.partition.spectrum):
         raise InvalidInputError("weights were built for a different spectrum")
@@ -155,9 +151,8 @@ def factorize(x: BlockMatrix, w: WeightSequence) -> WeightedFactorization:
     if np.any(dead):
         if np.any(x.data[:, dead] != 0.0) or np.any(x.data[dead, :] != 0.0):
             raise DegenerateWeightError("matrix has mass on zero-weight levels")
-    left = BlockMatrix(x.partition, x.data * inv[None, :])
-    right = BlockMatrix(x.partition, x.data * inv[:, None])
-    return WeightedFactorization(left, right, max(left.hs_sigma(), right.hs_sigma()))
+    left = BlockMatrix(x.partition, x.data * inv[None, :]).hs_sigma()
+    return max(left, BlockMatrix(x.partition, x.data * inv[:, None]).hs_sigma())
 
 
 def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, start: int = 0):
@@ -170,7 +165,7 @@ def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, st
     """
     if not (0.0 < margin < 1.0):
         raise InvalidInputError("margin must lie in (0, 1)")
-    wnorm = factorize(x, w).norm
+    wnorm = factorize(x, w)
     tilde = w.alpha_tilde
     best = math.inf
     for m in range(start, w.max_level):

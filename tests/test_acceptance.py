@@ -235,7 +235,7 @@ class TestCriterion08Equiconvergence:
         mdl = kernel_model(48)
         res = pipeline_contraction(mdl.spectrum, mdl.perturbation)
         w = decay_weights(mdl.perturbation)
-        uw = factorize(res.u, w).norm
+        uw = factorize(res.u, w)
         part = res.u.partition
         lhs_prev = np.inf
         monotone = bounded = True

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from simspec.models import dirac_model, kernel_model
+from simspec.models import dirac_model, hill_model, kernel_model
 from simspec.similarity import PIPELINES
 
 # the criterion-5 potentials of the dirac benchmark workload
@@ -24,9 +24,10 @@ _POTENTIALS = {
 
 
 @pytest.mark.parametrize("build, pipeline, bound", [
-    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 16.0),
-    (lambda: kernel_model(64), "mt1", 8.0),
-], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1"])
+    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 13.0),
+    (lambda: kernel_model(64), "mt1", 7.0),
+    (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 11.0),
+], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3"])
 def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
     model = build()
     d = model.spectrum.dim

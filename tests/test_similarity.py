@@ -61,8 +61,11 @@ class TestFixedPoint:
         assert res.certificate["satisfied"]
         assert res.certificate["contraction_q"] < 1.0
         assert res.identity_residual <= 1e-10 * max(1.0, b.hs())
-        # solution stays in the certified ball
-        assert (res.x_star - b).hs() <= 3.0 * b.hs() * (1 + 1e-9)
+        # solution stays in the certified ball; the commutator identity
+        # A GX - GX A = X - JX rebuilds X* = V + U o (lambda_p - lambda_q)
+        lam = spec.position_values
+        rebuilt = res.v + BlockMatrix(b.partition, res.u.data * (lam[:, None] - lam[None, :]))
+        assert (rebuilt - b).hs() <= 3.0 * b.hs() * (1 + 1e-9)
 
     def test_observed_ratio_below_certificate(self):
         spec, b = small_perturbation(6, seed=1)
@@ -75,7 +78,7 @@ class TestFixedPoint:
         b = BlockMatrix.zeros(Partition.trivial(spec))
         res = fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                           norm_name="full")
-        assert res.x_star.hs() == 0.0
+        assert res.u.hs() == 0.0 and res.v.hs() == 0.0
         assert res.iterations == 1
 
     def test_violation_raises_when_enforced(self):
@@ -319,7 +322,7 @@ def test_coarse_fixed_point_keeps_the_stage_one_diagonal(build):
     fp, _ = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
                        start=prelim.smoother.partition.radius,
                        margin=0.9, tol=1e-12, max_iter=200)
-    part = fp.x_star.partition
+    part = fp.u.partition
     eye = BlockMatrix(part, np.eye(mdl.spectrum.dim))
     v_ref = _move(prelim.diagonal, part) + block_diagonal(_move(prelim.remainder, part) @ (eye + fp.u))
     assert part.radius >= prelim.smoother.partition.radius

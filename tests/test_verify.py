@@ -199,7 +199,7 @@ class TestProjectionCompare:
         mdl, result, w = kernel_run
         u = result.u
         part = u.partition
-        uw = factorize(u, w).norm
+        uw = factorize(u, w)
         for level in (4, 8, 16):
             sigma = [n for n in mdl.spectrum.indices if abs(int(n)) >= level]
             out = projection_compare(u, part, sigma, w.alpha_of(level),
@@ -210,7 +210,7 @@ class TestProjectionCompare:
     def test_tail_factor_inequality(self, kernel_run):
         mdl, result, w = kernel_run
         u = result.u
-        uw = factorize(u, w).norm
+        uw = factorize(u, w)
         for level in (4, 12):
             sigma = [n for n in mdl.spectrum.indices if abs(int(n)) >= level]
             out = tail_factor_inequality(u, u.partition, sigma,
