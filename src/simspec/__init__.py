@@ -77,7 +77,6 @@ from .verify import (
     match_spectra,
     oracle_eigenvalues,
     projection_compare,
-    tail_weight_check,
 )
 from .weighted import (
     WeightSequence,

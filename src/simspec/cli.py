@@ -55,7 +55,7 @@ from .weighted import decay_weights, weights_to_csv
 
 _SCHEMA_VERSION = 1
 _ORACLE_GATE_DIM = 600
-# a run's traced peak is 13.6 dense d x d complex arrays (16 d^2 bytes
+# a run's traced peak is 12.6 dense d x d complex arrays (16 d^2 bytes
 # each) for gauged dirac mt4 at d = 1026, 7.5 for kernel mt1 at d = 1025;
 # a config whose one such array exceeds this is refused up front
 _DENSE_ARRAY_CAP_MIB = 128
@@ -165,8 +165,7 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
             _expect(isinstance(raw[section], dict),
                     f"'{section}' must be an object", cfg_path)
             _reject_unknown(raw[section], allowed, section + ".", cfg_path)
-            cfg.setdefault(section, {})
-            cfg[section] = {**cfg.get(section, {}), **raw[section]}
+            cfg[section] = {**cfg[section], **raw[section]}
     if "pipeline" in raw:
         _expect(raw["pipeline"] in _PIPELINE_CHOICES,
                 f"pipeline must be one of {', '.join(_PIPELINE_CHOICES)}", cfg_path)

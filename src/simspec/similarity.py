@@ -47,10 +47,13 @@ change.  Stage one scans for the least smoothing radius m with
 ||GB||_op < 1 and applies the preliminary transform there.  Stage two
 builds the decay weights of the perturbation left over, selects the
 least coarse radius k whose weighted certificate clears the margin (k >=
-m for pipeline_coarse) and runs the weighted fixed point at k.  One
-result assembly serves all four pipelines: it takes U2 = G X* and
-V2 = J X* from the last fixed point, brings them back to the frame of A,
-composes U = G + U2 + G U2 after a preliminary transform, measures the
+m for pipeline_coarse) and runs the weighted fixed point at k.  The
+stages return their pieces (the preliminary transform and its scan log,
+the mt4 frame, the coarsening selection, the fixed point), and one
+result assembly serves all four pipelines: it alone writes the stage
+entries and certificates, takes U2 = G X* and V2 = J X* from the last
+fixed point, brings them back to the frame of A, composes
+U = G + U2 + G U2 after a preliminary transform, measures the
 similarity residual and reads the estimates off the blocks of V2.
 """
 
@@ -152,7 +155,6 @@ class FixedPointResult:
     v: BlockMatrix
     iterations: int
     step_norms: list
-    observed_ratio: float
     certificate: dict
     identity_residual: float
 
@@ -223,7 +225,7 @@ def fixed_point(
     resid = (v - block_diagonal_of_product(b, u) - block_diagonal(b)).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
-    return FixedPointResult(u, v, iterations, steps, ratio, certificate, float(resid))
+    return FixedPointResult(u, v, iterations, steps, certificate, float(resid))
 
 
 # -- preliminary transform ----------------------------------------------
@@ -349,47 +351,64 @@ def _result(
     b: BlockMatrix,
     fp: FixedPointResult,
     *,
-    certificates: dict,
-    stages: list,
-    smoother: BlockMatrix | None = None,
+    prelim: PreliminaryResult | None = None,
+    scan: list | None = None,
     frame: tuple | None = None,
+    selection: dict | None = None,
 ) -> SimilarityResult:
-    """The result of a run whose last fixed point is ``fp``.
+    """The result of a run whose last fixed point is ``fp``; the only
+    writer of stage entries and certificates.
 
-    ``b`` is B on the index-per-group partition; ``certificates`` and
-    ``stages`` hold the entries of the stages before the fixed point.
-    U2 = G X* and V2 = J X* act in the frame of X*.  A ``frame``
-    ``(tilde, pull, labels)`` brings them to the frame of A, where A - V2
-    becomes pull(diag(tilde) - V2), and a ``smoother`` G composes
-    U = G + U2 + G U2.  The estimates and the off-diagonal residual are
-    read from V2 in the frame of X*, whose positions ``labels`` tag.
+    ``b`` is B on the index-per-group partition; U2 = G X* and V2 = J X*
+    act in the frame of X*.  Each optional piece is an earlier stage,
+    logged in the order the stages ran:
+
+    * ``prelim`` and its ``scan`` log: the smoothing scan and the
+      preliminary transform I + GB, whose G composes U = G + U2 + G U2;
+    * ``frame`` ``(tilde, pull, labels, info)``: the mt4 change of frame,
+      which brings U2 and V2 to the frame of A, where A - V2 becomes
+      pull(diag(tilde) - V2);
+    * ``selection``: the coarsening of stage two.
+
+    The estimates and the off-diagonal residual are read from V2 in the
+    frame of X*, whose positions ``labels`` tag.
     """
     base = b.partition
     u, v, labels = fp.u, fp.v, None
+    certificates, stages = {}, []
+    if prelim is not None:
+        smoothing = {"radius": prelim.smoother.partition.radius,
+                     "smoother_op_norm": prelim.smoother_op_norm}
+        certificates["smoothing"] = smoothing
+        stages += [{"name": "smoothing_scan", "scan": scan},
+                   {"name": "preliminary", **smoothing, "residual": prelim.residual}]
     if frame is not None:
-        tilde, pull, labels = frame
+        tilde, pull, labels, info = frame
+        certificates["rebase"] = info
+        stages.append({"name": "rebase", **info, "new_dim": int(tilde.dim)})
         u = BlockMatrix(base, pull(u.data))
         v = BlockMatrix(base, np.diag(spectrum.position_values)
                         - pull(np.diag(tilde.position_values) - v.data))
-    if smoother is not None:
-        g, u = _move(smoother, base), _move(u, base)
+    if selection is not None:
+        certificates["coarsening"] = selection
+        stages.append({"name": "coarsening", **selection})
+    if prelim is not None:
+        g, u = _move(prelim.smoother, base), _move(u, base)
         u = g + u + g @ u
+    certificates["contraction"] = fp.certificate
+    stages.append({"name": "fixed_point", "iterations": fp.iterations,
+                   "certificate": fp.certificate, "identity_residual": fp.identity_residual})
     return SimilarityResult(
         pipeline=pipeline,
         u=u,
         v=v,
-        certificates={**certificates, "contraction": fp.certificate},
+        certificates=certificates,
         iterations={"fixed_point": fp.iterations},
         residual=similarity_residual(spectrum, b, u, _move(v, base)),
         residual_scale=float(np.abs(spectrum.position_values).max() + b.hs()),
         offdiag_residual=off_diagonal_part(fp.v).hs(),
         eigenvalue_estimates=block_eigenvalue_estimates(fp.v, labels=labels),
-        stages=[*stages, {
-            "name": "fixed_point",
-            "iterations": fp.iterations,
-            "certificate": fp.certificate,
-            "identity_residual": fp.identity_residual,
-        }],
+        stages=stages,
     )
 
 
@@ -414,7 +433,7 @@ def _single_stage(
         bb, gamma=gamma, norm_fn=norm_fn, norm_name=norm_name,
         tol=tol, max_iter=max_iter,
     )
-    return _result(pipeline, spectrum, bb, fp, certificates={}, stages=[])
+    return _result(pipeline, spectrum, bb, fp)
 
 
 def pipeline_contraction(
@@ -479,26 +498,12 @@ def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
     )
 
 
-@dataclass
-class _StageOne:
-    """Preliminary similarity I + GB at the smallest smoothing radius."""
-
-    b: BlockMatrix  # B on the trivial partition
-    prelim: PreliminaryResult
-    certificates: dict
-    stages: list
-
-
-def _stage_one(spectrum: Spectrum, b: BlockMatrix) -> _StageOne:
+def _stage_one(spectrum: Spectrum, b: BlockMatrix):
+    """B on the trivial partition, the preliminary similarity I + GB at
+    the smallest smoothing radius, and the scan log."""
     bb = _move(b, Partition.trivial(spectrum))
     g, gop, scan = _scan_smoothing_radius(spectrum, bb)
-    prelim = preliminary_transform(_move(bb, g.partition), g, gop)
-    certificate = {"radius": g.partition.radius, "smoother_op_norm": prelim.smoother_op_norm}
-    stages = [
-        {"name": "smoothing_scan", "scan": scan},
-        {"name": "preliminary", **certificate, "residual": prelim.residual},
-    ]
-    return _StageOne(bb, prelim, {"smoothing": certificate}, stages)
+    return bb, preliminary_transform(_move(bb, g.partition), g, gop), scan
 
 
 def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float, max_iter: int):
@@ -534,16 +539,11 @@ def pipeline_coarse(
     fixed point's own identity J X* = J(Q G X*) + J Q then reads
     V = JB + J_k(B0 (I + G_k X*)).
     """
-    one = _stage_one(spectrum, b)
-    prelim = one.prelim
-    fp, selection = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
+    bb, prelim, scan = _stage_one(spectrum, b)
+    fp, selection = _stage_two(_move(prelim.diagonal + prelim.remainder, bb.partition),
                                start=prelim.smoother.partition.radius,
                                margin=margin, tol=tol, max_iter=max_iter)
-    return _result(
-        "mt3", spectrum, one.b, fp, smoother=prelim.smoother,
-        certificates={**one.certificates, "coarsening": selection},
-        stages=[*one.stages, {"name": "coarsening", **selection}],
-    )
+    return _result("mt3", spectrum, bb, fp, prelim=prelim, scan=scan, selection=selection)
 
 
 # -- rebase pipeline -------------------------------------------------------
@@ -653,11 +653,14 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
     return tilde, push, pull, info, perm
 
 
-def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: float,
-             tol: float, max_iter: int) -> SimilarityResult:
-    """Stage two of mt4 in the eigenbasis of A - D, pulled back."""
-    prelim = one.prelim
-    tilde, push, pull, frame_info, perm = _rebase_frame(spectrum, d)
+def _rebased(spectrum: Spectrum, prelim: PreliminaryResult, d: BlockMatrix, *,
+             margin: float, tol: float, max_iter: int):
+    """One mt4 attempt: stage two in the eigenbasis of A - D.
+
+    Returns the fixed point, the coarsening selection and the frame
+    ``(tilde, pull, labels, info)`` that brings the fixed point back.
+    """
+    tilde, push, pull, info, perm = _rebase_frame(spectrum, d)
     # the pushed perturbation goes in unbound, so it is freed with stage two
     fp, selection = _stage_two(
         BlockMatrix(Partition.trivial(tilde), push((prelim.diagonal - d + prelim.remainder).data)),
@@ -665,12 +668,7 @@ def _rebased(spectrum: Spectrum, one: _StageOne, d: BlockMatrix, *, margin: floa
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
     source = spectrum.indices[spectrum.position_entry[perm]]
-    return _result(
-        "mt4", spectrum, one.b, fp, smoother=prelim.smoother, frame=(tilde, pull, source),
-        certificates={**one.certificates, "rebase": frame_info, "coarsening": selection},
-        stages=[*one.stages, {"name": "rebase", **frame_info, "new_dim": int(tilde.dim)},
-                {"name": "coarsening", **selection}],
-    )
+    return fp, selection, (tilde, pull, source, info)
 
 
 def pipeline_rebase(
@@ -690,22 +688,27 @@ def pipeline_rebase(
     runs there.  Results are pulled back to the original frame.
 
     D is the diagonal of JB, a permutation frame.  Only if that attempt
-    fails a method condition and JB is not diagonal, D is all of JB; the
-    attempts share stage one, and if both fail the first error is raised.
+    fails a method condition and JB is not diagonal, D is all of JB.  The
+    attempts share stage one; if both fail the first error is raised,
+    otherwise the result is assembled once, after the attempt that
+    certified, with no attempt's D alive.
     """
-    one = _stage_one(spectrum, b)
-    jb = one.prelim.diagonal
-    diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
+    bb, prelim, scan = _stage_one(spectrum, b)
+    jb = prelim.diagonal
     kw = {"margin": margin, "tol": tol, "max_iter": max_iter}
     try:
-        return _rebased(spectrum, one, diag, **kw)
+        # D = diag(JB) goes in unbound, so it is freed with its attempt
+        fp, selection, frame = _rebased(
+            spectrum, prelim, BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data))), **kw)
     except MethodConditionError as first:
         if _is_diagonal(jb):
             raise
         try:
-            return _rebased(spectrum, one, jb, **kw)
+            fp, selection, frame = _rebased(spectrum, prelim, jb, **kw)
         except MethodConditionError:
             raise first from None
+    return _result("mt4", spectrum, bb, fp, prelim=prelim, scan=scan, frame=frame,
+                   selection=selection)
 
 
 PIPELINES = {

@@ -30,7 +30,6 @@ __all__ = [
     "SpectrumMatch",
     "match_spectra",
     "values_by_position",
-    "tail_weight_check",
     "projection_compare",
     "SpectrumReport",
     "build_spectrum_report",
@@ -201,16 +200,6 @@ def match_spectra(reference, computed) -> SpectrumMatch:
     )
 
 
-def tail_weight_check(b, w):
-    """(sum |b_n|^2 w_n, sum |b_n|^2) over aligned sequences."""
-    b = np.asarray(b, dtype=complex)
-    w = np.asarray(w, dtype=float)
-    if b.shape != w.shape:
-        raise InvalidInputError("sequence and weight map must align")
-    sq = np.abs(b) ** 2
-    return float((sq * w).sum()), float(sq.sum())
-
-
 # -- projection bounds ---------------------------------------------------------
 
 
@@ -358,9 +347,10 @@ def build_spectrum_report(
             w_seq.append(1.0 / a**2 if a > 0.0 else math.inf)
         else:
             w_seq.append(1.0)
-    weighted, plain = tail_weight_check(np.array(b_seq), np.array(w_seq))
+    sq = np.abs(np.array(b_seq, dtype=complex)) ** 2
     return SpectrumReport(
         rows=rows,
-        tail_stats={"weighted_sum": weighted, "plain_sum": plain},
+        tail_stats={"weighted_sum": float((sq * np.array(w_seq, dtype=float)).sum()),
+                    "plain_sum": float(sq.sum())},
         matching_quality=float(dev_by_pos.max()),
     )

@@ -150,8 +150,9 @@ class TestCriterion04ContractionCertificate:
                           norm_fn=lambda m: m.hs(), norm_name="full",
                           tol=1e-12, max_iter=200)
         limit = 4.0 * (1.0 / (2 * np.pi)) * ROOT_MASS + 0.05
-        ok = res.observed_ratio <= limit and res.iterations <= 60
-        _report(4, ok, f"ratio {res.observed_ratio:.4f} <= {limit:.4f}, "
+        ratio = res.certificate["observed_ratio"]
+        ok = ratio <= limit and res.iterations <= 60
+        _report(4, ok, f"ratio {ratio:.4f} <= {limit:.4f}, "
                        f"{res.iterations} iterations")
 
 

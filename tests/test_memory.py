@@ -24,7 +24,7 @@ _POTENTIALS = {
 
 
 @pytest.mark.parametrize("build, pipeline, bound", [
-    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 13.0),
+    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 12.0),
     (lambda: kernel_model(64), "mt1", 7.0),
     (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 11.0),
 ], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3"])

@@ -71,7 +71,7 @@ class TestFixedPoint:
         spec, b = small_perturbation(6, seed=1)
         res = fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                           norm_name="full")
-        assert res.observed_ratio <= res.certificate["contraction_q"] + 0.05
+        assert res.certificate["observed_ratio"] <= res.certificate["contraction_q"] + 0.05
 
     def test_zero_perturbation_converges_immediately(self):
         spec = spectrum(4)
@@ -170,12 +170,20 @@ def test_rebase_frame_of_a_diagonal_is_the_permutation(block_partition):
 
 def rebase_attempts(mdl):
     """The two attempts of pipeline_rebase, D = diag(JB) and D = JB, each
-    returning its result or raising."""
-    one = _stage_one(mdl.spectrum, mdl.perturbation)
-    jb = one.prelim.diagonal
+    returning its fixed point, selection and frame, or raising."""
+    _, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
+    jb = prelim.diagonal
     diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
-    return [lambda d=d: _rebased(mdl.spectrum, one, d, margin=0.9, tol=1e-12, max_iter=200)
+    return [lambda d=d: _rebased(mdl.spectrum, prelim, d, margin=0.9, tol=1e-12, max_iter=200)
             for d in (diag, jb)]
+
+
+def jb_only_dirac():
+    """Ungauged dirac N=16 that certifies only with D = all of JB."""
+    return dirac_model(16, {0: 0.18}, {-1: 0.01 + 0.025j, 2: 0.04 - 0.05j},
+                       {0: -0.04 - 0.08j},
+                       {-2: -0.04, -1: 0.07 - 0.08j, 0: 0.03 + 0.01j, 2: 0.06 + 0.02j},
+                       gauge=False)
 
 
 class TestRebaseRule:
@@ -189,10 +197,7 @@ class TestRebaseRule:
         assert res.certificates["rebase"] == {"kind": "permutation"}
 
     def test_falls_back_to_the_whole_blocks(self):
-        mdl = dirac_model(16, {0: 0.18}, {-1: 0.01 + 0.025j, 2: 0.04 - 0.05j},
-                          {0: -0.04 - 0.08j},
-                          {-2: -0.04, -1: 0.07 - 0.08j, 0: 0.03 + 0.01j, 2: 0.06 + 0.02j},
-                          gauge=False)
+        mdl = jb_only_dirac()
         with pytest.raises(MethodConditionError):
             rebase_attempts(mdl)[0]()
         res = pipeline_rebase(mdl.spectrum, mdl.perturbation)
@@ -261,9 +266,6 @@ class TestPipelines:
         result = pipeline_coarse(mdl.spectrum, mdl.perturbation)
         assert result.residual <= 1e-9 * result.residual_scale
         assert result.certificates["contraction"]["satisfied"]
-        assert [s["name"] for s in result.stages] == [
-            "smoothing_scan", "preliminary", "coarsening", "fixed_point"]
-        assert set(result.certificates) == {"smoothing", "coarsening", "contraction"}
 
     def test_rebase_reports_source_labels(self):
         mdl = dirac_model(8, {0: 0.15, 1: 0.08, -1: 0.08}, {1: 0.1, -1: 0.1},
@@ -274,9 +276,6 @@ class TestPipelines:
             counts[n] = counts.get(n, 0) + 1
         # every original index names exactly its multiplicity of estimates
         assert counts == {int(n): 2 for n in mdl.spectrum.indices}
-        assert [s["name"] for s in res.stages] == [
-            "smoothing_scan", "preliminary", "rebase", "coarsening", "fixed_point"]
-        assert set(res.certificates) == {"smoothing", "rebase", "coarsening", "contraction"}
 
     def test_rebase_handles_multiplicities(self):
         # involution spectrum is simple but has a nontrivial stage-one
@@ -290,6 +289,33 @@ class TestPipelines:
         c = sorted((complex(z) for _, z in r4.eigenvalue_estimates),
                    key=lambda z: (z.real, z.imag))
         assert max(abs(x - y) for x, y in zip(a, c)) <= 1e-9
+
+
+def model_parts(mdl):
+    return mdl.spectrum, mdl.perturbation
+
+
+@pytest.mark.parametrize("build, pipeline, names, kind", [
+    (lambda: small_perturbation(6, seed=4), "mt1", [], None),
+    (lambda: small_perturbation(6, seed=4), "mt2", [], None),
+    (lambda: model_parts(kernel_model(24)), "mt3",
+     ["smoothing_scan", "preliminary", "coarsening"], None),
+    (lambda: model_parts(dirac_model(8, {0: 0.15, 1: 0.08, -1: 0.08}, {1: 0.1, -1: 0.1},
+                                     {0: 0.1}, {2: 0.05, -2: 0.05})), "mt4",
+     ["smoothing_scan", "preliminary", "rebase", "coarsening"], "permutation"),
+    (lambda: model_parts(jb_only_dirac()), "mt4",
+     ["smoothing_scan", "preliminary", "rebase", "coarsening"], "eigenbasis"),
+], ids=["mt1", "mt2", "kernel24-mt3", "dirac8-mt4-permutation", "jb-only-dirac16-mt4-eigenbasis"])
+def test_stage_log(build, pipeline, names, kind):
+    # each stage that ran is logged once, in order, and those that
+    # certify something name their certificate
+    res = PIPELINES[pipeline](*build())
+    assert [s["name"] for s in res.stages] == [*names, "fixed_point"]
+    cert_of = {"preliminary": "smoothing", "rebase": "rebase", "coarsening": "coarsening"}
+    assert list(res.certificates) == [cert_of[n] for n in names if n in cert_of] + ["contraction"]
+    assert res.stages[-1]["certificate"] is res.certificates["contraction"]
+    if kind is not None:
+        assert res.certificates["rebase"]["kind"] == kind
 
 
 @pytest.mark.parametrize("build, pipeline", [
@@ -317,9 +343,8 @@ def test_coarse_fixed_point_keeps_the_stage_one_diagonal(build):
     # J_k(JB_m G_k X*) = 0; the fixed point's own identity
     # J X* = J(Q G X*) + J Q then reads J X* = JB_m + J_k(B0 (I + G_k X*))
     mdl = build()
-    one = _stage_one(mdl.spectrum, mdl.perturbation)
-    prelim = one.prelim
-    fp, _ = _stage_two(_move(prelim.diagonal + prelim.remainder, one.b.partition),
+    bb, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
+    fp, _ = _stage_two(_move(prelim.diagonal + prelim.remainder, bb.partition),
                        start=prelim.smoother.partition.radius,
                        margin=0.9, tol=1e-12, max_iter=200)
     part = fp.u.partition

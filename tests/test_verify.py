@@ -15,10 +15,9 @@ from simspec.verify import (
     match_spectra,
     oracle_eigenvalues,
     projection_compare,
-    tail_weight_check,
     values_by_position,
 )
-from simspec.weighted import decay_weights, factorize
+from simspec.weighted import WeightSequence, decay_weights, factorize
 
 
 def tail_factor_inequality(u, partition, sigma_group, alpha_sigma, weighted_norm):
@@ -174,16 +173,16 @@ class TestMatchSpectra:
 
 
 class TestTailChecks:
-    def test_tail_weight_check(self):
-        b = np.array([1.0, 2.0j, 0.5])
-        w = np.array([1.0, 0.25, 4.0])
-        weighted, plain = tail_weight_check(b, w)
-        assert plain == pytest.approx(1.0 + 4.0 + 0.25)
-        assert weighted == pytest.approx(1.0 + 1.0 + 1.0)
-
-    def test_misaligned_rejected(self):
-        with pytest.raises(InvalidInputError):
-            tail_weight_check(np.ones(3), np.ones(4))
+    def test_tail_stats_sum_the_weighted_squares(self):
+        # rows n = -1, 0, 1 with lambda_n - oracle_n = 1, 2i, 0.5 (exact in
+        # floats) and weights 1 / alpha_|n|^2 = 1, 4, 1
+        spec = Spectrum(np.arange(-1, 2), 2j * np.pi * np.arange(-1, 2))
+        oracle = spec.position_values - np.array([1.0, 2.0j, 0.5])
+        weights = WeightSequence(spec, np.array([0.5, 1.0]), np.zeros(2), 0.0)
+        rep = build_spectrum_report(spec, oracle, oracle, weights=weights,
+                                    interior_fraction=1.0)
+        assert rep.tail_stats == {"weighted_sum": 1.0 + 16.0 + 0.25,
+                                  "plain_sum": 1.0 + 4.0 + 0.25}
 
 
 @pytest.fixture(scope="module")
