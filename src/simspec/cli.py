@@ -124,15 +124,15 @@ def default_config() -> dict:
     }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str, cfg_path=None):
+def _reject_unknown(section: dict, allowed: set, where: str):
     for key in section:
         if key not in allowed:
-            raise ParseError(f"unknown config key '{where}{key}'", path=cfg_path)
+            raise ParseError(f"unknown config key '{where}{key}'")
 
 
-def _expect(cond: bool, message: str, cfg_path=None):
+def _expect(cond: bool, message: str):
     if not cond:
-        raise ParseError(message, path=cfg_path)
+        raise ParseError(message)
 
 
 def _is_number(value) -> bool:
@@ -141,20 +141,19 @@ def _is_number(value) -> bool:
             and math.isfinite(value))
 
 
-def _as_number(value, name, cfg_path=None) -> float:
-    _expect(_is_number(value), f"'{name}' must be a finite number", cfg_path)
+def _as_number(value, name) -> float:
+    _expect(_is_number(value), f"'{name}' must be a finite number")
     return float(value)
 
 
-def validate_config(raw: dict, cfg_path=None) -> dict:
+def validate_config(raw: dict) -> dict:
     """Merge a raw config over the defaults; reject unknown keys."""
-    _expect(isinstance(raw, dict), "config must be a JSON object", cfg_path)
-    _reject_unknown(raw, _TOP_KEYS, "", cfg_path)
+    _expect(isinstance(raw, dict), "config must be a JSON object")
+    _reject_unknown(raw, _TOP_KEYS, "")
     cfg = default_config()
     if "schema" in raw:
         _expect(raw["schema"] == _SCHEMA_VERSION,
-                f"unsupported schema version {raw['schema']!r}, expected {_SCHEMA_VERSION}",
-                cfg_path)
+                f"unsupported schema version {raw['schema']!r}, expected {_SCHEMA_VERSION}")
     for section, allowed in (
         ("model", _MODEL_KEYS),
         ("truncation", _TRUNC_KEYS),
@@ -162,52 +161,51 @@ def validate_config(raw: dict, cfg_path=None) -> dict:
         ("output", _OUT_KEYS),
     ):
         if section in raw:
-            _expect(isinstance(raw[section], dict),
-                    f"'{section}' must be an object", cfg_path)
-            _reject_unknown(raw[section], allowed, section + ".", cfg_path)
+            _expect(isinstance(raw[section], dict), f"'{section}' must be an object")
+            _reject_unknown(raw[section], allowed, section + ".")
             cfg[section] = {**cfg[section], **raw[section]}
     if "pipeline" in raw:
         _expect(raw["pipeline"] in _PIPELINE_CHOICES,
-                f"pipeline must be one of {', '.join(_PIPELINE_CHOICES)}", cfg_path)
+                f"pipeline must be one of {', '.join(_PIPELINE_CHOICES)}")
         cfg["pipeline"] = raw["pipeline"]
     if "split_k" in raw:
         _expect(isinstance(raw["split_k"], int) and not isinstance(raw["split_k"], bool),
-                "'split_k' must be an integer", cfg_path)
+                "'split_k' must be an integer")
         cfg["split_k"] = raw["split_k"]
     if "oracle" in raw:
-        _expect(isinstance(raw["oracle"], bool), "'oracle' must be a boolean", cfg_path)
+        _expect(isinstance(raw["oracle"], bool), "'oracle' must be a boolean")
         cfg["oracle"] = raw["oracle"]
     if "seed" in raw:
         _expect(type(raw["seed"]) is int and raw["seed"] >= 0,  # a bool is no seed
-                "'seed' must be a non-negative integer", cfg_path)
+                "'seed' must be a non-negative integer")
         cfg["seed"] = raw["seed"]
     trunc = cfg["truncation"]
     _expect(isinstance(trunc["half_width"], int) and trunc["half_width"] >= 2,
-            "'truncation.half_width' must be an integer >= 2", cfg_path)
-    frac = _as_number(trunc["interior_fraction"], "truncation.interior_fraction", cfg_path)
-    _expect(0.0 < frac <= 1.0, "'truncation.interior_fraction' must be in (0, 1]", cfg_path)
+            "'truncation.half_width' must be an integer >= 2")
+    frac = _as_number(trunc["interior_fraction"], "truncation.interior_fraction")
+    _expect(0.0 < frac <= 1.0, "'truncation.interior_fraction' must be in (0, 1]")
     trunc["interior_fraction"] = frac
     tols = cfg["tolerances"]
-    tols["fixed_point_tol"] = _as_number(tols["fixed_point_tol"], "tolerances.fixed_point_tol", cfg_path)
+    tols["fixed_point_tol"] = _as_number(tols["fixed_point_tol"], "tolerances.fixed_point_tol")
     # a looser stop cannot meet the 1e-10 diagonal identity check of the fixed point
     _expect(0.0 < tols["fixed_point_tol"] <= 1e-10,
-            "'tolerances.fixed_point_tol' must be in (0, 1e-10]", cfg_path)
+            "'tolerances.fixed_point_tol' must be in (0, 1e-10]")
     _expect(type(tols["max_iter"]) is int and tols["max_iter"] > 0,  # a bool is no count
-            "'tolerances.max_iter' must be a positive integer", cfg_path)
-    margin = _as_number(tols["contraction_margin"], "tolerances.contraction_margin", cfg_path)
-    _expect(0.0 < margin < 1.0, "'tolerances.contraction_margin' must be in (0, 1)", cfg_path)
+            "'tolerances.max_iter' must be a positive integer")
+    margin = _as_number(tols["contraction_margin"], "tolerances.contraction_margin")
+    _expect(0.0 < margin < 1.0, "'tolerances.contraction_margin' must be in (0, 1)")
     tols["contraction_margin"] = margin
     for key, path in cfg["output"].items():
-        _expect(isinstance(path, str), f"'output.{key}' must be a string", cfg_path)
+        _expect(isinstance(path, str), f"'output.{key}' must be a string")
     family = cfg["model"].get("family")
     _expect(isinstance(family, str) and family in MODELS,  # a list or object is unhashable
-            f"'model.family' must be one of {', '.join(sorted(MODELS))}", cfg_path)
+            f"'model.family' must be one of {', '.join(sorted(MODELS))}")
     # dirac carries two coordinates per index, the other families one
     dim = (2 * trunc["half_width"] + 1) * (2 if family == "dirac" else 1)
     _expect(16 * dim * dim <= _DENSE_ARRAY_CAP_MIB * 2**20,
             f"model dimension {dim} is too large: one dense d x d complex array "
             f"(16 d^2 bytes) would exceed the {_DENSE_ARRAY_CAP_MIB} MiB cap; "
-            f"lower 'truncation.half_width'", cfg_path)
+            f"lower 'truncation.half_width'")
     return cfg
 
 
@@ -223,7 +221,10 @@ def load_config(path) -> dict:
         raise ParseError(f"config is not valid JSON: {exc}", path=path)
     except RecursionError:
         raise ParseError("config is not valid JSON: nested too deeply", path=path)
-    cfg = validate_config(raw, cfg_path=path)
+    try:
+        cfg = validate_config(raw)
+    except ParseError as exc:
+        raise ParseError(str(exc), path=path) from None
     cfg["_base_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg
 
@@ -373,7 +374,11 @@ def _echo_config(cfg: dict) -> dict:
 # -- analyze ------------------------------------------------------------------
 
 
-def _auto_pipeline(model) -> str:
+def _pipeline_for(model, requested: str) -> str:
+    """The similarity pipeline a run takes; "auto" and "split" choose one
+    by the model."""
+    if requested not in ("auto", "split"):
+        return requested
     if model.name == "dirac":
         return "mt4"
     q = 4.0 * model.perturbation.hs() / spectral_gap(model.spectrum)
@@ -428,7 +433,7 @@ def _write_series(csv_dir, model, est, weights, ora, report_obj):
     spectrum = model.spectrum
     lam = spectrum.position_values
     header = "index,free_re,free_im,estimate_re,estimate_im"
-    cols = [spectrum.indices[spectrum.position_entry].tolist(),
+    cols = [spectrum.position_index.tolist(),
             lam.real.tolist(), lam.imag.tolist(), est.real.tolist(), est.imag.tolist()]
     row = "%d,%r,%r,%r,%r\n"
     if ora is not None:
@@ -531,8 +536,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
-    name = _auto_pipeline(model) if requested == "auto" else requested
-    result = run_pipeline(model, name, cfg["tolerances"])
+    result = run_pipeline(model, _pipeline_for(model, requested), cfg["tolerances"])
     t_oracle = time.perf_counter()
     gates, oracle_vals = invariant_gates(model, result, cfg["oracle"])
     t_oracle = time.perf_counter() - t_oracle
@@ -579,7 +583,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
         "spectrum_report": None if report_obj is None else vars(report_obj),
         "timings": timings,
     }
-    report_path = os.path.join(out_dir, cfg["output"].get("report", "report.json"))
+    report_path = os.path.join(out_dir, cfg["output"]["report"])
     _write_json(report_path, report)
     if csv_dir is not None:
         _write_series(os.path.join(out_dir, csv_dir), model, est, weights, ora, report_obj)
@@ -666,7 +670,7 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
             "oracle_spectra": 0 if oracle_info is None else 1,
         },
     }
-    report_path = os.path.join(out_dir, cfg["output"].get("report", "report.json"))
+    report_path = os.path.join(out_dir, cfg["output"]["report"])
     _write_json(report_path, report)
     wall = {"total_seconds": time.perf_counter() - t_start, "oracle_seconds": t_oracle}
     _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
@@ -682,127 +686,117 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _verify_battery(seed: int, quiet: bool, cfg: dict | None):
-    rng = np.random.default_rng(seed)
-    checks = []
+def _random_block_matrix(rng, top: int) -> BlockMatrix:
+    """A complex Gaussian matrix on a coarse partition of -n..n, 3 <= n < top."""
+    n = int(rng.integers(3, top))
+    spec = Spectrum(np.arange(-n, n + 1), 2j * np.pi * np.arange(-n, n + 1))
+    part = Partition.coarse(spec, int(rng.integers(0, n)))
+    return BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim))
+                       + 1j * rng.normal(size=(spec.dim, spec.dim)))
 
-    def record(name, passed, detail, severity):
-        checks.append({
-            "name": name, "passed": bool(passed), "detail": detail,
-            "severity": severity,
-        })
-        if not quiet:
-            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    # two independent eigensolvers on random small matrices
+def _check_dual_oracle(rng, cfg):
+    """Two independent eigensolvers on random small matrices."""
     worst = 0.0
-    failed = None
     for _ in range(100):
         dim = int(rng.integers(2, 9))
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        try:
-            v1 = oracle_eigenvalues(a, cross_check=False)
-            v2 = charpoly_eigenvalues(a)
-        except SimspecError as exc:
-            failed = exc
-            break
+        v1 = oracle_eigenvalues(a, cross_check=False)
+        v2 = charpoly_eigenvalues(a)
         scale = max(1.0, float(np.abs(v1).max()))
         worst = max(worst, match_spectra(v1, v2).max_abs_deviation / scale)
-    if failed is not None:
-        record("dual_oracle", False, str(failed), _failure(failed)[0])
-    else:
-        record("dual_oracle", worst <= 1e-10,
-               f"100 random matrices, worst relative deviation {worst:.2e}", 4)
+    return worst <= 1e-10, f"100 random matrices, worst relative deviation {worst:.2e}"
 
-    # norm chain op <= block <= full on random block matrices
-    ok = True
-    detail = ""
+
+def _check_norm_chain(rng, cfg):
+    """op <= block <= full on random block matrices."""
     for _ in range(20):
-        n = int(rng.integers(3, 9))
-        spec = Spectrum(np.arange(-n, n + 1), 2j * np.pi * np.arange(-n, n + 1))
-        part = Partition.coarse(spec, int(rng.integers(0, n)))
-        x = BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim))
-                        + 1j * rng.normal(size=(spec.dim, spec.dim)))
+        x = _random_block_matrix(rng, 9)
         op, block, full = x.op(), x.hs_sigma(), x.hs()
         if not (op <= block + 1e-9 * full and block <= full + 1e-9 * full):
-            ok = False
-            detail = f"violated: op={op}, block={block}, full={full}"
-            break
-    record("norm_chain", ok, detail or "20 random block matrices ordered correctly", 5)
+            return False, f"violated: op={op}, block={block}, full={full}"
+    return True, "20 random block matrices ordered correctly"
 
-    # transform identity A(GX) - (GX)A = X - JX
-    ok = True
-    detail = ""
+
+def _check_commutator_identity(rng, cfg):
+    """The transform identity A(GX) - (GX)A = X - JX."""
     for _ in range(10):
-        n = int(rng.integers(3, 8))
-        spec = Spectrum(np.arange(-n, n + 1), 2j * np.pi * np.arange(-n, n + 1))
-        part = Partition.coarse(spec, int(rng.integers(0, n)))
-        x = BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim))
-                        + 1j * rng.normal(size=(spec.dim, spec.dim)))
+        x = _random_block_matrix(rng, 8)
         res = commutator_residual(x)
         if res > 1e-12 * max(x.hs(), 1.0):
-            ok = False
-            detail = f"residual {res:.2e}"
-            break
-    record("commutator_identity", ok, detail or "10 random transforms within 1e-12", 5)
+            return False, f"residual {res:.2e}"
+    return True, "10 random transforms within 1e-12"
 
-    # pipeline invariants on a small built-in problem (or the config's)
-    try:
-        if cfg is not None:
-            model = build_model(cfg)
-            name = cfg["pipeline"]
-            if name in ("auto", "split"):
-                name = _auto_pipeline(model)
-            result = run_pipeline(model, name, cfg["tolerances"])
-        else:
-            model = model_lib.kernel_model(24)
-            result = run_pipeline(model, "mt1", default_config()["tolerances"])
-        gates, _ = invariant_gates(model, result, True)
-        bad = [k for k, g in gates.items() if not g["satisfied"]]
-        record("pipeline_invariants", not bad,
-               ("gates " + ", ".join(f"{k}={g['measured']:.2e}" for k, g in gates.items()))
-               if not bad else f"failed gates: {', '.join(bad)}", 5)
-    except SimspecError as exc:
-        record("pipeline_invariants", False, str(exc), _failure(exc)[0])
 
-    # splitting against the reference spectrum
-    try:
-        model = model_lib.kernel_model(32)
-        lam = model.spectrum.position_values
-        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.data)
-        ok = True
-        detail_parts = []
-        for k in (0, 1):
-            r = split_eigenpair(model.spectrum, model.perturbation, k)
-            dev = float(np.abs(vals - r.lam_prime).min())
-            detail_parts.append(f"k={k}: dev {dev:.2e}")
-            ok = ok and dev <= 1e-9
-        record("split_consistency", ok, "; ".join(detail_parts), 5)
-    except SimspecError as exc:
-        record("split_consistency", False, str(exc), _failure(exc)[0])
+def _check_pipeline_invariants(rng, cfg):
+    """The invariant gates on a small built-in problem, or the config's."""
+    if cfg is not None:
+        model = build_model(cfg)
+        result = run_pipeline(model, _pipeline_for(model, cfg["pipeline"]), cfg["tolerances"])
+    else:
+        model = model_lib.kernel_model(24)
+        result = run_pipeline(model, "mt1", default_config()["tolerances"])
+    gates, _ = invariant_gates(model, result, True)
+    bad = [k for k, g in gates.items() if not g["satisfied"]]
+    if bad:
+        return False, f"failed gates: {', '.join(bad)}"
+    return True, "gates " + ", ".join(f"{k}={g['measured']:.2e}" for k, g in gates.items())
 
-    # quartic coupling inequality on random real potentials
-    ok = True
-    detail = ""
+
+def _check_split_consistency(rng, cfg):
+    """Split eigenvalues against the reference spectrum."""
+    model = model_lib.kernel_model(32)
+    spectrum, b = model.spectrum, model.perturbation
+    vals = oracle_eigenvalues(np.diag(spectrum.position_values) - b.data)
+    devs = [float(np.abs(vals - split_eigenpair(spectrum, b, k).lam_prime).min()) for k in (0, 1)]
+    return (all(dev <= 1e-9 for dev in devs),
+            "; ".join(f"k={k}: dev {dev:.2e}" for k, dev in enumerate(devs)))
+
+
+def _check_coupling_inequality(rng, cfg):
+    """The quartic coupling inequality on random real potentials."""
     for _ in range(5):
         co = random_trig_coeffs(rng, degree=4, scale=1.0, real=True)
         lhs, rhs = involution_offdiag_energy(co, 10)
         if lhs > rhs:
-            ok = False
-            detail = f"lhs {lhs:.4e} > rhs {rhs:.4e}"
-            break
-    record("coupling_inequality", ok, detail or "5 random potentials within the quartic bound", 5)
+            return False, f"lhs {lhs:.4e} > rhs {rhs:.4e}"
+    return True, "5 random potentials within the quartic bound"
 
-    # weight sequence sanity
-    try:
-        w = decay_weights(model_lib.kernel_model(32).perturbation)
-        mono = bool(np.all(np.diff(w.alpha) <= 1e-12))
-        ok = float(w.alpha[0]) == 1.0 and mono
-        record("weight_sanity", ok,
-               f"alpha0 = {float(w.alpha[0])!r}, nonincreasing = {mono}", 5)
-    except SimspecError as exc:
-        record("weight_sanity", False, str(exc), _failure(exc)[0])
 
+def _check_weight_sanity(rng, cfg):
+    """The decay weights start at 1 and do not increase."""
+    w = decay_weights(model_lib.kernel_model(32).perturbation)
+    mono = bool(np.all(np.diff(w.alpha) <= 1e-12))
+    return (float(w.alpha[0]) == 1.0 and mono,
+            f"alpha0 = {float(w.alpha[0])!r}, nonincreasing = {mono}")
+
+
+# (name, severity of a failed check, check) in the order the checks draw
+# from the one seeded generator; a check that raises takes the exit code
+# of its exception instead
+_VERIFY_CHECKS = (
+    ("dual_oracle", 4, _check_dual_oracle),
+    ("norm_chain", 5, _check_norm_chain),
+    ("commutator_identity", 5, _check_commutator_identity),
+    ("pipeline_invariants", 5, _check_pipeline_invariants),
+    ("split_consistency", 5, _check_split_consistency),
+    ("coupling_inequality", 5, _check_coupling_inequality),
+    ("weight_sanity", 5, _check_weight_sanity),
+)
+
+
+def _verify_battery(seed: int, quiet: bool, cfg: dict | None):
+    rng = np.random.default_rng(seed)
+    checks = []
+    for name, severity, check in _VERIFY_CHECKS:
+        try:
+            passed, detail = check(rng, cfg)
+        except SimspecError as exc:
+            passed, detail, severity = False, str(exc), _failure(exc)[0]
+        checks.append({"name": name, "passed": bool(passed), "detail": detail,
+                       "severity": severity})
+        if not quiet:
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return checks
 
 

@@ -1,9 +1,10 @@
 """Truncated operator matrices split into blocks by spectral groups.
 
 A free operator is described by its spectrum: contiguous integer
-indices, one (distinct) eigenvalue and one multiplicity per index.  The
-table of eigenvalue gaps that the contraction bounds read is derived
-from the spectrum once and cached on it.
+indices, one (distinct) eigenvalue and one multiplicity per index.  Its
+dense positions run in index order, each index taking as many as its
+multiplicity.  The table of eigenvalue gaps that the contraction bounds
+read is derived from the spectrum once and cached on it.
 Perturbations are dense complex matrices carved into blocks by a
 partition of the indices.  Everything downstream (transforms, weights,
 pipelines) works on these three types:
@@ -71,6 +72,9 @@ class Spectrum:
         Finite, pairwise distinct eigenvalues, one per index.
     mults : array of int, optional
         Multiplicities (default all 1).
+
+    ``position_index`` and ``position_values`` give the index and the
+    eigenvalue of each of the ``dim`` dense positions, in index order.
     """
 
     def __init__(self, indices, values, mults=None):
@@ -96,9 +100,7 @@ class Spectrum:
         self.values = values
         self.mults = mults
         self.dim = int(mults.sum())
-        # dense layout: index order, each index occupying `mult` positions
-        self.offsets = np.concatenate(([0], np.cumsum(mults)))[:-1]
-        self.position_entry = np.repeat(np.arange(indices.size), mults)
+        self.position_index = np.repeat(indices, mults)
         self.position_values = np.repeat(values, mults)
         self._gaps = None
 
@@ -111,8 +113,7 @@ class Spectrum:
 
     def positions_of(self, n: int) -> np.ndarray:
         """Dense positions occupied by index ``n``."""
-        i = self.ordinal(n)
-        return np.arange(self.offsets[i], self.offsets[i] + self.mults[i])
+        return np.flatnonzero(self.position_index == self.indices[self.ordinal(n)])
 
     def value_of(self, n: int) -> complex:
         return complex(self.values[self.ordinal(n)])
@@ -181,7 +182,7 @@ class Partition:
         starts[1:] -= central[1:] & central[:-1]
         gid = np.cumsum(starts) - 1
         self.n_groups = int(gid[-1]) + 1
-        self.gid_of_position = gid[spectrum.position_entry]
+        self.gid_of_position = np.repeat(gid, spectrum.mults)
         self.dims = np.bincount(self.gid_of_position, minlength=self.n_groups)
         self.bounds = np.concatenate(([0], np.cumsum(self.dims)))[:-1]
         # positions of the groups of width 1

@@ -314,7 +314,7 @@ def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
     spectrum = partition.spectrum
     lam = spectrum.position_values
     if labels is None:
-        labels = spectrum.indices[spectrum.position_entry]
+        labels = spectrum.position_index
     p = np.flatnonzero(partition.narrow)
     tags, vals = [labels[p]], [lam[p] - v.data[p, p]]
     for _, pos in partition.wide_classes():
@@ -553,21 +553,19 @@ _REBASE_RESIDUAL_LIMIT = 1e-8
 
 
 def _merge_sorted_values(vals: np.ndarray, scale: float):
-    """Sort by (re, im), merge near-duplicates, return reps with mults."""
+    """Sort by (re, im) and merge near-duplicates; return the reps, their
+    mults and the sort order, in which each merged run is consecutive."""
     order = np.lexsort((vals.imag, vals.real))
     tol = 1e-12 * scale
-    reps, mults, members = [], [], []
-    for p in order:
-        z = vals[p]
+    reps, mults = [], []
+    for z in vals[order]:
         if reps and abs(z - reps[-1]) <= tol:
-            members[-1].append(int(p))
             mults[-1] += 1
             reps[-1] += (z - reps[-1]) / mults[-1]
         else:
             reps.append(complex(z))
             mults.append(1)
-            members.append([int(p)])
-    return np.array(reps), np.array(mults), members
+    return np.array(reps), np.array(mults), order
 
 
 def _is_diagonal(x: BlockMatrix) -> bool:
@@ -611,14 +609,13 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
             eig.append((pos, blocks, w))
 
     scale = max(1.0, float(np.abs(new_vals).max()))
-    reps, mults, members = _merge_sorted_values(new_vals, scale)
+    reps, mults, perm = _merge_sorted_values(new_vals, scale)
     lo = -(reps.size // 2)
     tilde = Spectrum(np.arange(lo, lo + reps.size), reps, mults)
     if spectral_gap(tilde) < 1e-9 * scale:
         raise AssumptionViolationError(
             "re-derived eigenvalues too close to separate reliably"
         )
-    perm = np.array([p for grp in members for p in grp])
     inv = np.argsort(perm)
 
     push_classes, pull_classes = [], []
@@ -667,7 +664,7 @@ def _rebased(spectrum: Spectrum, prelim: PreliminaryResult, d: BlockMatrix, *,
         start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
-    source = spectrum.indices[spectrum.position_entry[perm]]
+    source = spectrum.position_index[perm]
     return fp, selection, (tilde, pull, source, info)
 
 
@@ -703,6 +700,8 @@ def pipeline_rebase(
     except MethodConditionError as first:
         if _is_diagonal(jb):
             raise
+        # the traceback would keep the failed attempt's arrays alive
+        first.__traceback__ = None
         try:
             fp, selection, frame = _rebased(spectrum, prelim, jb, **kw)
         except MethodConditionError:

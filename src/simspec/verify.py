@@ -207,8 +207,7 @@ def _group_projection_diag(spectrum: Spectrum, sigma_group) -> np.ndarray:
     members = {int(n) for n in sigma_group}
     for n in members:
         spectrum.ordinal(n)  # validates membership
-    lev = spectrum.indices[spectrum.position_entry]
-    return np.isin(lev, sorted(members)).astype(float)
+    return np.isin(spectrum.position_index, sorted(members)).astype(float)
 
 
 def projection_compare(
@@ -326,7 +325,7 @@ def build_spectrum_report(
     b_seq = []
     w_seq = []
     for pos in range(spectrum.dim):
-        n = int(spectrum.indices[spectrum.position_entry[pos]])
+        n = int(spectrum.position_index[pos])
         if n not in interior:
             continue
         lam = spectrum.position_values[pos]

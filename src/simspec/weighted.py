@@ -79,7 +79,7 @@ class WeightSequence:
         """alpha per dense position (by the absolute spectrum index)."""
         if not self.spectrum.same_entries(spectrum):
             raise InvalidInputError("weights were built for a different spectrum")
-        lev = np.abs(spectrum.indices[spectrum.position_entry])
+        lev = np.abs(spectrum.position_index)
         return self.alpha[np.minimum(lev, self.max_level)] * (lev <= self.max_level)
 
     @functools.cached_property

@@ -18,7 +18,7 @@ from simspec.cli import (
     main,
     validate_config,
 )
-from simspec.errors import ParseError
+from simspec.errors import InvalidInputError, ParseError
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -33,10 +33,15 @@ class TestConfigValidation:
         assert cfg["pipeline"] == "auto"
         assert cfg["truncation"]["half_width"] == 32
 
-    def test_unknown_top_key(self):
+    def test_unknown_top_key(self, tmp_path, capsys):
         with pytest.raises(ParseError) as err:
             validate_config({"modle": {}})
         assert "modle" in str(err.value)
+        assert err.value.path is None
+        # a config file names itself once, at the end of the line
+        path = write_config(tmp_path, {"modle": {}})
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: {err.value} [{path}]\n"
 
     def test_unknown_nested_key_has_path(self):
         with pytest.raises(ParseError) as err:
@@ -446,6 +451,20 @@ class TestVerifyCommand:
         names = {c["name"] for c in report["checks"]}
         assert "dual_oracle" in names
         assert "pipeline_invariants" in names
+
+    def test_raising_check_is_graded(self, tmp_path, monkeypatch):
+        # a check that raises is graded by the exit code of its error, and
+        # the battery goes on to write the report of every check
+        def boom(x):
+            raise InvalidInputError("boom")
+
+        monkeypatch.setattr(cli, "commutator_residual", boom)
+        assert main(["verify", "--out", str(tmp_path), "--quiet"]) == 2
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert len(report["checks"]) == 7 and not report["passed"]
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert failed == [{"name": "commutator_identity", "passed": False, "detail": "boom",
+                           "severity": 2}]
 
     def test_battery_deterministic_given_seed(self, tmp_path):
         for sub in ("a", "b"):

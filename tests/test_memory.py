@@ -13,6 +13,7 @@ import pytest
 
 from simspec.models import dirac_model, hill_model, kernel_model
 from simspec.similarity import PIPELINES
+from test_similarity import jb_only_dirac
 
 # the criterion-5 potentials of the dirac benchmark workload
 _POTENTIALS = {
@@ -27,7 +28,9 @@ _POTENTIALS = {
     (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 12.0),
     (lambda: kernel_model(64), "mt1", 7.0),
     (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 11.0),
-], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3"])
+    # the first mt4 attempt fails; it must not stay alive through the second
+    (jb_only_dirac, "mt4", 13.6),
+], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3", "dirac-jb-only-N16-mt4"])
 def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
     model = build()
     d = model.spectrum.dim

@@ -149,7 +149,7 @@ def test_factorize_norm_matches_old_form(n, support, radius, mult, seed):
     rng = np.random.default_rng(seed)
     idx = np.arange(-n, n + 1)
     spec = Spectrum(idx, 2j * np.pi * idx, mults=[mult] * idx.size)
-    live = np.abs(idx[spec.position_entry]) <= support
+    live = np.abs(spec.position_index) <= support
 
     def supported():
         d = spec.dim

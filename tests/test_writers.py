@@ -92,7 +92,7 @@ def old_write_series(csv_dir, model, est, weights, ora, report_obj):
         cols = "index,free_re,free_im,estimate_re,estimate_im"
         fh.write(cols + (",oracle_re,oracle_im\n" if ora is not None else "\n"))
         for pos in range(spectrum.dim):
-            n = int(spectrum.indices[spectrum.position_entry[pos]])
+            n = int(spectrum.position_index[pos])
             lam = spectrum.position_values[pos]
             row = [str(n), repr(float(lam.real)), repr(float(lam.imag)),
                    repr(float(est[pos].real)), repr(float(est[pos].imag))]

@@ -142,6 +142,8 @@ def run_list(repo: str) -> list:
         ("verify", "verify", None),
         ("verify kernel theta N=8", "verify", cfg({**kernel, "theta": 0.5}, 8, "auto")),
         ("verify kernel N=32 mt2", "verify", cfg(kernel, 32, "mt2")),
+        # the one run whose config-driven pipeline check passes (auto -> mt4)
+        ("verify dirac N=8 auto", "verify", cfg(dirac, 8, "auto")),
         ("verify overflow hill N=8", "verify", cfg(overflow, 8, "mt3")),
         # the --seed 7 of every run overrides this seed only once it is valid
         ("verify config seed -1", "verify", cfg(kernel, 8, "auto", seed=-1)),
