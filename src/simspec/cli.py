@@ -63,17 +63,6 @@ _DEFAULT_SEED = 2026
 
 _PIPELINE_CHOICES = ("auto", "mt1", "mt2", "mt3", "mt4", "split")
 
-_TOP_KEYS = {
-    "schema",
-    "model",
-    "truncation",
-    "tolerances",
-    "pipeline",
-    "split_k",
-    "oracle",
-    "output",
-    "seed",
-}
 # the model keys each family reads besides 'family'; a key that only
 # other families read is refused, the first in the order listed here
 _FAMILY_KEYS = {
@@ -83,8 +72,7 @@ _FAMILY_KEYS = {
     "dirac": ("gauge", "potentials"),
 }
 _MODEL_KEYS = ("family", *dict.fromkeys(k for keys in _FAMILY_KEYS.values() for k in keys))
-_TRUNC_KEYS = {"half_width", "interior_fraction"}
-_TOL_KEYS = {"fixed_point_tol", "max_iter", "contraction_margin"}
+# csv_dir and svg have no default to read their names from
 _OUT_KEYS = {"report", "csv_dir", "svg"}
 
 # exception kinds, most specific first, with their exit code and the
@@ -124,7 +112,7 @@ def default_config() -> dict:
     }
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
+def _reject_unknown(section: dict, allowed, where: str):
     for key in section:
         if key not in allowed:
             raise ParseError(f"unknown config key '{where}{key}'")
@@ -149,15 +137,15 @@ def _as_number(value, name) -> float:
 def validate_config(raw: dict) -> dict:
     """Merge a raw config over the defaults; reject unknown keys."""
     _expect(isinstance(raw, dict), "config must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "")
     cfg = default_config()
+    _reject_unknown(raw, cfg, "")
     if "schema" in raw:
         _expect(raw["schema"] == _SCHEMA_VERSION,
                 f"unsupported schema version {raw['schema']!r}, expected {_SCHEMA_VERSION}")
     for section, allowed in (
         ("model", _MODEL_KEYS),
-        ("truncation", _TRUNC_KEYS),
-        ("tolerances", _TOL_KEYS),
+        ("truncation", cfg["truncation"]),
+        ("tolerances", cfg["tolerances"]),
         ("output", _OUT_KEYS),
     ):
         if section in raw:
@@ -367,8 +355,23 @@ def _write_json(path, payload: dict):
         fh.write(text)
 
 
-def _echo_config(cfg: dict) -> dict:
-    return {k: v for k, v in cfg.items() if not k.startswith("_")}
+def _write_report(path, command: str, cfg: dict | None, body: dict):
+    """A command's report: the header every report opens with, then ``body``."""
+    echo = None if cfg is None else {k: v for k, v in cfg.items() if not k.startswith("_")}
+    _write_json(path, {"command": command, "schema": _SCHEMA_VERSION, "config_echo": echo, **body})
+
+
+def _write_wall(out_dir, t_start: float, **extra):
+    """The run's only clock readings: the ``timings_wall.json`` sidecar
+    and one ``wall`` line on stderr."""
+    wall = {"total_seconds": time.perf_counter() - t_start, **extra}
+    _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
+    print(f"wall {wall['total_seconds']:.2f}s", file=sys.stderr)
+
+
+def _oracle(model) -> np.ndarray:
+    """The reference eigenvalues of A - B, from one dense solve."""
+    return oracle_eigenvalues(np.diag(model.spectrum.position_values) - model.perturbation.data)
 
 
 # -- analyze ------------------------------------------------------------------
@@ -385,7 +388,8 @@ def _pipeline_for(model, requested: str) -> str:
     return "mt1" if q < 1.0 else "mt3"
 
 
-def run_pipeline(model, name: str, tols: dict) -> SimilarityResult:
+def run_pipeline(model, requested: str, tols: dict) -> SimilarityResult:
+    name = _pipeline_for(model, requested)
     tol = tols["fixed_point_tol"]
     max_iter = tols["max_iter"]
     margin = tols["contraction_margin"]
@@ -417,8 +421,7 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
     }
     oracle_vals = None
     if oracle_on and model.spectrum.dim <= _ORACLE_GATE_DIM:
-        oracle_vals = oracle_eigenvalues(
-            np.diag(model.spectrum.position_values) - model.perturbation.data)
+        oracle_vals = _oracle(model)
         estimates = [z for _, z in result.eigenvalue_estimates]
         dev = match_spectra(oracle_vals, estimates).max_abs_deviation
         # eigenvalues grow like N^2, so the solver rounding grows with max|lambda|
@@ -536,7 +539,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
-    result = run_pipeline(model, _pipeline_for(model, requested), cfg["tolerances"])
+    result = run_pipeline(model, requested, cfg["tolerances"])
     t_oracle = time.perf_counter()
     gates, oracle_vals = invariant_gates(model, result, cfg["oracle"])
     t_oracle = time.perf_counter() - t_oracle
@@ -569,10 +572,8 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
         "stage_count": len(result.stages),
         "oracle_spectra": 0 if oracle_vals is None else 1,
     }
-    report = {
-        "command": "analyze",
-        "schema": _SCHEMA_VERSION,
-        "config_echo": _echo_config(cfg),
+    report_path = os.path.join(out_dir, cfg["output"]["report"])
+    _write_report(report_path, "analyze", cfg, {
         "model": model.name,
         "pipeline": result.pipeline,
         "pipeline_requested": requested,
@@ -582,9 +583,7 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
         "eigenvalue_estimates": [[int(k), z] for k, z in result.eigenvalue_estimates],
         "spectrum_report": None if report_obj is None else vars(report_obj),
         "timings": timings,
-    }
-    report_path = os.path.join(out_dir, cfg["output"]["report"])
-    _write_json(report_path, report)
+    })
     if csv_dir is not None:
         _write_series(os.path.join(out_dir, csv_dir), model, est, weights, ora, report_obj)
         if report_obj is not None:
@@ -598,12 +597,10 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
             # in the oracle's (re, im) order, which fixes the order of the circles
             series.append(("reference", "#2e6da4", _points(oracle_vals)))
         _svg_scatter(series, os.path.join(out_dir, svg), "spectrum")
-    wall = {"total_seconds": time.perf_counter() - t_start, "oracle_seconds": t_oracle}
-    _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
+    _write_wall(out_dir, t_start, oracle_seconds=t_oracle)
     if not quiet:
         print(f"pipeline {result.pipeline}: residual {result.residual:.3e} "
               f"(scale {result.residual_scale:.3e}), report {report_path}")
-    print(f"wall {wall['total_seconds']:.2f}s", file=sys.stderr)
     bad = [k for k, g in gates.items() if not g["satisfied"]]
     if bad:
         worst = gates[bad[0]]
@@ -635,18 +632,15 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     t_oracle = 0.0
     if cfg["oracle"]:
         t_oracle = time.perf_counter()
-        lam = model.spectrum.position_values
-        vals = oracle_eigenvalues(np.diag(lam) - model.perturbation.data)
+        vals = _oracle(model)
         nearest = vals[int(np.argmin(np.abs(vals - result.lam_prime)))]
         oracle_info = {
             "nearest": complex(nearest),
             "deviation": float(abs(nearest - result.lam_prime)),
         }
         t_oracle = time.perf_counter() - t_oracle
-    report = {
-        "command": "split",
-        "schema": _SCHEMA_VERSION,
-        "config_echo": _echo_config(cfg),
+    report_path = os.path.join(out_dir, cfg["output"]["report"])
+    _write_report(report_path, "split", cfg, {
         "model": model.name,
         "pipeline": "split",
         "k": k,
@@ -669,17 +663,13 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
             "iterations": result.iterations,
             "oracle_spectra": 0 if oracle_info is None else 1,
         },
-    }
-    report_path = os.path.join(out_dir, cfg["output"]["report"])
-    _write_json(report_path, report)
-    wall = {"total_seconds": time.perf_counter() - t_start, "oracle_seconds": t_oracle}
-    _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
+    })
+    _write_wall(out_dir, t_start, oracle_seconds=t_oracle)
     if not quiet:
         lp = result.lam_prime
         print(f"split k={k}: lambda' = {lp.real:.9g}{lp.imag:+.9g}i, "
               f"|b2| = {abs(result.b2):.3e} <= {result.bounds.bound_b2:.3e}, "
               f"report {report_path}")
-    print(f"wall {wall['total_seconds']:.2f}s", file=sys.stderr)
     return 0
 
 
@@ -732,7 +722,7 @@ def _check_pipeline_invariants(rng, cfg):
     """The invariant gates on a small built-in problem, or the config's."""
     if cfg is not None:
         model = build_model(cfg)
-        result = run_pipeline(model, _pipeline_for(model, cfg["pipeline"]), cfg["tolerances"])
+        result = run_pipeline(model, cfg["pipeline"], cfg["tolerances"])
     else:
         model = model_lib.kernel_model(24)
         result = run_pipeline(model, "mt1", default_config()["tolerances"])
@@ -747,7 +737,7 @@ def _check_split_consistency(rng, cfg):
     """Split eigenvalues against the reference spectrum."""
     model = model_lib.kernel_model(32)
     spectrum, b = model.spectrum, model.perturbation
-    vals = oracle_eigenvalues(np.diag(spectrum.position_values) - b.data)
+    vals = _oracle(model)
     devs = [float(np.abs(vals - split_eigenpair(spectrum, b, k).lam_prime).min()) for k in (0, 1)]
     return (all(dev <= 1e-9 for dev in devs),
             "; ".join(f"k={k}: dev {dev:.2e}" for k, dev in enumerate(devs)))
@@ -804,18 +794,12 @@ def cmd_verify(cfg: dict | None, out_dir: str, seed: int, quiet: bool) -> int:
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     checks = _verify_battery(seed, quiet, cfg)
-    report = {
-        "command": "verify",
-        "schema": _SCHEMA_VERSION,
+    _write_report(os.path.join(out_dir, "verify_report.json"), "verify", cfg, {
         "seed": seed,
-        "config_echo": None if cfg is None else _echo_config(cfg),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
-    }
-    _write_json(os.path.join(out_dir, "verify_report.json"), report)
-    wall = {"total_seconds": time.perf_counter() - t_start}
-    _write_json(os.path.join(out_dir, "timings_wall.json"), {"wall": wall})
-    print(f"wall {wall['total_seconds']:.2f}s", file=sys.stderr)
+    })
+    _write_wall(out_dir, t_start)
     failed = [c for c in checks if not c["passed"]]
     if failed:
         return max(c["severity"] for c in failed)
@@ -882,15 +866,13 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = load_config(args.config) if args.config else None
-        if args.command == "verify":
-            seed = args.seed if args.seed is not None else (
-                cfg["seed"] if cfg else _DEFAULT_SEED
-            )
-            return cmd_verify(cfg, args.out, seed, args.quiet)
-        if cfg is None:
+        if cfg is None and args.command != "verify":
             cfg = validate_config({})
-        if args.seed is not None:
+        if cfg is not None and args.seed is not None:
             cfg["seed"] = args.seed
+        if args.command == "verify":
+            seed = cfg["seed"] if cfg else (_DEFAULT_SEED if args.seed is None else args.seed)
+            return cmd_verify(cfg, args.out, seed, args.quiet)
         if args.command == "analyze":
             return cmd_analyze(cfg, args.out, args.quiet)
         return cmd_split(cfg, args.out, args.quiet)

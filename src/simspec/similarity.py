@@ -306,9 +306,11 @@ def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
     tagged by spectrum index.
 
     Width-1 groups give lambda_p - V_pp at once; each wider width takes
-    one batched ``eigvals``, and a block's eigenvalues are paired to its
-    indices by closeness to the free eigenvalues.  ``labels``, an index
-    array, overrides the tag per position (a relabeled working spectrum).
+    one batched ``eigvals``.  A block whose positions carry more than one
+    tag pairs its eigenvalues to its indices by closeness to the free
+    eigenvalues; a block of one tag needs no pairing, since the final
+    (tag, re, im) sort orders its values.  ``labels``, an index array,
+    overrides the tag per position (a relabeled working spectrum).
     """
     partition = v.partition
     spectrum = partition.spectrum
@@ -322,10 +324,12 @@ def block_eigenvalue_estimates(v: BlockMatrix, labels=None):
         blocks = np.zeros((pos.shape[0], w, w), dtype=complex)
         blocks[:, np.arange(w), np.arange(w)] = lam[pos]
         blocks -= v.data[pos[:, :, None], pos[:, None, :]]
-        for block_pos, block_vals in zip(pos, np.linalg.eigvals(blocks)):
-            match = match_spectra(lam[block_pos], block_vals)
-            tags.append(labels[block_pos])
-            vals.append(block_vals[[j for _, j in match.pairs]])
+        block_vals = np.linalg.eigvals(blocks)
+        for i in np.flatnonzero(np.ptp(labels[pos], axis=1) > 0):
+            match = match_spectra(lam[pos[i]], block_vals[i])
+            block_vals[i] = block_vals[i][[j for _, j in match.pairs]]
+        tags.append(labels[pos].ravel())
+        vals.append(block_vals.ravel())
     out = list(zip(np.concatenate(tags).tolist(), np.concatenate(vals).tolist()))
     out.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
     return out

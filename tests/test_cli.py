@@ -476,6 +476,47 @@ class TestVerifyCommand:
         assert a == b
 
 
+    def test_seed_flag_overrides_the_config_seed(self, tmp_path):
+        path = write_config(tmp_path, {"truncation": {"half_width": 8}, "seed": 11})
+        assert main(["verify", "--config", path, "--out", str(tmp_path),
+                     "--seed", "7", "--quiet"]) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["seed"] == 7
+        assert report["config_echo"]["seed"] == 7
+
+
+# every report opens with the same header; each command adds its body
+_HEADER = {"command", "schema", "config_echo"}
+_FRAMES = {
+    "analyze": ("report.json", {"oracle_seconds"}, _HEADER | {
+        "model", "pipeline", "pipeline_requested", "stages", "certificates",
+        "invariant_gates", "eigenvalue_estimates", "spectrum_report", "timings"}),
+    "split": ("report.json", {"oracle_seconds"}, _HEADER | {
+        "model", "pipeline", "k", "lambda", "lambda_prime", "b1", "b2", "iterations",
+        "residual", "residual_scale", "correction_norm", "normalized_deviation_bound",
+        "window_bounds", "published_bounds", "operator_norm_condition", "oracle", "timings"}),
+    "verify": ("verify_report.json", set(), _HEADER | {"seed", "checks", "passed"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FRAMES))
+def test_command_frame(tmp_path, capsys, command):
+    """Each command's report keys, its clock sidecar and its one wall line."""
+    report_name, wall_extra, keys = _FRAMES[command]
+    path = write_config(tmp_path, {"truncation": {"half_width": 8}})
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / report_name).read_text())
+    assert set(report) == keys
+    assert report["command"] == command and report["schema"] == cli._SCHEMA_VERSION
+    wall = json.loads((out / "timings_wall.json").read_text())
+    assert list(wall) == ["wall"]
+    assert set(wall["wall"]) == {"total_seconds"} | wall_extra
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err if line.startswith("wall ")]) == 1
+    assert any(re.fullmatch(r"wall \d+\.\d\ds", line) for line in err)
+
+
 # -- config fuzzing --------------------------------------------------------------
 
 _HILL = {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.5, "-1": 0.5}}

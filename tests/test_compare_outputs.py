@@ -71,6 +71,18 @@ def test_differences_pairs_each_item_with_what_moved():
     ]
 
 
+def test_wall_file_is_compared_by_shape():
+    old = _json({"wall": {"total_seconds": 0.51, "oracle_seconds": 0.02}})
+    same = _json({"wall": {"oracle_seconds": 0.3, "total_seconds": 1.25}})
+    extra = _json({"wall": {"total_seconds": 0.51, "oracle_seconds": 0.02, "gates": 0.01}})
+    a = compare_outputs.compared_bytes("timings_wall.json", old)
+    assert compare_outputs.compared_bytes("timings_wall.json", same) == a
+    b = compare_outputs.compared_bytes("timings_wall.json", extra)
+    assert compare_outputs.moved("timings_wall.json", a, b) == ['wall.gates: <absent> -> "<num>"']
+    # every other file is compared as it is
+    assert compare_outputs.compared_bytes("report.json", old) == old
+
+
 def test_package_lines_counts_only_python_files(tmp_path):
     pkg = tmp_path / "simspec"
     pkg.mkdir()

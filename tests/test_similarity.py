@@ -373,6 +373,51 @@ class TestEstimates:
         assert zero_vals == pytest.approx([-0.12, -0.08], rel=1e-9)
 
 
+def _per_block_estimates(v, labels=None):
+    """Test-side reference: the block estimates with every wide block
+    paired to its indices by its own ``match_spectra`` call."""
+    partition = v.partition
+    spectrum = partition.spectrum
+    lam = spectrum.position_values
+    if labels is None:
+        labels = spectrum.position_index
+    p = np.flatnonzero(partition.narrow)
+    tags, vals = [labels[p]], [lam[p] - v.data[p, p]]
+    for _, pos in partition.wide_classes():
+        w = pos.shape[1]
+        blocks = np.zeros((pos.shape[0], w, w), dtype=complex)
+        blocks[:, np.arange(w), np.arange(w)] = lam[pos]
+        blocks -= v.data[pos[:, :, None], pos[:, None, :]]
+        for block_pos, block_vals in zip(pos, np.linalg.eigvals(blocks)):
+            match = match_spectra(lam[block_pos], block_vals)
+            tags.append(labels[block_pos])
+            vals.append(block_vals[[j for _, j in match.pairs]])
+    out = list(zip(np.concatenate(tags).tolist(), np.concatenate(vals).tolist()))
+    out.sort(key=lambda t: (t[0], t[1].real, t[1].imag))
+    return out
+
+
+@pytest.mark.parametrize("case", ["trivial dirac", "coarse dirac", "mt4 relabelled"])
+def test_block_estimates_pair_only_mixed_tag_blocks(case):
+    # a block of one tag skips the pairing; the estimates stay those of
+    # pairing every wide block, bit for bit
+    labels = None
+    if case == "mt4 relabelled":
+        # a mixed-tag central group of width 29 on the eigenbasis frame
+        fp, _, (_, _, labels, _) = rebase_attempts(jb_only_dirac())[1]()
+        v = fp.v
+    else:
+        idx = np.arange(-12, 13)
+        spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, 2))
+        # coarse: one mixed-tag central group of width 10 among width-2 groups
+        part = Partition.coarse(spec, 2) if case == "coarse dirac" else Partition.trivial(spec)
+        rng = np.random.default_rng(11)
+        v = BlockMatrix(part, rng.normal(size=(spec.dim, spec.dim))
+                        + 1j * rng.normal(size=(spec.dim, spec.dim)))
+    assert repr(block_eigenvalue_estimates(v, labels=labels)) == repr(
+        _per_block_estimates(v, labels=labels))
+
+
 def test_similarity_residual_zero_for_exact_pair():
     spec = spectrum(3)
     part = Partition.trivial(spec)

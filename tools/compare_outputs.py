@@ -6,9 +6,10 @@ Run from the repository root.  The script extracts BASE_REV's ``src/``
 with ``git archive``, runs the fixed run list below against that tree
 and against the working tree's ``src/`` (``--seed 7``, one BLAS thread),
 and compares for each run the exit code, stdout, stderr and every output
-file except ``timings_wall.json``.  The output directory, the source
-directory (numpy warnings name it) and the ``wall ...s`` line are masked
-before the text is compared.  It prints one line per run and exits 1 if
+file.  ``timings_wall.json`` holds clock readings, so it is compared by
+shape only: its keys, with every number masked.  The output directory,
+the source directory (numpy warnings name it) and the ``wall ...s`` line
+are masked before the text is compared.  It prints one line per run and exits 1 if
 any run differs.  Under a differing run it names what moved: up to
 10 differing leaf paths of a JSON file, with both values (and, for two
 floats, their relative change |new - old| / |old|), and the first
@@ -35,7 +36,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 SEED = "7"
-SKIPPED_FILES = {"timings_wall.json"}
+# files of clock readings, compared by their key structure alone
+SHAPE_ONLY_FILES = {"timings_wall.json"}
 MAX_JSON_PATHS = 10
 _WALL = re.compile(r"wall \d+\.\d+s")
 _ABSENT = object()
@@ -172,6 +174,25 @@ def package_lines(src: str) -> int:
     return total
 
 
+def _shape(obj):
+    """A parsed JSON document with every number replaced by ``"<num>"``."""
+    if isinstance(obj, dict):
+        return {key: _shape(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_shape(value) for value in obj]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return "<num>"
+    return obj
+
+
+def compared_bytes(fname: str, data: bytes) -> bytes:
+    """What is compared of one output file: its bytes, or the shape of a
+    file of clock readings."""
+    if fname not in SHAPE_ONLY_FILES:
+        return data
+    return (json.dumps(_shape(json.loads(data)), sort_keys=True, indent=2) + "\n").encode()
+
+
 def run_one(src: str, root: str, name: str, command: str, cfg) -> dict:
     """Run one CLI command in its own directory and collect what it left."""
     work = os.path.join(root, re.sub(r"\W+", "_", name))
@@ -193,10 +214,9 @@ def run_one(src: str, root: str, name: str, command: str, cfg) -> dict:
     files = {}
     for base, _, names in os.walk(out):
         for fname in names:
-            if fname not in SKIPPED_FILES:
-                path = os.path.join(base, fname)
-                with open(path, "rb") as fh:
-                    files[os.path.relpath(path, out)] = fh.read()
+            path = os.path.join(base, fname)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, out)] = compared_bytes(fname, fh.read())
     return {"exit": proc.returncode, "stdout": mask(proc.stdout),
             "stderr": mask(proc.stderr), "files": files}
 
