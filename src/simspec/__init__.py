@@ -26,7 +26,6 @@ from .errors import (
 from .models import (
     MODELS,
     ModelProblem,
-    coeffs_from_csv,
     dirac_model,
     hill_model,
     involution_model,
@@ -83,7 +82,6 @@ from .weighted import (
     decay_weights,
     factorize,
     select_coarsening,
-    weights_to_csv,
 )
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ invariant broke.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import math
@@ -29,13 +30,7 @@ from .errors import (
     ParseError,
     SimspecError,
 )
-from .models import (
-    MODELS,
-    coeffs_from_csv,
-    involution_offdiag_energy,
-    kernel_split_constants,
-    random_trig_coeffs,
-)
+from .models import MODELS, involution_offdiag_energy, kernel_split_constants, random_trig_coeffs
 from .opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
 from .similarity import PIPELINES, SimilarityResult, pipeline_rebase
 from .splitting import (
@@ -51,7 +46,7 @@ from .verify import (
     oracle_eigenvalues,
     values_by_position,
 )
-from .weighted import decay_weights, weights_to_csv
+from .weighted import decay_weights
 
 _SCHEMA_VERSION = 1
 _ORACLE_GATE_DIM = 600
@@ -225,12 +220,41 @@ def _parse_coeff_map(obj, where: str) -> dict:
             k = int(key)
         except (TypeError, ValueError):
             raise ParseError(f"'{where}' key {key!r} is not an integer index")
+        _expect(k not in out, f"duplicate coefficient {k} in '{where}'")
         if _is_number(val):
             out[k] = complex(val)
         elif isinstance(val, list) and len(val) == 2 and all(_is_number(p) for p in val):
             out[k] = complex(val[0], val[1])
         else:
             raise ParseError(f"'{where}.{key}' must be a finite number or a [re, im] pair")
+    return out
+
+
+def _coeffs_from_csv(path) -> dict:
+    """Coefficients from a UTF-8 CSV file of ``k,re,im`` rows; a first row
+    that starts with ``k`` is a header."""
+    out = {}
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            for ln, row in enumerate(csv.reader(fh), start=1):
+                if ln == 1 and row and row[0].strip() == "k":
+                    continue
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 3:
+                    raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=ln)
+                try:
+                    k = int(row[0])
+                    z = complex(float(row[1]), float(row[2]))
+                except ValueError as exc:
+                    raise ParseError(f"bad field: {exc}", path=path, line=ln) from None
+                if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                    raise ParseError(f"coefficient {k} is not finite", path=path, line=ln)
+                if k in out:
+                    raise ParseError(f"duplicate coefficient {k}", path=path, line=ln)
+                out[k] = z
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"unreadable coefficient file: {exc}", path=path) from None
     return out
 
 
@@ -243,7 +267,7 @@ def _coeffs_from_config(model_cfg: dict, base_dir: str) -> dict:
         return _parse_coeff_map(inline, "model.coeffs")
     if fname is not None:
         _expect(isinstance(fname, str), "'model.coeffs_file' must be a string")
-        return coeffs_from_csv(os.path.join(base_dir, fname))
+        return _coeffs_from_csv(os.path.join(base_dir, fname))
     raise ParseError("this model family needs 'model.coeffs' or 'model.coeffs_file'")
 
 
@@ -258,7 +282,7 @@ def _dirac_potentials(model_cfg: dict, base_dir: str) -> dict:
         if isinstance(entry, dict) and set(entry) == {"file"}:
             _expect(isinstance(entry["file"], str),
                     f"'model.potentials.{name}.file' must be a string")
-            parsed[name] = coeffs_from_csv(os.path.join(base_dir, entry["file"]))
+            parsed[name] = _coeffs_from_csv(os.path.join(base_dir, entry["file"]))
         else:
             parsed[name] = _parse_coeff_map(entry, f"model.potentials.{name}")
     return parsed
@@ -349,10 +373,14 @@ def _json_text(obj, pad: str = "\n") -> str:
     return _json_string(obj if isinstance(obj, str) else repr(obj))
 
 
-def _write_json(path, payload: dict):
-    text = _json_text(payload) + "\n"
-    with open(path, "w") as fh:
+def _write_text(path, text: str):
+    """The one writer of an output file: its bytes are exactly ``text``."""
+    with open(path, "w", newline="") as fh:
         fh.write(text)
+
+
+def _write_json(path, payload: dict):
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _write_report(path, command: str, cfg: dict | None, body: dict):
@@ -430,8 +458,10 @@ def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
 
 
 def _write_series(csv_dir, model, est, weights, ora, report_obj):
-    """CSV series; ``est`` and ``ora`` (None without the oracle) hold the
-    estimates and the oracle values arranged by dense position."""
+    """The CSV series; ``est`` and ``ora`` (None without the oracle) hold
+    the estimates and the oracle values arranged by dense position.  The
+    spectrum report and the weights end their rows with CRLF, the other
+    two files with LF."""
     os.makedirs(csv_dir, exist_ok=True)
     spectrum = model.spectrum
     lam = spectrum.position_values
@@ -443,18 +473,28 @@ def _write_series(csv_dir, model, est, weights, ora, report_obj):
         header += ",oracle_re,oracle_im"
         cols += [ora.real.tolist(), ora.imag.tolist()]
         row = "%d,%r,%r,%r,%r,%r,%r\n"
-    text = header + "\n" + "".join([row % cells for cells in zip(*cols)])
-    with open(os.path.join(csv_dir, "spectrum_scatter.csv"), "w") as fh:
-        fh.write(text)
+    _write_text(os.path.join(csv_dir, "spectrum_scatter.csv"),
+                header + "\n" + "".join([row % cells for cells in zip(*cols)]))
     if report_obj is not None:
         lines = ["index,abs_b,residual,alpha\n"]
         for r in report_obj.rows:
             alpha = "" if weights is None else repr(weights.alpha_of(r["index"]))
             lines.append(f"{r['index']},{math.hypot(*r['b'])!r},{r['residual']!r},{alpha}\n")
-        with open(os.path.join(csv_dir, "deviation_decay.csv"), "w") as fh:
-            fh.write("".join(lines))
+        _write_text(os.path.join(csv_dir, "deviation_decay.csv"), "".join(lines))
+        # the columns are the row keys in order; a (re, im) pair takes two
+        first = report_obj.rows[0]
+        header = ",".join(f"{k}_re,{k}_im" if type(v) is tuple else k for k, v in first.items())
+        cell = {tuple: "%r,%r", float: "%r", int: "%d", bool: "%d"}
+        row = ",".join([cell[type(v)] for v in first.values()]) + "\r\n"
+        _write_text(os.path.join(csv_dir, "spectrum_report.csv"), header + "\r\n" + "".join([
+            row % tuple(c for v in r.values() for c in (v if type(v) is tuple else (v,)))
+            for r in report_obj.rows]))
     if weights is not None:
-        weights_to_csv(weights, os.path.join(csv_dir, "weight_decay.csv"))
+        rows = zip(range(weights.max_level + 1), weights.alpha.tolist(),
+                   weights.alpha_prime.tolist(), weights.alpha_tilde.tolist())
+        _write_text(os.path.join(csv_dir, "weight_decay.csv"),
+                    "level,alpha,alpha_prime,alpha_tilde\r\n"
+                    + "".join(["%d,%r,%r,%r\r\n" % r for r in rows]))
 
 
 def _points(values) -> list:
@@ -528,8 +568,7 @@ def _svg_scatter(series, path, title):
             f'font-family="sans-serif" font-size="11">{y:.4g}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
@@ -586,8 +625,6 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     })
     if csv_dir is not None:
         _write_series(os.path.join(out_dir, csv_dir), model, est, weights, ora, report_obj)
-        if report_obj is not None:
-            report_obj.to_csv(os.path.join(out_dir, csv_dir, "spectrum_report.csv"))
     if svg is not None:
         series = [
             ("unperturbed", "#777777", _points(spectrum.position_values)),
@@ -620,14 +657,15 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     model = build_model(cfg)
     k = cfg["split_k"]
     tols = cfg["tolerances"]
-    published = None
-    if model.name == "kernel":
-        published = certificate_from_constants(**kernel_split_constants(k))
+    # the split refuses a k outside the window before the constants see it
     result = split_eigenpair(
         model.spectrum, model.perturbation, k,
         tol=min(tols["fixed_point_tol"], 1e-13),
         max_iter=tols["max_iter"],
     )
+    published = None
+    if model.name == "kernel":
+        published = certificate_from_constants(**kernel_split_constants(k))
     oracle_info = None
     t_oracle = 0.0
     if cfg["oracle"]:

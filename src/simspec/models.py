@@ -26,14 +26,13 @@ a setting of the report (``verify.build_spectrum_report``).
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ParseError, ResolutionError
+from .errors import InvalidInputError, ResolutionError
 from .opmatrix import BlockMatrix, Partition, Spectrum
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "dirac_model",
     "hill_model",
     "random_trig_coeffs",
-    "coeffs_from_csv",
     "MODELS",
 ]
 
@@ -95,30 +93,6 @@ def random_trig_coeffs(rng, degree: int, scale: float = 1.0, real: bool = True) 
         out[k] = z
         w = complex(rng.standard_normal(), rng.standard_normal()) * scale
         out[-k] = z.conjugate() if real else w
-    return out
-
-
-def coeffs_from_csv(path) -> dict:
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for ln, row in enumerate(reader, start=1):
-            if ln == 1 and row and row[0].strip() == "k":
-                continue
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", path=path, line=ln)
-            try:
-                k = int(row[0])
-                z = complex(float(row[1]), float(row[2]))
-            except ValueError as exc:
-                raise ParseError(f"bad field: {exc}", path=path, line=ln) from None
-            if not cmath.isfinite(z):
-                raise ParseError(f"coefficient {k} is not finite", path=path, line=ln)
-            if k in out:
-                raise ParseError(f"duplicate coefficient {k}", path=path, line=ln)
-            out[k] = z
     return out
 
 
@@ -236,7 +210,10 @@ def involution_model(half_width: int, theta: float, coeffs) -> ModelProblem:
     """
     coeffs = _clean_coeffs(coeffs, "involution potential")
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, 1j * np.pi * (2.0 * idx - theta))
+    # a theta near the float limit overflows here, and Spectrum refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 1j * np.pi * (2.0 * idx - theta)
+    spec = Spectrum(idx, values)
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width

@@ -256,18 +256,12 @@ def projection_compare(
 
 # -- spectrum report -----------------------------------------------------------
 
-# row fields in CSV column order; a pair field holds (re, im) and takes
-# the two columns <name>_re and <name>_im
+# row fields in order; a pair field holds (re, im)
 _ROW_FIELDS = (
     "index", "lambda", "estimate", "first_order", "second_order", "oracle", "b",
     "residual", "flagged",
 )
 _PAIR_FIELDS = frozenset(("lambda", "estimate", "first_order", "second_order", "oracle", "b"))
-
-
-# the format of each field's cells in a CSV row
-_CSV_CELLS = {"index": "%d", "flagged": "%d", "residual": "%r",
-              **{name: "%r,%r" for name in _PAIR_FIELDS}}
 
 
 @dataclass
@@ -277,18 +271,6 @@ class SpectrumReport:
     rows: list
     tail_stats: dict
     matching_quality: float
-
-    def to_csv(self, path):
-        header = ",".join(col for name in _ROW_FIELDS
-                          for col in ([f"{name}_re", f"{name}_im"] if name in _PAIR_FIELDS
-                                      else [name]))
-        line = ",".join(_CSV_CELLS[name] for name in _ROW_FIELDS) + "\r\n"
-        text = header + "\r\n" + "".join([
-            line % tuple(c for name in _ROW_FIELDS
-                         for c in (row[name] if name in _PAIR_FIELDS else (row[name],)))
-            for row in self.rows])
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
 
 
 def values_by_position(spectrum: Spectrum, values) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "decay_weights",
     "factorize",
     "select_coarsening",
-    "weights_to_csv",
 ]
 
 
@@ -184,11 +183,3 @@ def select_coarsening(x: BlockMatrix, w: WeightSequence, margin: float = 0.9, st
         best=float(best),
     )
 
-
-def weights_to_csv(w: WeightSequence, path):
-    rows = zip(range(w.max_level + 1), w.alpha.tolist(), w.alpha_prime.tolist(),
-               w.alpha_tilde.tolist())
-    text = "level,alpha,alpha_prime,alpha_tilde\r\n" + "".join(
-        ["%d,%r,%r,%r\r\n" % row for row in rows])
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

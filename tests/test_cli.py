@@ -521,6 +521,8 @@ def test_command_frame(tmp_path, capsys, command):
 
 _HILL = {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.5, "-1": 0.5}}
 _POT = {"0": 0.1, "1": 0.05, "-1": 0.05}
+# a coefficient file in Latin-1, not UTF-8: 0xe9 is an e with an acute accent
+_LATIN1 = b"k,re,im\n0,0.2,0.0\n1,0.1,0.0 # \xe9\n"
 
 _SMALL = st.floats(-50.0, 50.0)
 _PAIRS = st.lists(_SMALL, min_size=2, max_size=2)
@@ -537,8 +539,9 @@ def _configs(draw):
                 pick(st.one_of(_SMALL, _PAIRS), st.floats(allow_nan=False))
                 for _ in range(draw(st.integers(0, 3)))}
 
-    # v.csv is a valid coefficient file, bad.csv a malformed one, missing.csv absent
-    files = st.sampled_from(["bad.csv", "missing.csv", 3, None, ["v.csv"]])
+    # v.csv is a valid coefficient file, bad.csv a malformed one, latin1.csv
+    # one that is not UTF-8, missing.csv absent
+    files = st.sampled_from(["bad.csv", "latin1.csv", "missing.csv", 3, None, ["v.csv"]])
     family = draw(st.sampled_from(["kernel", "involution", "hill", "dirac"]))
     model = {"family": pick(st.just(family), st.sampled_from([[family], {}, 1, None]))}
     if family in ("involution", "hill"):
@@ -600,6 +603,8 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
         fh.write("k,re,im\n0,0.2,0.0\n1,0.1,0.0\n-1,0.1,0.0\n")
     with open(os.path.join(work, "bad.csv"), "w") as fh:
         fh.write("k,re,im\n1,0.5\n")
+    with open(os.path.join(work, "latin1.csv"), "wb") as fh:
+        fh.write(_LATIN1)
     path = os.path.join(work, "cfg.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh)
@@ -635,11 +640,18 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
     ({"model": {"family": "dirac", "gauge": True, "potentials": {
         "v1": {"1": [0, 1e5]}, "v2": {"0": 0.1}, "v3": {"0": 0.1}, "v4": {}}},
       "truncation": {"half_width": 4}, "pipeline": "mt4"}, 2),
+    # "1" and "01" name the same index
+    ({"model": {**_HILL, "coeffs": {"1": 0.3, "01": 0.5, "-1": 0.3}}}, 2),
+    ({"model": {"family": "dirac", "potentials": {
+        "v1": _POT, "v2": {"1": 0.1, "+1": 0.2}, "v3": _POT, "v4": _POT}}}, 2),
+    # the eigenvalues pi i (2n - theta) overflow
+    ({"model": {"family": "involution", "theta": 1e308, "coeffs": {"0": 0.1}}}, 2),
 ], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
         "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
         "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
         "hill-near-integer-theta", "hill-overflow", "family-list", "family-object",
-        "negative-seed", "dirac-gauged-sum-overflow", "dirac-gauged-exp-overflow"])
+        "negative-seed", "dirac-gauged-sum-overflow", "dirac-gauged-exp-overflow",
+        "duplicate-index", "dirac-duplicate-index", "involution-huge-theta"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_probes(tmp_path, capsys, cfg, code):
     path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
@@ -661,12 +673,16 @@ _OVERFLOW = {"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
     ("verify", {"model": {"family": "kernel", "theta": 0.5}, "truncation": {"half_width": 8}}, 2),
     ("verify", {"truncation": {"half_width": 32}, "pipeline": "mt2"}, 3),
     ("verify", {"truncation": {"half_width": 8}, "seed": -1}, 2),
+    ("split", {"truncation": {"half_width": 8}, "split_k": 10**400}, 2),
+    ("verify", {"model": {"family": "hill", "theta": 0.5, "coeffs_file": "latin1.csv"},
+                "truncation": {"half_width": 8}}, 2),
 ], ids=["split-overflow", "verify-overflow", "verify-kernel-theta", "verify-kernel-mt2",
-        "verify-negative-seed"])
+        "verify-negative-seed", "split-huge-k", "verify-non-utf8-file"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
     # split refuses what analyze refuses (see test_exit_code_probes), and
     # verify grades a failed pipeline check by the exit code analyze gives
+    (tmp_path / "latin1.csv").write_bytes(_LATIN1)
     path = write_config(tmp_path, cfg)
     assert main([command, "--config", path, "--out", str(tmp_path), "--quiet"]) == code
     err = capsys.readouterr().err
@@ -679,5 +695,23 @@ def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
         report = json.loads((tmp_path / "verify_report.json").read_text())
         failed = [c for c in report["checks"] if not c["passed"]]
         assert [(c["name"], c["severity"]) for c in failed] == [("pipeline_invariants", code)]
+    elif "split_k" in cfg:
+        assert err.startswith("error: index 1000") and err.count("\n") == 1
     else:
         assert err.startswith("error: the perturbation overflows")
+
+
+@pytest.mark.parametrize("data", [_LATIN1, b"k,re,im\n0," + b"1" * 140_000 + b",0\n"],
+                         ids=["non-utf8", "field-over-csv-limit"])
+@pytest.mark.parametrize("model", [
+    {"family": "hill", "theta": 0.5, "coeffs_file": "c.csv"},
+    {"family": "dirac", "potentials": {"v1": {"file": "c.csv"}, "v2": _POT, "v3": _POT, "v4": _POT}},
+], ids=["coeffs-file", "dirac-potential-file"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unreadable_coefficient_file_exits_2(tmp_path, capsys, data, model):
+    (tmp_path / "c.csv").write_bytes(data)
+    path = write_config(tmp_path, {"model": model, "truncation": {"half_width": 4}})
+    assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable coefficient file: ")
+    assert err.endswith(f"[{tmp_path / 'c.csv'}]\n") and err.count("\n") == 1

@@ -1,8 +1,8 @@
 """Import hygiene of the package, checked on its syntax trees alone.
 
 Every name a module imports from a sibling is used in that module
-(``__init__.py`` imports only to re-export), and no module imports a
-private ``_`` name from a sibling.
+(``__init__.py`` imports only to re-export), no module imports a
+private ``_`` name from a sibling, and only ``cli.py`` opens a file.
 """
 
 import ast
@@ -38,3 +38,13 @@ def test_no_private_sibling_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     private = [name for _, name in sibling_imports(tree) if name.startswith("_")]
     assert not private, f"{path.name} imports private names: {', '.join(private)}"
+
+
+def test_only_cli_opens_files():
+    openers = [
+        path.name for path in MODULES
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "open"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    ]
+    assert openers == ["cli.py"]

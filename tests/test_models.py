@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simspec.cli import _coeffs_from_csv
 from simspec.errors import InvalidInputError, ParseError
 from simspec.models import (
     _fourier_eval,
     _stable_fft_coefficients,
     _twist_coefficients,
-    coeffs_from_csv,
     dirac_model,
     hill_model,
     involution_model,
@@ -171,14 +171,14 @@ class TestCoeffIO:
         p = tmp_path / "c.csv"
         p.write_text("k,re,im\n" + "".join(
             f"{k},{z.real!r},{z.imag!r}\n" for k, z in sorted(co.items())))
-        back = coeffs_from_csv(p)
+        back = _coeffs_from_csv(p)
         assert back == co
 
     def test_rejects_bad_row(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("k,re,im\n1,0.5\n")
         with pytest.raises(ParseError):
-            coeffs_from_csv(p)
+            _coeffs_from_csv(p)
 
     def test_random_real_coeffs_are_conjugate_symmetric(self):
         rng = np.random.default_rng(4)

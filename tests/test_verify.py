@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simspec import cli
 from simspec.errors import InvalidInputError, NotInvertibleError, OracleFailureError
 from simspec.models import kernel_model
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum
@@ -252,8 +253,8 @@ class TestSpectrumReport:
             assert row["residual"] <= 1e-9
         assert rep.tail_stats["plain_sum"] > 0.0
         assert rep.tail_stats["weighted_sum"] >= rep.tail_stats["plain_sum"]
-        out = tmp_path / "rep.csv"
-        rep.to_csv(out)
+        cli._write_series(str(tmp_path), mdl, est, w, None, rep)
+        out = tmp_path / "spectrum_report.csv"
         lines = out.read_text().strip().splitlines()
         assert len(lines) == len(interior) + 1
         assert lines[0].startswith("index,lambda_re")

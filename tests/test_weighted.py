@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simspec import cli
 from simspec.errors import DegenerateWeightError, InvalidInputError, WindowTooSmallError
 from simspec.models import kernel_model
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum
@@ -12,7 +13,6 @@ from simspec.weighted import (
     decay_weights,
     factorize,
     select_coarsening,
-    weights_to_csv,
 )
 
 
@@ -205,8 +205,9 @@ class TestSelectCoarsening:
 class TestWeightCsv:
     def test_round_trip(self, tmp_path):
         w = decay_weights(decaying_matrix(4, seed=8))
-        p = tmp_path / "w.csv"
-        weights_to_csv(w, p)
+        model = kernel_model(4)
+        cli._write_series(str(tmp_path), model, model.spectrum.position_values, w, None, None)
+        p = tmp_path / "weight_decay.csv"
         with open(p, newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["level", "alpha", "alpha_prime", "alpha_tilde"]

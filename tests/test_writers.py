@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from simspec import cli
+from simspec.models import kernel_model
 from simspec.verify import SpectrumReport
 
 # -- old forms -------------------------------------------------------------------
@@ -303,8 +304,9 @@ def test_report_csv_ends_rows_with_crlf(tmp_path):
         "first_order": (0.0, 0.0), "second_order": (2.5e300, -1.0), "oracle": (3.0, 4.0),
         "b": (0.1, 0.2), "residual": 5e-17, "flagged": True,
     }], tail_stats={}, matching_quality=0.0)
-    report.to_csv(tmp_path / "new.csv")
+    model = kernel_model(2)
+    cli._write_series(str(tmp_path), model, model.spectrum.position_values, None, None, report)
     old_report_to_csv(report, tmp_path / "old.csv")
-    text = (tmp_path / "new.csv").read_bytes()
+    text = (tmp_path / "spectrum_report.csv").read_bytes()
     assert text == (tmp_path / "old.csv").read_bytes()
     assert text.count(b"\r\n") == 2

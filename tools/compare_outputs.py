@@ -141,6 +141,12 @@ def run_list(repo: str) -> list:
         ("overflow gauged dirac N=4 mt4", "analyze", cfg(sum_overflow, 4, "mt4")),
         ("overflow gauge factor dirac N=4 mt4", "analyze", cfg(gauge_overflow, 4, "mt4")),
         ("family list analyze", "analyze", cfg({"family": ["kernel"]}, 8, "mt1")),
+        # refused inputs: a k past the float range, a theta whose eigenvalues
+        # overflow, and a coefficient map that names index 1 twice
+        ("kernel split k=1e400", "split", cfg(kernel, 8, "auto", split_k=10**400)),
+        ("involution theta 1e308", "analyze", cfg({**involution, "theta": 1e308}, 8, "mt2")),
+        ("hill coeffs duplicate index", "analyze",
+         cfg({**hill03, "coeffs": {"1": 0.3, "01": 0.5, "-1": 0.3}}, 8, "mt2")),
         ("verify", "verify", None),
         ("verify kernel theta N=8", "verify", cfg({**kernel, "theta": 0.5}, 8, "auto")),
         ("verify kernel N=32 mt2", "verify", cfg(kernel, 32, "mt2")),
