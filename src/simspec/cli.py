@@ -23,6 +23,7 @@ import numpy as np
 
 from . import models as model_lib
 from .errors import (
+    ContractionViolationError,
     InvalidInputError,
     InvariantBreachError,
     MethodConditionError,
@@ -31,7 +32,7 @@ from .errors import (
     SimspecError,
 )
 from .models import MODELS, involution_offdiag_energy, kernel_split_constants, random_trig_coeffs
-from .opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
+from .opmatrix import BlockMatrix, Partition, Spectrum
 from .similarity import PIPELINES, SimilarityResult, pipeline_rebase
 from .splitting import (
     certificate_from_constants,
@@ -405,31 +406,26 @@ def _oracle(model) -> np.ndarray:
 # -- analyze ------------------------------------------------------------------
 
 
-def _pipeline_for(model, requested: str) -> str:
-    """The similarity pipeline a run takes; "auto" and "split" choose one
-    by the model."""
-    if requested not in ("auto", "split"):
-        return requested
-    if model.name == "dirac":
-        return "mt4"
-    q = 4.0 * model.perturbation.hs() / spectral_gap(model.spectrum)
-    return "mt1" if q < 1.0 else "mt3"
-
-
 def run_pipeline(model, requested: str, tols: dict) -> SimilarityResult:
-    name = _pipeline_for(model, requested)
+    """Under "auto" and "split", dirac takes mt4; any other family takes mt1
+    when mt1's own contraction certificate holds, else mt3."""
     tol = tols["fixed_point_tol"]
     max_iter = tols["max_iter"]
     margin = tols["contraction_margin"]
     spectrum = model.spectrum
     b = model.perturbation
-    if name in ("mt1", "mt2"):
-        return PIPELINES[name](spectrum, b, tol=tol, max_iter=max_iter)
-    if name == "mt3":
+    if requested in ("auto", "split") and model.name == "dirac":
+        requested = "mt4"
+    elif requested in ("auto", "split"):
+        try:
+            return PIPELINES["mt1"](spectrum, b, tol=tol, max_iter=max_iter)
+        except ContractionViolationError:
+            requested = "mt3"
+    if requested in ("mt1", "mt2"):
+        return PIPELINES[requested](spectrum, b, tol=tol, max_iter=max_iter)
+    if requested == "mt3":
         return PIPELINES["mt3"](spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
-    if name == "mt4":
-        return pipeline_rebase(spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
-    raise InvalidInputError(f"unknown pipeline {name!r}")
+    return pipeline_rebase(spectrum, b, margin=margin, tol=tol, max_iter=max_iter)
 
 
 def _gate(measured: float, threshold: float) -> dict:
@@ -819,7 +815,7 @@ def _verify_battery(seed: int, quiet: bool, cfg: dict | None):
     for name, severity, check in _VERIFY_CHECKS:
         try:
             passed, detail = check(rng, cfg)
-        except SimspecError as exc:
+        except (SimspecError, OSError) as exc:
             passed, detail, severity = False, str(exc), _failure(exc)[0]
         checks.append({"name": name, "passed": bool(passed), "detail": detail,
                        "severity": severity})

@@ -197,22 +197,19 @@ def fixed_point(
     x = BlockMatrix.zeros(b.partition)
     steps = []
     ratio = 0.0
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x_next = contraction_step(x, b)
         s = norm_fn(x_next - x)
         if steps and steps[-1] > 1e-300:
             ratio = max(ratio, s / steps[-1])
         steps.append(s)
         x = x_next
-        iterations = it
         if s <= tol * max(norm_b, 1e-300):
-            converged = True
             break
-    if not converged:
+    else:
+        last = steps[-1] / steps[-2] if len(steps) > 1 and steps[-2] > 0.0 else None
         raise NonConvergenceError(
-            f"fixed point not reached in {max_iter} iterations", last_ratio=ratio
+            f"fixed point not reached in {max_iter} iterations", last_ratio=last
         )
     certificate["observed_ratio"] = float(ratio)
 
@@ -225,7 +222,7 @@ def fixed_point(
     resid = (v - block_diagonal_of_product(b, u) - block_diagonal(b)).hs()
     if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
-    return FixedPointResult(u, v, iterations, steps, certificate, float(resid))
+    return FixedPointResult(u, v, len(steps), steps, certificate, float(resid))
 
 
 # -- preliminary transform ----------------------------------------------
@@ -419,27 +416,6 @@ def _result(
 # -- pipelines -------------------------------------------------------------
 
 
-def _single_stage(
-    spectrum: Spectrum,
-    b: BlockMatrix,
-    *,
-    pipeline: str,
-    gamma: float,
-    norm_fn,
-    norm_name: str,
-    tol: float,
-    max_iter: int,
-) -> SimilarityResult:
-    """One fixed point on the index-per-group partition; ``gamma`` is the
-    norm bound of G."""
-    bb = _move(b, Partition.trivial(spectrum))
-    fp = fixed_point(
-        bb, gamma=gamma, norm_fn=norm_fn, norm_name=norm_name,
-        tol=tol, max_iter=max_iter,
-    )
-    return _result(pipeline, spectrum, bb, fp)
-
-
 def pipeline_contraction(
     spectrum: Spectrum,
     b: BlockMatrix,
@@ -452,14 +428,15 @@ def pipeline_contraction(
     Certificate: 4 ||B||_hs / delta < 1 with delta the least eigenvalue
     gap.
     """
-    return _single_stage(
-        spectrum, b,
-        pipeline="mt1",
+    bb = _move(b, Partition.trivial(spectrum))
+    fp = fixed_point(
+        bb,
         gamma=1.0 / spectral_gap(spectrum),
         norm_fn=lambda z: z.hs(),
         norm_name="hs",
         tol=tol, max_iter=max_iter,
     )
+    return _result("mt1", spectrum, bb, fp)
 
 
 def pipeline_block_norm(
@@ -471,14 +448,15 @@ def pipeline_block_norm(
 ) -> SimilarityResult:
     """Fixed point in the blockwise spectral norm; certificate through
     the inverse square gap sum instead of the worst single gap."""
-    return _single_stage(
-        spectrum, b,
-        pipeline="mt2",
+    bb = _move(b, Partition.trivial(spectrum))
+    fp = fixed_point(
+        bb,
         gamma=math.sqrt(gap_inverse_square_sum(spectrum)),
         norm_fn=lambda z: z.hs_sigma(),
         norm_name="hs_sigma",
         tol=tol, max_iter=max_iter,
     )
+    return _result("mt2", spectrum, bb, fp)
 
 
 # -- two-stage pipelines -----------------------------------------------------

@@ -18,7 +18,15 @@ from simspec.cli import (
     main,
     validate_config,
 )
-from simspec.errors import InvalidInputError, ParseError
+from simspec.errors import (
+    ContractionViolationError,
+    InvalidInputError,
+    ParseError,
+    SimspecError,
+)
+from simspec.models import ModelProblem
+from simspec.opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
+from simspec.similarity import pipeline_coarse, pipeline_contraction
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -327,6 +335,18 @@ class TestAnalyzeCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["pipeline"] == "mt4"
 
+    def test_auto_rule_takes_mt1_on_a_bare_certificate(self):
+        # q = 4 * (1 / delta) * ||B||_hs is 0.9999999999999999, while
+        # 4 * ||B||_hs / delta rounds to 1.0: auto follows mt1's own q
+        delta = 80.86381789351836
+        spec = Spectrum([-1, 0, 1], [-delta, 0.0, delta])
+        data = np.zeros((3, 3), dtype=complex)
+        data[0, 2] = 20.21595447337959
+        model = ModelProblem("hill", spec, BlockMatrix(Partition.trivial(spec), data))
+        result = cli.run_pipeline(model, "auto", default_config()["tolerances"])
+        assert result.pipeline == "mt1"
+        assert result.certificates["contraction"]["contraction_q"] == 0.9999999999999999
+
     def test_rebase_takes_the_eigenbasis_frame(self, tmp_path):
         # the smoothing radius 1 leaves a central block whose designated
         # diagonal part is not diagonal, so mt4 diagonalizes it numerically
@@ -497,6 +517,38 @@ _FRAMES = {
         "window_bounds", "published_bounds", "operator_norm_condition", "oracle", "timings"}),
     "verify": ("verify_report.json", set(), _HEADER | {"seed", "checks", "passed"}),
 }
+
+
+def _outcome(run, *args, **kwargs):
+    """The pipeline a run returns, or the kind of error it raises."""
+    try:
+        return run(*args, **kwargs).pipeline
+    except SimspecError as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(gaps=st.lists(st.floats(0.5, 50.0), min_size=2, max_size=6),
+       imag=st.floats(0.0, 5.0), q=st.floats(0.5, 1.5), seed=st.integers(0, 2**32 - 1))
+def test_auto_takes_mt1_exactly_when_mt1_certifies(gaps, imag, q, seed):
+    # auto ends as mt1 does, or as mt3 does when mt1 refuses its certificate;
+    # B is scaled so that 4 ||B||_hs / delta is q, on both sides of 1
+    rng = np.random.default_rng(seed)
+    values = np.cumsum([0.0, *gaps]) + 1j * imag * rng.normal(size=len(gaps) + 1)
+    spec = Spectrum(np.arange(len(values)) - len(values) // 2, values)
+    data = rng.normal(size=(spec.dim, spec.dim)) + 1j * rng.normal(size=(spec.dim, spec.dim))
+    data *= q * spectral_gap(spec) / (4.0 * np.linalg.norm(data))
+    model = ModelProblem("hill", spec, BlockMatrix(Partition.trivial(spec), data))
+    tols = default_config()["tolerances"]
+    mt1 = _outcome(pipeline_contraction, spec, model.perturbation,
+                   tol=tols["fixed_point_tol"], max_iter=tols["max_iter"])
+    auto = _outcome(cli.run_pipeline, model, "auto", tols)
+    if mt1 is ContractionViolationError:
+        assert auto == _outcome(pipeline_coarse, spec, model.perturbation,
+                                margin=tols["contraction_margin"],
+                                tol=tols["fixed_point_tol"], max_iter=tols["max_iter"])
+    else:
+        assert auto == mt1
 
 
 @pytest.mark.parametrize("command", sorted(_FRAMES))
@@ -676,8 +728,10 @@ _OVERFLOW = {"model": {**_HILL, "coeffs": {"1": 1e200, "-1": 1e200}},
     ("split", {"truncation": {"half_width": 8}, "split_k": 10**400}, 2),
     ("verify", {"model": {"family": "hill", "theta": 0.5, "coeffs_file": "latin1.csv"},
                 "truncation": {"half_width": 8}}, 2),
+    ("verify", {"model": {"family": "hill", "theta": 0.5, "coeffs_file": "missing.csv"},
+                "truncation": {"half_width": 8}}, 2),
 ], ids=["split-overflow", "verify-overflow", "verify-kernel-theta", "verify-kernel-mt2",
-        "verify-negative-seed", "split-huge-k", "verify-non-utf8-file"])
+        "verify-negative-seed", "split-huge-k", "verify-non-utf8-file", "verify-missing-file"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
     # split refuses what analyze refuses (see test_exit_code_probes), and

@@ -94,6 +94,22 @@ class TestFixedPoint:
             fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
                         norm_name="full", max_iter=1)
 
+    @pytest.mark.parametrize("max_iter", [1, 3, 5])
+    def test_cut_run_names_its_last_step_ratio(self, max_iter):
+        # the ratio of the last two step norms, and no ratio after one
+        # step; at five steps the largest ratio is the fourth's, not the last
+        spec, b = small_perturbation(6)
+        kw = dict(gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(), norm_name="full")
+        steps = fixed_point(b, **kw).step_norms
+        with pytest.raises(NonConvergenceError) as err:
+            fixed_point(b, max_iter=max_iter, **kw)
+        if max_iter == 1:
+            assert err.value.last_ratio is None
+            assert str(err.value) == "fixed point not reached in 1 iterations"
+        else:
+            assert err.value.last_ratio == steps[max_iter - 1] / steps[max_iter - 2]
+            assert str(err.value).endswith(f"(last step ratio {err.value.last_ratio!r})")
+
 
 def random_block(rng, part, scale=1.0):
     d = part.spectrum.dim

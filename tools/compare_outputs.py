@@ -121,6 +121,8 @@ def run_list(repo: str) -> list:
         ("dirac zero N=8 mt1 csv svg", "analyze", cfg(zero_dirac, 8, "mt1", csv=True, svg=True)),
         ("hill5 N=64 mt3 csv svg", "analyze", cfg(hill5, 64, "mt3", csv=True, svg=True)),
         ("hill5 N=32 mt4", "analyze", cfg(hill5, 32, "mt4")),
+        # auto falls back to mt3: mt1's contraction certificate fails
+        ("hill5 N=32 auto", "analyze", cfg(hill5, 32, "auto")),
         ("hill eigenbasis N=11 mt4", "analyze", cfg(hill_eig, 11, "mt4")),
         ("dirac jb-only ungauged N=16 mt4", "analyze", cfg(jb_only, 16, "mt4")),
         ("dirac both frames fail ungauged N=5 mt4", "analyze", cfg(no_frame, 5, "mt4")),
