@@ -33,8 +33,9 @@ from .errors import (
 )
 from .models import MODELS, involution_offdiag_energy, kernel_split_constants, random_trig_coeffs
 from .opmatrix import BlockMatrix, Partition, Spectrum
-from .similarity import PIPELINES, SimilarityResult, pipeline_rebase
+from .similarity import IDENTITY_SLACK, PIPELINES, SimilarityResult, pipeline_rebase
 from .splitting import (
+    SPLIT_TOL,
     certificate_from_constants,
     operator_norm_condition,
     split_eigenpair,
@@ -57,7 +58,7 @@ _ORACLE_GATE_DIM = 600
 _DENSE_ARRAY_CAP_MIB = 128
 _DEFAULT_SEED = 2026
 
-_PIPELINE_CHOICES = ("auto", "mt1", "mt2", "mt3", "mt4", "split")
+_PIPELINE_CHOICES = ("auto", *PIPELINES, "split")
 
 # the model keys each family reads besides 'family'; a key that only
 # other families read is refused, the first in the order listed here
@@ -171,9 +172,9 @@ def validate_config(raw: dict) -> dict:
     trunc["interior_fraction"] = frac
     tols = cfg["tolerances"]
     tols["fixed_point_tol"] = _as_number(tols["fixed_point_tol"], "tolerances.fixed_point_tol")
-    # a looser stop cannot meet the 1e-10 diagonal identity check of the fixed point
-    _expect(0.0 < tols["fixed_point_tol"] <= 1e-10,
-            "'tolerances.fixed_point_tol' must be in (0, 1e-10]")
+    # a looser stop cannot meet the diagonal identity check of the fixed point
+    _expect(0.0 < tols["fixed_point_tol"] <= IDENTITY_SLACK,
+            f"'tolerances.fixed_point_tol' must be in (0, {IDENTITY_SLACK:g}]")
     _expect(type(tols["max_iter"]) is int and tols["max_iter"] > 0,  # a bool is no count
             "'tolerances.max_iter' must be a positive integer")
     margin = _as_number(tols["contraction_margin"], "tolerances.contraction_margin")
@@ -184,8 +185,7 @@ def validate_config(raw: dict) -> dict:
     family = cfg["model"].get("family")
     _expect(isinstance(family, str) and family in MODELS,  # a list or object is unhashable
             f"'model.family' must be one of {', '.join(sorted(MODELS))}")
-    # dirac carries two coordinates per index, the other families one
-    dim = (2 * trunc["half_width"] + 1) * (2 if family == "dirac" else 1)
+    dim = (2 * trunc["half_width"] + 1) * model_lib.COORDINATES_PER_INDEX[family]
     _expect(16 * dim * dim <= _DENSE_ARRAY_CAP_MIB * 2**20,
             f"model dimension {dim} is too large: one dense d x d complex array "
             f"(16 d^2 bytes) would exceed the {_DENSE_ARRAY_CAP_MIB} MiB cap; "
@@ -195,7 +195,7 @@ def validate_config(raw: dict) -> dict:
 
 def load_config(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}", path=path)
@@ -236,7 +236,7 @@ def _coeffs_from_csv(path) -> dict:
     that starts with ``k`` is a header."""
     out = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             for ln, row in enumerate(csv.reader(fh), start=1):
                 if ln == 1 and row and row[0].strip() == "k":
                     continue
@@ -656,7 +656,7 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     # the split refuses a k outside the window before the constants see it
     result = split_eigenpair(
         model.spectrum, model.perturbation, k,
-        tol=min(tols["fixed_point_tol"], 1e-13),
+        tol=min(tols["fixed_point_tol"], SPLIT_TOL),
         max_iter=tols["max_iter"],
     )
     published = None

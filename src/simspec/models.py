@@ -346,7 +346,7 @@ def dirac_model(
     v3 = _clean_coeffs(v3, "v3")
     v4 = _clean_coeffs(v4, "v4")
     idx = _window_indices(half_width)
-    spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, 2))
+    spec = Spectrum(idx, 2.0 * np.pi * idx, np.full(idx.size, COORDINATES_PER_INDEX["dirac"]))
     base = Partition.trivial(spec)
 
     kmax = 2 * half_width
@@ -423,3 +423,5 @@ MODELS = {
     "dirac": dirac_model,
     "hill": hill_model,
 }
+# coordinates of the free operator per window index: dirac's 2 x 2 blocks
+COORDINATES_PER_INDEX = {"kernel": 1, "involution": 1, "dirac": 2, "hill": 1}

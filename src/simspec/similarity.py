@@ -110,7 +110,7 @@ __all__ = [
 ]
 
 _BALL_SLACK = 1e-9
-_IDENTITY_SLACK = 1e-10
+IDENTITY_SLACK = 1e-10
 
 
 def _move(x: BlockMatrix, partition: Partition) -> BlockMatrix:
@@ -220,7 +220,7 @@ def fixed_point(
         )
     u, v = commutator_inverse(x), block_diagonal(x)
     resid = (v - block_diagonal_of_product(b, u) - block_diagonal(b)).hs()
-    if resid > _IDENTITY_SLACK * max(1.0, b.hs()):
+    if resid > IDENTITY_SLACK * max(1.0, b.hs()):
         raise InvariantBreachError(f"diagonal identity residual {resid!r} too large")
     return FixedPointResult(u, v, len(steps), steps, certificate, float(resid))
 

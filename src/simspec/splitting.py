@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-12
+SPLIT_TOL = 1e-13  # the split iteration's default stop, relative to ||B21||
 # rows of B per block of the live-coordinate scan: the float mask of a
 # block is _SCAN_ROWS * 2d bytes, far below one d x d copy
 _SCAN_ROWS = 64
@@ -265,7 +266,7 @@ def split_eigenpair(
     b: BlockMatrix,
     k: int,
     *,
-    tol: float = 1e-13,
+    tol: float = SPLIT_TOL,
     max_iter: int = 200,
 ) -> SplitResult:
     """Correct e_k into an eigenvector of the truncated problem.
@@ -287,17 +288,14 @@ def split_eigenpair(
     b21_norm = bounds.b21_norm
     floor = max(b21_norm, 1e-300)
     z = np.zeros_like(op.b21)
-    # B22 S z is zero off the live coordinates; with none live (the
-    # kernel cross) subtracting 0.0 in its place gives the same bits
-    live = op.live if op.live.any() else None
-    b22sz = 0.0 if live is None else np.zeros_like(op.b21)
+    # B22 S z is zero off the live coordinates
+    b22sz = np.zeros_like(op.b21)
     iterations = 0
     converged = b21_norm == 0.0
     for iterations in range(1, max_iter + 1):
         sz = s * z
         b2 = op.b12 @ sz
-        if live is not None:
-            b22sz[live] = op.b22 @ sz[live]
+        b22sz[op.live] = op.b22 @ sz[op.live]
         z_next = op.b1 * sz - b22sz - b2 * sz + op.b21
         step = float(np.linalg.norm(z_next - z))
         z = z_next

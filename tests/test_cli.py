@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -24,9 +25,10 @@ from simspec.errors import (
     ParseError,
     SimspecError,
 )
-from simspec.models import ModelProblem
+from simspec.models import COORDINATES_PER_INDEX, ModelProblem
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
-from simspec.similarity import pipeline_coarse, pipeline_contraction
+from simspec.similarity import IDENTITY_SLACK, PIPELINES, pipeline_coarse, pipeline_contraction
+from simspec.splitting import split_eigenpair
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -61,8 +63,19 @@ class TestConfigValidation:
             validate_config({"schema": 99})
 
     def test_bad_pipeline(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             validate_config({"pipeline": "mt9"})
+        # auto, the pipeline table in its own order, then split
+        assert str(err.value) == "pipeline must be one of " + ", ".join(["auto", *PIPELINES, "split"])
+        assert str(err.value) == "pipeline must be one of auto, mt1, mt2, mt3, mt4, split"
+
+    def test_tolerance_ceiling_is_the_identity_slack(self):
+        cfg = validate_config({"tolerances": {"fixed_point_tol": IDENTITY_SLACK}})
+        assert cfg["tolerances"]["fixed_point_tol"] == IDENTITY_SLACK
+        above = float(np.nextafter(IDENTITY_SLACK, 1.0))
+        with pytest.raises(ParseError) as err:
+            validate_config({"tolerances": {"fixed_point_tol": above}})
+        assert str(err.value) == "'tolerances.fixed_point_tol' must be in (0, 1e-10]"
 
     def test_bad_fraction(self):
         with pytest.raises(ParseError):
@@ -82,7 +95,7 @@ class TestConfigValidation:
         ("kernel", 10**12),
     ])
     def test_dimension_cap_refused(self, family, half_width):
-        dim = (2 * half_width + 1) * (2 if family == "dirac" else 1)
+        dim = (2 * half_width + 1) * COORDINATES_PER_INDEX[family]
         with pytest.raises(ParseError, match=f"model dimension {dim} "):
             validate_config({"model": {"family": family},
                              "truncation": {"half_width": half_width}})
@@ -123,6 +136,22 @@ class TestModelBuilding:
         cfg = load_config(path)
         mdl = build_model(cfg)
         assert mdl.name == "hill"
+
+    @pytest.mark.parametrize("header", ["k,re,im\n", ""], ids=["header", "no-header"])
+    def test_coeffs_file_with_byte_order_mark(self, tmp_path, header):
+        (tmp_path / "v.csv").write_bytes(("\ufeff" + header + "1,0.5,0.0\n-1,0.5,0.25\n").encode())
+        model = {"family": "hill", "theta": 0.5}
+        path = write_config(tmp_path, {"model": {**model, "coeffs_file": "v.csv"},
+                                       "truncation": {"half_width": 4}})
+        inline = validate_config({"model": {**model, "coeffs": {"1": 0.5, "-1": [0.5, 0.25]}},
+                                  "truncation": {"half_width": 4}})
+        got = build_model(load_config(path)).perturbation.data
+        assert np.array_equal(got, build_model(inline).perturbation.data)
+
+    def test_config_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"split_k": 3}).encode())
+        assert load_config(str(path))["split_k"] == 3
 
     def test_inline_and_file_exclusive(self, tmp_path):
         path = write_config(tmp_path, {
@@ -461,6 +490,22 @@ class TestSplitCommand:
                                        "pipeline": "split", "split_k": 0})
         assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-15])
+    def test_split_clamps_to_the_iteration_default(self, tmp_path, monkeypatch, tol):
+        # the loosest admitted tolerance falls back to split_eigenpair's own default
+        default = inspect.signature(split_eigenpair).parameters["tol"].default
+        seen = []
+
+        def recording_split(*args, **kwargs):
+            seen.append(kwargs["tol"])
+            return split_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "split_eigenpair", recording_split)
+        path = write_config(tmp_path, {"truncation": {"half_width": 8}, "oracle": False,
+                                       "tolerances": {"fixed_point_tol": tol}})
+        assert main(["split", "--config", path, "--out", str(tmp_path), "--quiet"]) == 0
+        assert seen == [default if tol == 1e-10 else tol]
 
 
 class TestVerifyCommand:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from simspec.cli import _coeffs_from_csv
 from simspec.errors import InvalidInputError, ParseError
 from simspec.models import (
+    COORDINATES_PER_INDEX,
+    MODELS,
     _fourier_eval,
     _stable_fft_coefficients,
     _twist_coefficients,
@@ -185,6 +187,12 @@ class TestCoeffIO:
         co = random_trig_coeffs(rng, degree=5, real=True)
         for k, v in co.items():
             assert co[-k] == pytest.approx(np.conj(v))
+
+
+@pytest.mark.parametrize("family", sorted(MODELS))
+def test_coordinates_per_index_give_the_dimension(family):
+    args = {"kernel": (), "dirac": ({0: 0.1},) * 4}.get(family, (0.5, {1: 0.1, -1: 0.1}))
+    assert MODELS[family](2, *args).spectrum.dim == 5 * COORDINATES_PER_INDEX[family]
 
 
 # -- the vectorised builders against their per-entry loops ------------------

@@ -52,7 +52,8 @@ _LOAD_WORKLOADS = (
 
 
 def run_list(repo: str) -> list:
-    """(name, command, config or None) for every compared run."""
+    """(name, command, config or None[, extra files]) for every compared
+    run; the extra files map a file name next to the config to its text."""
     loaded = json.loads(subprocess.run(
         [sys.executable, "-c", _LOAD_WORKLOADS], cwd=repo, check=True,
         capture_output=True, text=True,
@@ -72,11 +73,19 @@ def run_list(repo: str) -> list:
         return {"schema": 1, "model": model, "truncation": {"half_width": half_width},
                 "pipeline": pipeline, "output": output, **extra}
 
+    def coeff_csv(coeffs):
+        """A coefficient map as the text of a ``k,re,im`` file with a header."""
+        pairs = {k: v if isinstance(v, list) else [v, 0.0] for k, v in coeffs.items()}
+        return "k,re,im\n" + "".join(f"{k},{float(re)!r},{float(im)!r}\n"
+                                     for k, (re, im) in pairs.items())
+
     dirac = {"family": "dirac", "gauge": True, "potentials": pots}
     ungauged = {**dirac, "gauge": False}
     zero_dirac = {"family": "dirac", "potentials": {v: {} for v in ("v1", "v2", "v3", "v4")}}
     hill5 = {"family": "hill", "theta": 0.5, "coeffs": {"1": 5, "-1": 5}}
     hill03 = {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.3, "-1": 0.3}}
+    hill03_file = {"family": "hill", "theta": 0.5, "coeffs_file": "v.csv"}
+    dirac_v2_file = {**dirac, "potentials": {**pots, "v2": {"file": "v2.csv"}}}
     # mt4 on it rebases in a numerical eigenbasis, not a permutation
     hill_eig = {"family": "hill", "theta": 0.9,
                 "coeffs": {"0": [0.45, -0.38], "1": [-0.13, 3.0], "-1": [-4.0, -2.0]}}
@@ -127,6 +136,13 @@ def run_list(repo: str) -> list:
         ("dirac jb-only ungauged N=16 mt4", "analyze", cfg(jb_only, 16, "mt4")),
         ("dirac both frames fail ungauged N=5 mt4", "analyze", cfg(no_frame, 5, "mt4")),
         ("hill0.3 N=32 mt2", "analyze", cfg(hill03, 32, "mt2")),
+        # the coefficient-file reader, with the inline runs' coefficients
+        ("hill0.3 coeffs_file N=32 mt2", "analyze", cfg(hill03_file, 32, "mt2"),
+         {"v.csv": coeff_csv(hill03["coeffs"])}),
+        ("hill0.3 coeffs_file BOM N=32 mt2", "analyze", cfg(hill03_file, 32, "mt2"),
+         {"v.csv": "\ufeff" + coeff_csv(hill03["coeffs"])}),
+        ("dirac v2 file N=8 mt4", "analyze", cfg(dirac_v2_file, 8, "mt4"),
+         {"v2.csv": coeff_csv(pots["v2"])}),
         ("hill0.3 split k=3 N=40", "split", cfg(hill03, 40, "auto", split_k=3)),
         ("involution N=20 mt2", "analyze", cfg(involution, 20, "mt2")),
         ("involution N=20 mt3", "analyze", cfg(involution, 20, "mt3")),
@@ -201,11 +217,15 @@ def compared_bytes(fname: str, data: bytes) -> bytes:
     return (json.dumps(_shape(json.loads(data)), sort_keys=True, indent=2) + "\n").encode()
 
 
-def run_one(src: str, root: str, name: str, command: str, cfg) -> dict:
-    """Run one CLI command in its own directory and collect what it left."""
+def run_one(src: str, root: str, name: str, command: str, cfg, files=None) -> dict:
+    """Run one CLI command in its own directory and collect what it left;
+    ``files`` (name: text) are written next to the config first."""
     work = os.path.join(root, re.sub(r"\W+", "_", name))
     out = os.path.join(work, "out")
     os.makedirs(work)
+    for fname, text in (files or {}).items():
+        with open(os.path.join(work, fname), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     argv = [sys.executable, "-m", "simspec", command, "--out", out, "--seed", SEED]
     if cfg is not None:
         path = os.path.join(work, "cfg.json")
@@ -319,10 +339,10 @@ def main(argv=None) -> int:
                  "work": os.path.join(repo, "src")}
         with ThreadPoolExecutor(max_workers=2) as pool:
             futures = {(side, name): pool.submit(run_one, src, os.path.join(tmp, side),
-                                                 name, command, cfg)
-                       for name, command, cfg in runs for side, src in sides.items()}
+                                                 name, command, cfg, *files)
+                       for name, command, cfg, *files in runs for side, src in sides.items()}
             any_diff = False
-            for name, _, _ in runs:
+            for name, *_ in runs:
                 base = futures["base", name].result()
                 work = futures["work", name].result()
                 diffs = differences(base, work)
