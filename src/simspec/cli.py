@@ -193,22 +193,29 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+def _json_object(pairs) -> dict:
+    """A config object; json.load alone would keep the last value of a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        _expect(key not in obj, f"duplicate config key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            raw = json.load(fh)
+            cfg = validate_config(json.load(fh, object_pairs_hook=_json_object))
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}", path=path)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", path=path, line=exc.lineno)
+    except ParseError as exc:  # a repeated key or a refused value
+        raise ParseError(str(exc), path=path) from None
     except ValueError as exc:  # undecodable bytes, or an integer past the digit limit
         raise ParseError(f"config is not valid JSON: {exc}", path=path)
     except RecursionError:
         raise ParseError("config is not valid JSON: nested too deeply", path=path)
-    try:
-        cfg = validate_config(raw)
-    except ParseError as exc:
-        raise ParseError(str(exc), path=path) from None
     cfg["_base_dir"] = os.path.dirname(os.path.abspath(path))
     return cfg
 

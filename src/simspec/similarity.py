@@ -97,6 +97,7 @@ __all__ = [
     "AsymptoticSequences",
     "SimilarityResult",
     "contraction_step",
+    "iterate",
     "fixed_point",
     "preliminary_transform",
     "similarity_residual",
@@ -141,6 +142,21 @@ def contraction_step(x: BlockMatrix, b: BlockMatrix) -> BlockMatrix:
     gx = commutator_inverse(x)
     bgx = b @ gx
     return bgx - times_block_diagonal(gx, b) - times_block_diagonal(gx, bgx) + b
+
+
+def iterate(phi, x, dist, *, tol: float, scale: float, max_iter: int, what: str):
+    """Iterate ``phi`` from ``x`` until a step ``dist(phi(x), x)`` is at most
+    ``tol * scale``; return the last iterate and the steps.  A run cut at
+    ``max_iter`` raises, naming the ratio of its last two steps."""
+    steps = []
+    for _ in range(max_iter):
+        x_next = phi(x)
+        steps.append(dist(x_next, x))
+        x = x_next
+        if steps[-1] <= tol * max(scale, 1e-300):
+            return x, steps
+    last = steps[-1] / steps[-2] if len(steps) > 1 and steps[-2] > 0.0 else None
+    raise NonConvergenceError(f"{what} in {max_iter} iterations", last_ratio=last)
 
 
 @dataclass
@@ -194,24 +210,13 @@ def fixed_point(
         raise ContractionViolationError(
             f"contraction certificate fails: 4 * gamma * norm = {q_bound!r} >= 1"
         )
-    x = BlockMatrix.zeros(b.partition)
-    steps = []
-    ratio = 0.0
-    for _ in range(max_iter):
-        x_next = contraction_step(x, b)
-        s = norm_fn(x_next - x)
-        if steps and steps[-1] > 1e-300:
-            ratio = max(ratio, s / steps[-1])
-        steps.append(s)
-        x = x_next
-        if s <= tol * max(norm_b, 1e-300):
-            break
-    else:
-        last = steps[-1] / steps[-2] if len(steps) > 1 and steps[-2] > 0.0 else None
-        raise NonConvergenceError(
-            f"fixed point not reached in {max_iter} iterations", last_ratio=last
-        )
-    certificate["observed_ratio"] = float(ratio)
+    # contraction_step is looked up at each step, where a tracer may wrap it
+    x, steps = iterate(lambda z: contraction_step(z, b), BlockMatrix.zeros(b.partition),
+                       lambda new, old: norm_fn(new - old), tol=tol, scale=norm_b,
+                       max_iter=max_iter, what="fixed point not reached")
+    # the largest ratio of consecutive steps, read left to right from 0
+    certificate["observed_ratio"] = float(
+        max([0.0] + [s / p for p, s in zip(steps, steps[1:]) if p > 1e-300]))
 
     drift = norm_fn(x - b)
     if drift > 3.0 * norm_b * (1.0 + _BALL_SLACK):

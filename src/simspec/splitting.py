@@ -48,12 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConditionViolationError,
-    InvalidInputError,
-    NonConvergenceError,
-)
+from .errors import ConditionViolationError, InvalidInputError
 from .opmatrix import BlockMatrix, Spectrum
+from .similarity import iterate
 
 __all__ = [
     "SplitOperator",
@@ -285,28 +282,18 @@ def split_eigenpair(
             rhs=cert["rhs"],
         )
     s = op.s_diag
-    b21_norm = bounds.b21_norm
-    floor = max(b21_norm, 1e-300)
-    z = np.zeros_like(op.b21)
     # B22 S z is zero off the live coordinates
     b22sz = np.zeros_like(op.b21)
-    iterations = 0
-    converged = b21_norm == 0.0
-    for iterations in range(1, max_iter + 1):
+
+    def phi(z):
         sz = s * z
-        b2 = op.b12 @ sz
         b22sz[op.live] = op.b22 @ sz[op.live]
-        z_next = op.b1 * sz - b22sz - b2 * sz + op.b21
-        step = float(np.linalg.norm(z_next - z))
-        z = z_next
-        if step <= tol * floor:
-            converged = True
-            break
-    if not converged:
-        raise NonConvergenceError(
-            f"splitting iteration did not converge in {max_iter} steps",
-            last_ratio=None,
-        )
+        return op.b1 * sz - b22sz - (op.b12 @ sz) * sz + op.b21
+
+    z, steps = iterate(phi, np.zeros_like(op.b21),
+                       lambda new, old: float(np.linalg.norm(new - old)),
+                       tol=tol, scale=bounds.b21_norm, max_iter=max_iter,
+                       what="splitting iteration did not converge")
     sz = s * z
     b2 = complex(op.b12 @ sz)
     lam = spectrum.value_of(op.k)
@@ -328,7 +315,7 @@ def split_eigenpair(
         b1=op.b1,
         b2=b2,
         eigvec=vec,
-        iterations=iterations,
+        iterations=len(steps),
         bounds=bounds,
         correction_norm=correction,
         normalized_deviation_bound=float(norm_dev),

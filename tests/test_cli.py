@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import tempfile
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from simspec import cli
+from simspec import cli, similarity
 from simspec.cli import (
     _svg_scatter,
     build_model,
@@ -186,6 +187,17 @@ class TestExitCodes:
         assert "argument --seed: must be a non-negative integer, got -1" in err
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"model": {"family": "hill", "theta": 0.5, "coeffs": {"1": 0.3, "1": 0.5}}', "1"),
+        ('{"pipeline": "mt1", "pipeline": "mt3"', "pipeline"),
+    ], ids=["coefficient", "top-level"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, text, key):
+        # json.load alone keeps the last value of a repeated key
+        path = tmp_path / "cfg.json"
+        path.write_text(text + ', "truncation": {"half_width": 6}}')
+        assert main(["analyze", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: duplicate config key '{key}' [{path}]\n"
+
     def test_missing_config(self, tmp_path):
         assert main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -238,6 +250,26 @@ class TestExitCodes:
         code = main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"])
         assert code == 5
         assert "invariant gate 'spectra_agree' failed" in capsys.readouterr().err
+
+    def test_rebase_assumption_exits_3(self, tmp_path, capsys):
+        # the constant of v4 moves the second eigenvalue 2 pi n - v4 of each
+        # index to 1e-10 below the first of the next, too close to rebase
+        path = write_config(tmp_path, {
+            "model": {"family": "dirac", "gauge": False, "potentials": {
+                "v1": {}, "v2": {}, "v3": {}, "v4": {"0": 1e-10 - 2 * math.pi}}},
+            "truncation": {"half_width": 4},
+            "pipeline": "mt4",
+        })
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "method condition failed: re-derived eigenvalues too close to separate reliably\n")
+
+    def test_fixed_point_breach_exits_5(self, tmp_path, capsys, monkeypatch):
+        # a map whose fixed point B fails the diagonal identity
+        monkeypatch.setattr(similarity, "contraction_step", lambda x, b: b)
+        path = write_config(tmp_path, {"truncation": {"half_width": 8}, "pipeline": "mt1"})
+        assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 5
+        assert capsys.readouterr().err.startswith("invariant breach: diagonal identity residual")
 
     def test_split_condition_failure_prints_sides(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -743,12 +775,15 @@ def test_any_config_keeps_the_exit_code_contract(tmp_path, command, cfg):
         "v1": _POT, "v2": {"1": 0.1, "+1": 0.2}, "v3": _POT, "v4": _POT}}}, 2),
     # the eigenvalues pi i (2n - theta) overflow
     ({"model": {"family": "involution", "theta": 1e308, "coeffs": {"0": 0.1}}}, 2),
+    ({"model": {**_HILL, "coeffs": {"one": 0.5}}}, 2),
+    ({"model": {"family": "hill", "theta": 0.5}}, 2),
 ], ids=["coeffs-file-missing", "coeffs-file-int", "potential-file-int", "report-int",
         "csv-dir-list", "report-in-missing-dir", "margin-one", "max-iter-bool",
         "loose-fixed-point-tol", "hill-21-digit-index", "index-past-float-range",
         "hill-near-integer-theta", "hill-overflow", "family-list", "family-object",
         "negative-seed", "dirac-gauged-sum-overflow", "dirac-gauged-exp-overflow",
-        "duplicate-index", "dirac-duplicate-index", "involution-huge-theta"])
+        "duplicate-index", "dirac-duplicate-index", "involution-huge-theta",
+        "non-integer-index", "hill-without-coeffs"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_code_probes(tmp_path, capsys, cfg, code):
     path = write_config(tmp_path, {"truncation": {"half_width": 6}, **cfg})
@@ -800,17 +835,22 @@ def test_command_exit_code_probes(tmp_path, capsys, command, cfg, code):
         assert err.startswith("error: the perturbation overflows")
 
 
-@pytest.mark.parametrize("data", [_LATIN1, b"k,re,im\n0," + b"1" * 140_000 + b",0\n"],
-                         ids=["non-utf8", "field-over-csv-limit"])
+@pytest.mark.parametrize("data, message, where", [
+    (_LATIN1, "unreadable coefficient file: ", ""),
+    (b"k,re,im\n0," + b"1" * 140_000 + b",0\n", "unreadable coefficient file: ", ""),
+    (b"k,re,im\n1,0.5,x\n", "bad field: could not convert string to float: 'x'", ":2"),
+    # the blank rows are skipped, not refused as rows of too few fields
+    (b"k,re,im\n1,0.5,0\n\n  \n1,0.2,0\n", "duplicate coefficient 1", ":5"),
+], ids=["non-utf8", "field-over-csv-limit", "bad-field", "duplicate-index"])
 @pytest.mark.parametrize("model", [
     {"family": "hill", "theta": 0.5, "coeffs_file": "c.csv"},
     {"family": "dirac", "potentials": {"v1": {"file": "c.csv"}, "v2": _POT, "v3": _POT, "v4": _POT}},
 ], ids=["coeffs-file", "dirac-potential-file"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_unreadable_coefficient_file_exits_2(tmp_path, capsys, data, model):
+def test_unreadable_coefficient_file_exits_2(tmp_path, capsys, data, message, where, model):
     (tmp_path / "c.csv").write_bytes(data)
     path = write_config(tmp_path, {"model": model, "truncation": {"half_width": 4}})
     assert main(["analyze", "--config", path, "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: unreadable coefficient file: ")
-    assert err.endswith(f"[{tmp_path / 'c.csv'}]\n") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}")
+    assert err.endswith(f"[{tmp_path / 'c.csv'}{where}]\n") and err.count("\n") == 1

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from simspec import similarity
 from simspec.errors import (
+    AssumptionViolationError,
+    ConditionViolationError,
     ContractionViolationError,
+    InvariantBreachError,
     MethodConditionError,
     NonConvergenceError,
 )
@@ -23,6 +27,7 @@ from simspec.similarity import (
     block_eigenvalue_estimates,
     contraction_step,
     fixed_point,
+    iterate,
     pipeline_block_norm,
     pipeline_coarse,
     pipeline_contraction,
@@ -30,6 +35,7 @@ from simspec.similarity import (
     preliminary_transform,
     similarity_residual,
 )
+from simspec.splitting import split_eigenpair, split_system
 from simspec.transforms import block_diagonal, commutator_inverse
 from simspec.verify import match_spectra, oracle_eigenvalues
 
@@ -110,6 +116,50 @@ class TestFixedPoint:
             assert err.value.last_ratio == steps[max_iter - 1] / steps[max_iter - 2]
             assert str(err.value).endswith(f"(last step ratio {err.value.last_ratio!r})")
 
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_cut_split_names_its_last_step_ratio(self, max_iter):
+        # the split runs the same loop, so a cut split reads the same way;
+        # the kernel cross has B22 = 0, which the reference steps leave out
+        mdl = kernel_model(64)
+        op = split_system(mdl.spectrum, mdl.perturbation, 0)
+        z, steps = np.zeros_like(op.b21), []
+        for _ in range(max_iter):
+            sz = op.s_diag * z
+            z_next = op.b1 * sz - (op.b12 @ sz) * sz + op.b21
+            steps.append(float(np.linalg.norm(z_next - z)))
+            z = z_next
+        with pytest.raises(NonConvergenceError) as err:
+            split_eigenpair(mdl.spectrum, mdl.perturbation, 0, max_iter=max_iter)
+        message = f"splitting iteration did not converge in {max_iter} iterations"
+        if max_iter == 1:
+            assert err.value.last_ratio is None and str(err.value) == message
+        else:
+            assert err.value.last_ratio == pytest.approx(steps[-1] / steps[-2], rel=1e-12)
+            assert str(err.value) == f"{message} (last step ratio {err.value.last_ratio!r})"
+
+    def test_iterate_of_no_steps_has_not_converged(self):
+        # even from a fixed point: no step was measured against the stop
+        with pytest.raises(NonConvergenceError) as err:
+            iterate(abs, 1.0, lambda a, b: abs(a - b), tol=0.1, scale=1.0, max_iter=0, what="w")
+        assert err.value.last_ratio is None and str(err.value) == "w in 0 iterations"
+
+    def test_fixed_point_outside_the_ball_is_a_breach(self, monkeypatch):
+        # a map whose fixed point 5B lies outside ||X* - B|| <= 3 ||B||
+        spec, b = small_perturbation(4)
+        monkeypatch.setattr(similarity, "contraction_step",
+                            lambda x, b: BlockMatrix(b.partition, 5.0 * b.data))
+        with pytest.raises(InvariantBreachError, match="left the guaranteed ball"):
+            fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
+                        norm_name="full")
+
+    def test_broken_diagonal_identity_is_a_breach(self, monkeypatch):
+        # X* = B lies in the ball, but J B = J(B G B) + J B fails
+        spec, b = small_perturbation(4)
+        monkeypatch.setattr(similarity, "contraction_step", lambda x, b: b)
+        with pytest.raises(InvariantBreachError, match="diagonal identity residual"):
+            fixed_point(b, gamma=1.0 / spectral_gap(spec), norm_fn=lambda m: m.hs(),
+                        norm_name="full")
+
 
 def random_block(rng, part, scale=1.0):
     d = part.spectrum.dim
@@ -184,6 +234,37 @@ def test_rebase_frame_of_a_diagonal_is_the_permutation(block_partition):
         assert got.tobytes() == ref.tobytes()  # signed zeros too
 
 
+def test_rebase_frame_refuses_eigenvalues_too_close_to_separate():
+    spec = Spectrum([0, 1], [0, 1])
+    d = BlockMatrix(Partition.trivial(spec), np.diag([0.0, 1.0 - 1e-10]).astype(complex))
+    with pytest.raises(AssumptionViolationError, match="too close to separate"):
+        _rebase_frame(spec, d)
+
+
+def double_zero_block(top_right):
+    """D on the spectrum {0 (twice), 10} whose block at 0 is [[0, t], [0, -1]]."""
+    spec = Spectrum([0, 1], [0, 10], [2, 1])
+    data = np.zeros((3, 3), dtype=complex)
+    data[:2, :2] = [[0.0, top_right], [0.0, -1.0]]
+    return spec, BlockMatrix(Partition.trivial(spec), data)
+
+
+def test_rebase_frame_refuses_an_ill_conditioned_eigenbasis():
+    # the eigenvectors of [[0, -1e11], [0, 1]] are nearly parallel: cond 2e11
+    with pytest.raises(AssumptionViolationError, match=r"ill-conditioned \(cond=2\.000e\+11\)"):
+        _rebase_frame(*double_zero_block(1e11))
+
+
+def test_rebase_frame_refuses_a_wrong_eigenbasis(monkeypatch):
+    # the right eigenvalues with the identity as their eigenvectors: the
+    # off-diagonal 0.5 of A - D is left as the diagonalization residual
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda m: (eig(m)[0], np.broadcast_to(
+        np.eye(m.shape[-1], dtype=complex), m.shape).copy()))
+    with pytest.raises(AssumptionViolationError, match=r"residual 5\.000e-01"):
+        _rebase_frame(*double_zero_block(0.5))
+
+
 def rebase_attempts(mdl):
     """The two attempts of pipeline_rebase, D = diag(JB) and D = JB, each
     returning its fixed point, selection and frame, or raising."""
@@ -244,6 +325,11 @@ class TestPreliminary:
         assert pre.residual <= 1e-10 * max(1.0, b.hs())
         # the remainder is quadratically small
         assert pre.remainder.hs() <= pre.smoother_op_norm * b.hs() * (1 + 1e-9) * 2
+
+    def test_refuses_a_smoother_of_norm_one(self):
+        spec, b = small_perturbation(4)
+        with pytest.raises(ConditionViolationError, match="needs"):
+            preliminary_transform(b, commutator_inverse(b), 1.0)
 
 
 class TestPipelines:
