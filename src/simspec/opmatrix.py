@@ -46,8 +46,8 @@ from .errors import (
     PartitionMismatchError,
 )
 
-_COND_LIMIT = 1e12
-_INV_RESIDUAL_LIMIT = 1e-10
+COND_LIMIT = 1e12
+INV_RESIDUAL_LIMIT = 1e-10
 
 __all__ = [
     "Spectrum",
@@ -416,11 +416,11 @@ def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:
     except np.linalg.LinAlgError:
         raise NotInvertibleError("I + X is singular", cond=math.inf) from None
     cond = float(np.linalg.norm(m) * np.linalg.norm(inv))
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
+    if not math.isfinite(cond) or cond > COND_LIMIT:
         raise NotInvertibleError("I + X is numerically singular", cond=cond)
     residual = float(np.linalg.norm(m @ inv - np.eye(d)))
-    if residual > _INV_RESIDUAL_LIMIT:
+    if residual > INV_RESIDUAL_LIMIT:
         raise NotInvertibleError(
-            f"inverse residual {residual:.3e} above {_INV_RESIDUAL_LIMIT:g}", cond=cond
+            f"inverse residual {residual:.3e} above {INV_RESIDUAL_LIMIT:g}", cond=cond
         )
     return BlockMatrix(x.partition, inv)

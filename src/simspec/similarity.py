@@ -25,7 +25,9 @@ bound gamma of G.  When the plain certificate fails, a preliminary
 transform by I + GB (valid once ||GB||_op < 1) and a coarsening of the
 partition bring the effective perturbation inside the contraction
 region; the coarse radius is chosen through the decay weights of the
-transformed perturbation.
+transformed perturbation.  The transform takes one LU solve, and both
+similarity residuals, the transform's and the result's, are taken in
+commutator form, [A, U] - B - BU + V + UV, with no I + U formed.
 
 Pipelines, from cheap to heavy, all ``(spectrum, b, *, ...)`` and all
 returning a ``SimilarityResult``; a failed certificate always raises:
@@ -71,14 +73,16 @@ from .errors import (
     InvariantBreachError,
     MethodConditionError,
     NonConvergenceError,
+    NotInvertibleError,
     PartitionMismatchError,
 )
 from .opmatrix import (
+    COND_LIMIT,
+    INV_RESIDUAL_LIMIT,
     BlockMatrix,
     Partition,
     Spectrum,
     gap_inverse_square_sum,
-    inv_identity_plus,
     spectral_gap,
 )
 from .transforms import (
@@ -235,11 +239,10 @@ def fixed_point(
 
 @dataclass
 class PreliminaryResult:
-    """A - B rewritten as A - JB - B0 through the similarity I + GB."""
+    """A - B rewritten as A - Q, Q = JB + B0, through the similarity I + GB."""
 
     smoother: BlockMatrix
-    diagonal: BlockMatrix
-    remainder: BlockMatrix
+    q: BlockMatrix
     smoother_op_norm: float
     residual: float
 
@@ -249,36 +252,58 @@ def preliminary_transform(b: BlockMatrix, g: BlockMatrix, gop: float) -> Prelimi
 
     ``g`` is GB and ``gop`` its exact operator norm, as the smoothing
     scan computed them; G and J act on the partition of ``b``.  Valid
-    once ||GB||_op < 1; then A - B is similar to A - JB - B0 with
-    B0 = (I + GB)^-1 (B GB - (GB)(JB)).  The exact similarity residual
-    of the rewriting is returned for gating.
+    once ||GB||_op < 1; then A - B is similar to A - Q, Q = JB + B0, with
+    B0 the solution of (I + GB) B0 = B GB - (GB)(JB).
+
+    The scan's norm alone decides invertibility: kappa_2(I + GB) <=
+    (1 + c) / (1 - c) for c = ||GB||_op, refused above ``COND_LIMIT``.
+    B0 takes one LU solve, whose residual (I + GB) B0 - rhs takes the
+    one further product and is gated relative to rhs.  The similarity
+    residual of the rewriting, ([A, GB] - B + JB) + ((I + GB) B0 - rhs),
+    reuses it and is returned for the report.
     """
     if not gop < 1.0:
         raise ConditionViolationError(
             "preliminary transform needs ||GB||_op < 1", lhs=gop, rhs=1.0
         )
-    jb = block_diagonal(b)
-    inv = inv_identity_plus(g)
-    b0 = inv @ (b @ g - g @ jb)
-    residual = _residual(b.partition.spectrum.position_values, b.data, g.data,
-                         jb.data + b0.data)
-    return PreliminaryResult(g, jb, b0, float(gop), residual)
+    cond = (1.0 + gop) / (1.0 - gop)
+    if cond > COND_LIMIT:
+        raise NotInvertibleError("I + GB is numerically singular", cond=cond)
+    rhs = (b @ g).data - times_block_diagonal(g, b).data
+    b0 = BlockMatrix(g.partition, np.linalg.solve(np.eye(len(rhs)) + g.data, rhs))
+    resid = b0.data + (g @ b0).data - rhs
+    solve_residual, rhs_norm = np.linalg.norm(resid), np.linalg.norm(rhs)
+    if not solve_residual <= INV_RESIDUAL_LIMIT * rhs_norm:
+        raise NotInvertibleError(
+            f"solve residual {solve_residual:.3e} above {INV_RESIDUAL_LIMIT:g} "
+            f"times ||rhs||_F = {rhs_norm:.3e}", cond=cond)
+    # [A, GB] - B + JB: the commutator entrywise, less B off its blocks
+    resid += _commutator(b.partition.spectrum, g) - off_diagonal_part(b).data
+    q = BlockMatrix(g.partition, block_diagonal(b).data + b0.data)
+    return PreliminaryResult(g, q, float(gop), float(np.linalg.norm(resid)))
 
 
-def _residual(lam: np.ndarray, b: np.ndarray, x: np.ndarray, v: np.ndarray) -> float:
-    """Frobenius norm of (A - B)(I + X) - (I + X)(A - V), A = diag(lam)."""
-    eye_x = np.eye(lam.size) + x
-    lhs = lam[:, None] * eye_x - b @ eye_x
-    rhs = eye_x * lam[None, :] - eye_x @ v
-    return float(np.linalg.norm(lhs - rhs))
+def _commutator(spectrum: Spectrum, u: BlockMatrix) -> np.ndarray:
+    """[A, U] = A U - U A, A = diag(lambda), as a fresh array."""
+    lam = spectrum.position_values
+    out = lam[:, None] - lam[None, :]
+    out *= u.data
+    return out
 
 
 # -- result assembly ------------------------------------------------------
 
 
 def similarity_residual(spectrum: Spectrum, b: BlockMatrix, u: BlockMatrix, v: BlockMatrix) -> float:
-    """Frobenius norm of (A - B)(I + U) - (I + U)(A - V)."""
-    return _residual(spectrum.position_values, b.data, u.data, v.data)
+    """Frobenius norm of (A - B)(I + U) - (I + U)(A - V), accumulated in
+    one array in commutator form, [A, U] - B - BU + V + UV: no I + U is
+    formed, and the rounding scales with B, U and V, not with A."""
+    r = _commutator(spectrum, u)
+    r -= b.data
+    r -= b.data @ u.data
+    r += v.data
+    r += u.data @ v.data
+    return float(np.linalg.norm(r))
 
 
 @dataclass
@@ -527,7 +552,7 @@ def pipeline_coarse(
     V = JB + J_k(B0 (I + G_k X*)).
     """
     bb, prelim, scan = _stage_one(spectrum, b)
-    fp, selection = _stage_two(_move(prelim.diagonal + prelim.remainder, bb.partition),
+    fp, selection = _stage_two(_move(prelim.q, bb.partition),
                                start=prelim.smoother.partition.radius,
                                margin=margin, tol=tol, max_iter=max_iter)
     return _result("mt3", spectrum, bb, fp, prelim=prelim, scan=scan, selection=selection)
@@ -647,7 +672,7 @@ def _rebased(spectrum: Spectrum, prelim: PreliminaryResult, d: BlockMatrix, *,
     tilde, push, pull, info, perm = _rebase_frame(spectrum, d)
     # the pushed perturbation goes in unbound, so it is freed with stage two
     fp, selection = _stage_two(
-        BlockMatrix(Partition.trivial(tilde), push((prelim.diagonal - d + prelim.remainder).data)),
+        BlockMatrix(Partition.trivial(tilde), push((prelim.q - d).data)),
         start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
@@ -666,25 +691,26 @@ def pipeline_rebase(
     """Two-stage pipeline with an eigenbasis change between the stages.
 
     After the preliminary transform a designated diagonal part D moves
-    into the free operator; the remaining perturbation (JB - D) + B0 is
-    rewritten in the eigenbasis of A - D, whose simple sorted spectrum
+    into the free operator; the remaining perturbation Q - D, Q = JB + B0,
+    is rewritten in the eigenbasis of A - D, whose simple sorted spectrum
     gets fresh contiguous indices, and the coarse weighted fixed point
     runs there.  Results are pulled back to the original frame.
 
-    D is the diagonal of JB, a permutation frame.  Only if that attempt
-    fails a method condition and JB is not diagonal, D is all of JB.  The
-    attempts share stage one; if both fail the first error is raised,
-    otherwise the result is assembled once, after the attempt that
-    certified, with no attempt's D alive.
+    D is the diagonal of JB, which is that of B: a permutation frame.
+    Only if that attempt fails a method condition and JB is not diagonal,
+    D is all of JB, built only then.  The attempts share stage one; if
+    both fail the first error is raised, otherwise the result is
+    assembled once, after the attempt that certified, with no attempt's
+    D alive.
     """
     bb, prelim, scan = _stage_one(spectrum, b)
-    jb = prelim.diagonal
     kw = {"margin": margin, "tol": tol, "max_iter": max_iter}
     try:
-        # D = diag(JB) goes in unbound, so it is freed with its attempt
+        # D = diag(JB) = diag(B) goes in unbound, so it is freed with its attempt
         fp, selection, frame = _rebased(
-            spectrum, prelim, BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data))), **kw)
+            spectrum, prelim, BlockMatrix(prelim.q.partition, np.diag(np.diagonal(bb.data))), **kw)
     except MethodConditionError as first:
+        jb = block_diagonal(_move(bb, prelim.q.partition))
         if _is_diagonal(jb):
             raise
         # the traceback would keep the failed attempt's arrays alive

@@ -448,7 +448,7 @@ class TestAnalyzeCommand:
         })
         assert main(["analyze", "--config", path, "--out", str(tmp_path)]) == 3
         # the permutation frame's best product; all of JB would give 0.9546...
-        assert "(best product 1.961440531799762)" in capsys.readouterr().err
+        assert "(best product 1.9614405317997627)" in capsys.readouterr().err
 
     def test_csv_and_svg_outputs(self, tmp_path):
         path = write_config(tmp_path, {

@@ -25,11 +25,11 @@ _POTENTIALS = {
 
 
 @pytest.mark.parametrize("build, pipeline, bound", [
-    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 12.0),
+    (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 11.2),
     (lambda: kernel_model(64), "mt1", 7.0),
-    (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 11.0),
+    (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 9.1),
     # the first mt4 attempt fails; it must not stay alive through the second
-    (jb_only_dirac, "mt4", 13.6),
+    (jb_only_dirac, "mt4", 12.6),
 ], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3", "dirac-jb-only-N16-mt4"])
 def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
     model = build()

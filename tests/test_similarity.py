@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simspec import similarity
+from simspec import cli, similarity
 from simspec.errors import (
     AssumptionViolationError,
     ConditionViolationError,
@@ -9,12 +13,14 @@ from simspec.errors import (
     InvariantBreachError,
     MethodConditionError,
     NonConvergenceError,
+    NotInvertibleError,
 )
 from simspec.models import dirac_model, hill_model, involution_model, kernel_model
 from simspec.opmatrix import (
     BlockMatrix,
     Partition,
     Spectrum,
+    inv_identity_plus,
     spectral_gap,
 )
 from simspec.similarity import (
@@ -268,8 +274,8 @@ def test_rebase_frame_refuses_a_wrong_eigenbasis(monkeypatch):
 def rebase_attempts(mdl):
     """The two attempts of pipeline_rebase, D = diag(JB) and D = JB, each
     returning its fixed point, selection and frame, or raising."""
-    _, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
-    jb = prelim.diagonal
+    bb, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
+    jb = block_diagonal(_move(bb, prelim.q.partition))
     diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
     return [lambda d=d: _rebased(mdl.spectrum, prelim, d, margin=0.9, tol=1e-12, max_iter=200)
             for d in (diag, jb)]
@@ -323,13 +329,123 @@ class TestPreliminary:
         pre = preliminary_transform(b, g, g.op())
         assert pre.smoother_op_norm < 1.0
         assert pre.residual <= 1e-10 * max(1.0, b.hs())
-        # the remainder is quadratically small
-        assert pre.remainder.hs() <= pre.smoother_op_norm * b.hs() * (1 + 1e-9) * 2
+        # the remainder B0 = Q - JB is quadratically small
+        b0 = pre.q - block_diagonal(b)
+        assert b0.hs() <= pre.smoother_op_norm * b.hs() * (1 + 1e-9) * 2
 
     def test_refuses_a_smoother_of_norm_one(self):
         spec, b = small_perturbation(4)
         with pytest.raises(ConditionViolationError, match="needs"):
             preliminary_transform(b, commutator_inverse(b), 1.0)
+
+    def test_refuses_a_condition_bound_above_the_limit(self):
+        # kappa_2(I + GB) <= (1 + c) / (1 - c) = 2e13 > 1e12 at c = 1 - 1e-13,
+        # decided from the norm alone: this GB itself is well conditioned
+        spec, b = small_perturbation(4)
+        with pytest.raises(NotInvertibleError, match=r"condition estimate 1\.999e\+13"):
+            preliminary_transform(b, commutator_inverse(b), 1 - 1e-13)
+
+    def test_refuses_a_solve_that_misses_its_right_hand_side(self, monkeypatch):
+        spec, b = small_perturbation(4)
+        g = commutator_inverse(b)
+        monkeypatch.setattr(np.linalg, "solve", perturbed_solve)
+        with pytest.raises(NotInvertibleError, match="solve residual"):
+            preliminary_transform(b, g, g.op())
+
+    def test_a_missed_solve_exits_three(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": {"family": "kernel"},
+                                    "truncation": {"half_width": 16}, "pipeline": "mt3"}))
+        monkeypatch.setattr(np.linalg, "solve", perturbed_solve)
+        assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 3
+        assert "method condition failed: solve residual" in capsys.readouterr().err
+
+
+_SOLVE = np.linalg.solve
+
+
+def perturbed_solve(a, rhs):
+    """The solution moved by 1e-8 of its size in one entry."""
+    x = _SOLVE(a, rhs)
+    x[0, -1] += 1e-8 * max(np.linalg.norm(x), 1.0)
+    return x
+
+
+def _dense_residual(lam, b, x, v):
+    """Test-side reference: Frobenius norm of (A - B)(I + X) - (I + X)(A - V),
+    A = diag(lam), formed from I + X and two dense products."""
+    eye_x = np.eye(lam.size) + x
+    lhs = lam[:, None] * eye_x - b @ eye_x
+    rhs = eye_x * lam[None, :] - eye_x @ v
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def _inverse_route_b0(b, g):
+    """Test-side reference: B0 = (I + GB)^-1 (B GB - (GB)(JB)) through the
+    explicit inverse and a dense product with JB."""
+    return inv_identity_plus(g) @ (b @ g - g @ block_diagonal(b))
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff (Higham 2002, section 3.1)."""
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+def drawn_problem(half_width, radius, lam_scale, seed):
+    """A spectrum with multiplicities 1 or 2 and strictly increasing real
+    parts, its partition at ``radius`` (clipped to the window) and a dense
+    complex B on it."""
+    rng = np.random.default_rng(seed)
+    size = 2 * half_width + 1
+    values = lam_scale * (np.cumsum(rng.uniform(0.5, 3.0, size)) + 1j * rng.normal(size=size))
+    spec = Spectrum(np.arange(-half_width, half_width + 1), values, rng.integers(1, 3, size))
+    part = Partition(spec, min(radius, half_width))
+    return spec, part, random_block(rng, part), rng
+
+
+@settings(deadline=None, max_examples=60)
+@given(half_width=st.integers(1, 5), radius=st.integers(-1, 5), c=st.floats(0.05, 0.95),
+       lam_scale=st.floats(1.0, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_preliminary_matches_the_inverse_route(half_width, radius, c, lam_scale, seed):
+    # B is scaled so that ||GB||_op = c; the solve and the commutator-form
+    # residual agree with the inverse and the dense residual within their
+    # rounding: kappa gamma_3d for B0 (Higham 2002, sections 9 and 14) and
+    # gamma_{d+4} of the terms for the residual, a factor 8 covering
+    # complex arithmetic and the two sides compared
+    spec, part, b, _ = drawn_problem(half_width, radius, lam_scale, seed)
+    gop = commutator_inverse(b).op()
+    if gop > 0.0:
+        b = BlockMatrix(part, b.data * (c / gop))
+    g = commutator_inverse(b)
+    c = g.op()  # the drawn c up to rounding, or 0 when G vanishes on the partition
+    pre = preliminary_transform(b, g, c)
+    d = spec.dim
+    kappa = (1 + c) / (1 - c)
+    jb = block_diagonal(b)
+    rhs = b @ g - g @ jb
+    q_ref = jb + _inverse_route_b0(b, g)
+    bound = (4 * kappa * _gamma(3 * d) * (rhs.hs() + b.hs() * g.hs()) / (1 - c)
+             + 2**-52 * pre.q.hs())
+    assert (pre.q - q_ref).hs() <= bound
+    lam = spec.position_values
+    scale = (2 * np.abs(lam).max() + b.hs() + pre.q.hs()) * (np.sqrt(d) + g.hs())
+    dense = _dense_residual(lam, b.data, g.data, pre.q.data)
+    assert abs(pre.residual - dense) <= 8 * _gamma(d + 4) * scale
+
+
+@settings(deadline=None, max_examples=60)
+@given(half_width=st.integers(1, 5), radius=st.integers(-1, 5), u_norm=st.floats(1e-3, 0.5),
+       lam_scale=st.floats(1.0, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_similarity_residual_matches_the_dense_form(half_width, radius, u_norm, lam_scale, seed):
+    spec, part, b, rng = drawn_problem(half_width, radius, lam_scale, seed)
+    u = random_block(rng, part)
+    u = BlockMatrix(part, u.data * (u_norm / u.hs()))
+    v = random_block(rng, part)
+    lam = spec.position_values
+    scale = (2 * np.abs(lam).max() + b.hs() + v.hs()) * (np.sqrt(spec.dim) + u.hs())
+    dense = _dense_residual(lam, b.data, u.data, v.data)
+    assert abs(similarity_residual(spec, b, u, v) - dense) <= 8 * _gamma(spec.dim + 4) * scale
 
 
 class TestPipelines:
@@ -446,12 +562,14 @@ def test_coarse_fixed_point_keeps_the_stage_one_diagonal(build):
     # J X* = J(Q G X*) + J Q then reads J X* = JB_m + J_k(B0 (I + G_k X*))
     mdl = build()
     bb, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
-    fp, _ = _stage_two(_move(prelim.diagonal + prelim.remainder, bb.partition),
+    fp, _ = _stage_two(_move(prelim.q, bb.partition),
                        start=prelim.smoother.partition.radius,
                        margin=0.9, tol=1e-12, max_iter=200)
     part = fp.u.partition
     eye = BlockMatrix(part, np.eye(mdl.spectrum.dim))
-    v_ref = _move(prelim.diagonal, part) + block_diagonal(_move(prelim.remainder, part) @ (eye + fp.u))
+    jb = block_diagonal(_move(bb, prelim.q.partition))
+    b0 = prelim.q - jb
+    v_ref = _move(jb, part) + block_diagonal(_move(b0, part) @ (eye + fp.u))
     assert part.radius >= prelim.smoother.partition.radius
     assert (fp.v - v_ref).hs() <= 1e-12 * max(1.0, fp.v.hs())
 

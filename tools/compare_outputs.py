@@ -119,6 +119,8 @@ def run_list(repo: str) -> list:
         ("workload dirac-mt4", "analyze", workloads["dirac-mt4"]),
         ("workload kernel-split", "split", workloads["kernel-split"]),
         ("dirac N=64 mt4 csv svg", "analyze", cfg(dirac, 64, "mt4", csv=True, svg=True)),
+        # dim 514 with the oracle on: the mt4 run whose time stage one dominates
+        ("dirac N=128 mt4", "analyze", cfg(dirac, 128, "mt4")),
         ("dirac N=12 mt3", "analyze", cfg(dirac, 12, "mt3")),
         # converges at coarsening radius 5: a wide central group and blocks
         # of multiplicity 2
