@@ -36,6 +36,7 @@ from .models import (
 )
 from .opmatrix import (
     BlockMatrix,
+    LowRank,
     Partition,
     Spectrum,
 )

@@ -318,8 +318,9 @@ def build_model(cfg: dict):
         theta = _as_number(model_cfg.get("theta", 0.0), "model.theta")
         coeffs = _coeffs_from_config(model_cfg, base_dir)
         model = MODELS[family](half, theta, coeffs)
-    # hs() is taken once here and stored; its sum may overflow to inf
-    hs = model.perturbation.hs()
+    # hs() is taken once here and stored, from the generators when the
+    # model has them; its sum may overflow to inf
+    hs = model.compact_perturbation.hs()
     if not math.isfinite(hs):
         raise InvalidInputError("the perturbation overflows: the sum of its squared moduli "
                                 f"is {hs * hs!r}; scale the coefficients down")
@@ -658,11 +659,12 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     t_start = time.perf_counter()
     os.makedirs(out_dir, exist_ok=True)
     model = build_model(cfg)
+    b = model.compact_perturbation
     k = cfg["split_k"]
     tols = cfg["tolerances"]
     # the split refuses a k outside the window before the constants see it
     result = split_eigenpair(
-        model.spectrum, model.perturbation, k,
+        model.spectrum, b, k,
         tol=min(tols["fixed_point_tol"], SPLIT_TOL),
         max_iter=tols["max_iter"],
     )
@@ -696,8 +698,7 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
         "normalized_deviation_bound": result.normalized_deviation_bound,
         "window_bounds": vars(result.bounds),
         "published_bounds": None if published is None else vars(published),
-        "operator_norm_condition": operator_norm_condition(model.perturbation.hs(),
-                                                           result.bounds.s),
+        "operator_norm_condition": operator_norm_condition(b.hs(), result.bounds.s),
         "oracle": oracle_info,
         "timings": {
             "dimension": model.spectrum.dim,
@@ -777,7 +778,7 @@ def _check_pipeline_invariants(rng, cfg):
 def _check_split_consistency(rng, cfg):
     """Split eigenvalues against the reference spectrum."""
     model = model_lib.kernel_model(32)
-    spectrum, b = model.spectrum, model.perturbation
+    spectrum, b = model.spectrum, model.compact_perturbation
     vals = _oracle(model)
     devs = [float(np.abs(vals - split_eigenpair(spectrum, b, k).lam_prime).min()) for k in (0, 1)]
     return (all(dev <= 1e-9 for dev in devs),

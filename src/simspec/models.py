@@ -5,7 +5,8 @@ Four families, each reduced to a truncated block matrix on the indices
 
 * ``kernel``: differentiation on the circle perturbed by a rank-two
   integral kernel; eigenvalues 2 pi i k, a cross-shaped perturbation
-  supported on row and column zero.
+  supported on row and column zero, held by its two generators and
+  made dense only when it is read as a matrix.
 * ``involution``: first order differential operator whose perturbation
   couples t with 1 - t; eigenvalues pi i (2k - theta), the perturbation
   matrix is a Hankel form of the twisted potential coefficients.
@@ -28,12 +29,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
-from .opmatrix import BlockMatrix, Partition, Spectrum
+from .opmatrix import BlockMatrix, LowRank, Partition, Spectrum
 
 __all__ = [
     "ModelProblem",
@@ -48,17 +49,45 @@ __all__ = [
 ]
 
 
-@dataclass
 class ModelProblem:
     """A built model: spectrum, perturbation and closed-form references.
 
+    ``perturbation`` is B as a dense :class:`BlockMatrix`.  A builder
+    may pass a function that makes it instead; then B is built the
+    first time ``perturbation`` is read, and that one object is kept,
+    so every later reader sees the same B.  A finite-rank B also comes
+    with its ``generators`` (:class:`LowRank`, B = P Q^H), and
+    ``compact_perturbation`` is the leanest form held: the generators
+    when there are any, else the dense B.  Both forms give ``hs()``,
+    and the generators answer it without building the dense B.
+
     mt4 derives its designated diagonal part from the perturbation."""
 
-    name: str
-    spectrum: Spectrum
-    perturbation: BlockMatrix
-    first_order: np.ndarray | None = None
-    second_order: np.ndarray | None = None
+    def __init__(
+        self,
+        name: str,
+        spectrum: Spectrum,
+        perturbation: BlockMatrix | Callable[[], BlockMatrix],
+        first_order: np.ndarray | None = None,
+        second_order: np.ndarray | None = None,
+        generators: LowRank | None = None,
+    ):
+        self.name = name
+        self.spectrum = spectrum
+        self._perturbation = perturbation
+        self.first_order = first_order
+        self.second_order = second_order
+        self.generators = generators
+
+    @property
+    def perturbation(self) -> BlockMatrix:
+        if not isinstance(self._perturbation, BlockMatrix):
+            self._perturbation = self._perturbation()
+        return self._perturbation
+
+    @property
+    def compact_perturbation(self) -> BlockMatrix | LowRank:
+        return self.perturbation if self.generators is None else self.generators
 
 
 def _clean_coeffs(coeffs, what: str) -> dict:
@@ -123,32 +152,48 @@ def kernel_model(half_width: int) -> ModelProblem:
     """Differentiation plus the rank-two kernel charge on the circle.
 
     The perturbation matrix is the cross B[m, 0] = 1/(2 pi i m),
-    B[0, n] = -1/(2 pi i n), B[0, 0] = 1, all other entries zero.
+    B[0, n] = -1/(2 pi i n), B[0, 0] = 1, all other entries zero.  Its
+    generators are P = [c, e_0] and Q = [e_0, conj(r)], with c the
+    column through index 0 (B[0, 0] included) and r the row through
+    it without B[0, 0], so B = c e_0^T + e_0 r^T.  The dense cross is
+    built on the first read of ``perturbation``, its column and row
+    copied from c and r: a product P Q^H would write +0.0 where the
+    entries have -0.0.
     """
     idx = _window_indices(half_width)
     spec = Spectrum(idx, 2j * np.pi * idx)
-    base = Partition.trivial(spec)
     n = half_width
     d = spec.dim
-    data = np.zeros((d, d), dtype=complex)
     z = n  # position of index 0
-    data[z, z] = 1.0
     m = idx[idx != 0]
-    data[m + n, z] = 1.0 / (2j * np.pi * m)
-    data[z, m + n] = -1.0 / (2j * np.pi * m)
-    b = BlockMatrix(base, data)
+    off = m + n  # positions of the indices m != 0
+    den = 2j * np.pi * m
+    p = np.zeros((d, 2), dtype=complex)
+    q = np.zeros((d, 2), dtype=complex)
+    p[z] = 1.0  # B[0, 0] in c, and e_0
+    p[off, 0] = 1.0 / den
+    q[z, 0] = 1.0
+    q[off, 1] = (-1.0 / den).conj()
+    generators = LowRank(p, q)
+
+    def dense() -> BlockMatrix:
+        data = np.zeros((d, d), dtype=complex)
+        data[:, z] = p[:, 0]
+        data[z, off] = q[off, 1].conj()
+        return BlockMatrix(Partition.trivial(spec), data)
 
     first = np.zeros(d, dtype=complex)
     first[z] = 1.0
     second = np.zeros(d, dtype=complex)
     # only the detour through index 0 contributes
-    second[m + n] = 1j / (8.0 * np.pi**3 * m**3)
+    second[off] = 1j / (8.0 * np.pi**3 * m**3)
     return ModelProblem(
         name="kernel",
         spectrum=spec,
-        perturbation=b,
+        perturbation=dense,
         first_order=first,
         second_order=second,
+        generators=generators,
     )
 
 

@@ -18,6 +18,12 @@ pipelines) works on these three types:
   1 and the positions of the entries inside its diagonal blocks,
 * :class:`BlockMatrix` -- an immutable dense matrix read block by block.
 
+A perturbation of finite rank r may also be held by its generators,
+B = P Q^H with P and Q of d x r (:class:`LowRank`).  That form is not a
+second block operator: nothing of the block algebra reads it.  It
+serves the readers that need B only through a few entries, products
+with vectors and its Frobenius norm, in O(d r) instead of O(d^2).
+
 A block operator has one representation, its dense matrix, so products
 and norms run at numpy speed.  The matrix is read-only once wrapped, so
 its Frobenius norm is a property of the object: it is taken once, in
@@ -53,6 +59,7 @@ __all__ = [
     "Spectrum",
     "Partition",
     "BlockMatrix",
+    "LowRank",
     "spectral_gap",
     "gap_inverse_square_sum",
     "inv_identity_plus",
@@ -94,7 +101,9 @@ class Spectrum:
                 raise InvalidInputError("mults must be positive, one per index")
         if not np.all(np.isfinite(values)):
             raise InvalidInputError("eigenvalues must be finite")
-        if np.unique(values).size < values.size:
+        # equal values are neighbours once sorted by real, then imaginary part
+        ordered = values[np.lexsort((values.imag, values.real))]
+        if np.any(ordered[1:] == ordered[:-1]):
             raise InvalidInputError("eigenvalues must be pairwise distinct")
         self.indices = indices
         self.values = values
@@ -213,7 +222,9 @@ class Partition:
         """
         if self._wide is None:
             self._wide = []
-            for w in np.unique(self.dims[self.dims > 1]):
+            # np.unique imports numpy.ma on its first call, which a pipeline then pays for
+            widths = np.flatnonzero(np.bincount(self.dims))
+            for w in widths[widths > 1]:
                 gids = np.flatnonzero(self.dims == w)
                 self._wide.append((gids, self.bounds[gids][:, None] + np.arange(w)))
         return self._wide
@@ -396,6 +407,50 @@ class BlockMatrix:
 
     def op(self) -> float:
         return op_norm(self.data)
+
+
+class LowRank:
+    """Immutable d x d matrix B = P Q^H held by its generators.
+
+    ``p`` and ``q`` are d x r and read-only once wrapped, as
+    :class:`BlockMatrix` makes its data.  ``hs()`` stores the Frobenius
+    norm the first time it is asked for; it reads the r x r Gram
+    matrices, ||B||_F^2 = sum_ij (P^H P)_ij (Q^H Q)_ji, so it costs
+    O(d r^2) and forms no d x d array.
+    """
+
+    __slots__ = ("p", "q", "_hs")
+
+    def __init__(self, p, q):
+        p = np.asarray(p, dtype=complex)
+        q = np.asarray(q, dtype=complex)
+        if p.ndim != 2 or p.shape != q.shape:
+            raise InvalidInputError("generators P and Q must both be d x r")
+        p.flags.writeable = False
+        q.flags.writeable = False
+        self.p = p
+        self.q = q
+        self._hs = None
+
+    def hs(self) -> float:
+        """Frobenius norm from the Gram matrices, taken once per object.
+
+        The sum is real and non-negative in exact arithmetic; rounding
+        can leave it a little below zero when the terms cancel, which
+        reads as 0.  A sum that overflows gives inf or NaN without a
+        warning.
+        """
+        if self._hs is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pp = self.p.conj().T @ self.p
+                qq = self.q.conj().T @ self.q
+                sq = float(np.sum(pp * qq.T).real)
+            self._hs = math.sqrt(sq) if not sq < 0.0 else 0.0
+        return self._hs
+
+    def apply(self, vec: np.ndarray) -> np.ndarray:
+        """B vec as P (Q^H vec), in O(d r)."""
+        return self.p @ (self.q.conj().T @ vec)
 
 
 def inv_identity_plus(x: BlockMatrix) -> BlockMatrix:

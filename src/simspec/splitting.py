@@ -31,11 +31,16 @@ block b1 s_j of (b1 - B22) S, so only the remaining (live) coordinates
 need a dense singular value decomposition.  A cross-shaped perturbation
 such as the kernel family's leaves B22 = 0 and needs none.
 
-B is read where it lies: one pass over the float64 view of its
-entries, a block of rows at a time, finds the live coordinates (an
-entry is nonzero exactly when its real or its imaginary part is), and
-only B22 restricted to them is copied, so the kernel cross makes no
-d x d copy at all.  The residual is one product with B as given, an
+B is read where it lies, in the form it is given.  From a dense
+BlockMatrix, one pass over the float64 view of its entries, a block of
+rows at a time, finds the live coordinates (an entry is nonzero exactly
+when its real or its imaginary part is), and only B22 restricted to
+them is copied.  From generators B = P Q^H of rank r (LowRank), b1,
+B21 and B12 are products with P and Q in O(d r), and only the terms
+p_i q_i^H that are nonzero off k on both sides reach B22, which is
+formed on their support alone.  The kernel cross has no such term at
+k = 0, so its split forms no d x d array and runs no SVD.  The residual
+is one product with B as given (P (Q^H v) for generators), an
 independent check of the eigenpair against the input rather than
 against the split pieces; its scale reads the Frobenius norm that B
 stores.
@@ -49,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolationError, InvalidInputError
-from .opmatrix import BlockMatrix, Spectrum
+from .opmatrix import BlockMatrix, LowRank, Spectrum
 from .similarity import iterate
 
 __all__ = [
@@ -80,7 +85,11 @@ class SplitOperator:
     ``live`` marks the complement coordinates whose row or column of
     B22 has a nonzero entry; the others are free.  ``b22`` is B22
     restricted to the live coordinates (L x L, 0 x 0 when B22 = 0): the
-    free rows and columns are zero and are not stored.
+    free rows and columns are zero and are not stored.  Read from
+    generators, ``live`` is the support of the terms that reach B22, so
+    it may hold coordinates whose entries cancel; m stays exact, since
+    such a coordinate is a 1 x 1 diagonal block b1 s_j of (b1 - B22) S
+    whether the SVD holds it or not.
     """
 
     k: int
@@ -95,7 +104,7 @@ class SplitOperator:
     b22: np.ndarray
 
 
-def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
+def split_system(spectrum: Spectrum, b: BlockMatrix | LowRank, k: int) -> SplitOperator:
     """Extract the component/complement pieces of B around index k."""
     positions = spectrum.positions_of(k)
     if positions.size != 1:
@@ -103,27 +112,58 @@ def split_system(spectrum: Spectrum, b: BlockMatrix, k: int) -> SplitOperator:
             f"splitting needs a simple eigenvalue, index {k} has multiplicity {positions.size}"
         )
     pos = int(positions[0])
-    data = b.data
     rest = np.delete(np.arange(spectrum.dim), pos)
     lam_k = spectrum.value_of(k)
     gaps = lam_k - spectrum.position_values[rest]
     if np.any(gaps == 0.0):
         raise InvalidInputError("eigenvalue coincides with another spectrum point")
     s_diag = 1.0 / gaps
-    live_at = _live_coordinates(data, pos)
-    core = np.flatnonzero(live_at)
+    if isinstance(b, LowRank):
+        b1, b21, b12, live_at, b22 = _generator_pieces(b, pos, rest)
+    else:
+        data = b.data
+        live_at = _live_coordinates(data, pos)
+        core = np.flatnonzero(live_at)
+        b1, b21, b12 = data[pos, pos], data[rest, pos], data[pos, rest]
+        b22 = data[np.ix_(core, core)]
     return SplitOperator(
         k=int(k),
         position=pos,
         rest=rest,
         s_diag=s_diag,
         s_max=float(np.abs(s_diag).max()),
-        b1=complex(data[pos, pos]),
-        b21=data[rest, pos],
-        b12=data[pos, rest],
+        b1=complex(b1),
+        b21=b21,
+        b12=b12,
         live=live_at[rest],
-        b22=data[np.ix_(core, core)],
+        b22=b22,
     )
+
+
+def _generator_pieces(b: LowRank, pos: int, rest: np.ndarray):
+    """b1, B21, B12, the live mask over all positions and B22 on the
+    live coordinates, read from B = P Q^H in O(d r).
+
+    A term p_i q_i^H reaches B22 only if p_i and q_i are both nonzero
+    somewhere off ``pos``; the live coordinates are where such a p_i or
+    q_i is nonzero.  So none is missed, but entries of the terms may
+    cancel and leave a live coordinate whose row and column of B22 are
+    zero.
+    """
+    p, qc = b.p, b.q.conj()
+    column = p @ qc[pos]  # B e_pos
+    row = qc @ p[pos]  # the row of B through pos
+    p_off = p != 0.0
+    q_off = qc != 0.0
+    p_off[pos] = False
+    q_off[pos] = False
+    terms = [i for i in range(p.shape[1]) if p_off[:, i].any() and q_off[:, i].any()]
+    live_at = np.zeros(p.shape[0], dtype=bool)
+    for i in terms:
+        live_at |= p_off[:, i] | q_off[:, i]
+    core = np.flatnonzero(live_at)
+    b22 = p[np.ix_(core, terms)] @ qc[np.ix_(core, terms)].T
+    return column[pos], column[rest], row[rest], live_at, b22
 
 
 def _live_coordinates(data: np.ndarray, pos: int) -> np.ndarray:
@@ -260,7 +300,7 @@ class SplitResult:
 
 def split_eigenpair(
     spectrum: Spectrum,
-    b: BlockMatrix,
+    b: BlockMatrix | LowRank,
     k: int,
     *,
     tol: float = SPLIT_TOL,
@@ -306,7 +346,8 @@ def split_eigenpair(
     norm_dev = 2.0 * eps / (1.0 - eps) if eps < 1.0 else math.inf
     # (A - B) vec - lam' vec against B as given, not the split pieces
     lam_all = spectrum.position_values
-    res_vec = (lam_all * vec - b.data @ vec) - lam_prime * vec
+    b_vec = b.apply(vec) if isinstance(b, LowRank) else b.data @ vec
+    res_vec = (lam_all * vec - b_vec) - lam_prime * vec
     scale = float(np.abs(lam_all).max() + b.hs())
     return SplitResult(
         k=op.k,
@@ -327,10 +368,11 @@ def split_eigenpair(
 def operator_norm_condition(b_hs: float, s: float) -> dict:
     """Cruder sufficient condition ||B||_op < 1 / (4 s sqrt(2)).
 
-    The left side is ``b_hs``, the Frobenius norm of B (``BlockMatrix.hs``
-    stores it), an upper bound of its operator norm that costs O(d^2)
-    instead of a dense SVD, so a satisfied condition is satisfied by
-    ||B||_op as well.
+    The left side is ``b_hs``, the Frobenius norm of B, an upper bound
+    of its operator norm, so a satisfied condition is satisfied by
+    ||B||_op as well.  ``BlockMatrix.hs`` takes it in O(d^2) instead of
+    a dense SVD, and ``LowRank.hs`` in O(d r^2) from the Gram matrices
+    of the generators, without the dense B.
     """
     rhs = 1.0 / (4.0 * s * math.sqrt(2.0))
     return {"lhs": float(b_hs), "rhs": float(rhs), "satisfied": bool(b_hs < rhs)}

@@ -7,10 +7,12 @@ little room, so that a change that keeps one more d x d table alive
 fails here.
 """
 
+import json
 import tracemalloc
 
 import pytest
 
+from simspec.cli import main
 from simspec.models import dirac_model, hill_model, kernel_model
 from simspec.similarity import PIPELINES
 from test_similarity import jb_only_dirac
@@ -34,10 +36,31 @@ _POTENTIALS = {
 def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
     model = build()
     d = model.spectrum.dim
+    # the kernel model builds its dense B on the first read: outside the trace
+    b = model.perturbation
     tracemalloc.start()
     try:
-        PIPELINES[pipeline](model.spectrum, model.perturbation)
+        PIPELINES[pipeline](model.spectrum, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / (16 * d * d) <= bound
+
+
+def test_kernel_split_builds_no_dense_array(tmp_path):
+    # the whole CLI run: config, model, split and report; the generators
+    # are d x 2, so one d x d array would be 20 times the bound
+    config = tmp_path / "split.json"
+    config.write_text(json.dumps({
+        "schema": 1, "model": {"family": "kernel"}, "truncation": {"half_width": 512},
+        "split_k": 0, "oracle": False, "output": {"report": "report.json"},
+    }))
+    d = 1025
+    tracemalloc.start()
+    try:
+        code = main(["split", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.05 * 16 * d * d

@@ -55,6 +55,19 @@ class TestKernel:
             o = mdl.spectrum.ordinal(int(n))
             assert abs(mdl.second_order[o] - routed[o]) <= 1e-14
 
+    def test_perturbation_is_built_once(self):
+        mdl = kernel_model(4)
+        b = mdl.perturbation
+        assert mdl.perturbation is b
+        assert mdl.compact_perturbation is mdl.generators
+
+    def test_generators_multiply_to_the_cross(self):
+        mdl = kernel_model(6)
+        gen = mdl.generators
+        assert gen.p.shape == gen.q.shape == (mdl.spectrum.dim, 2)
+        assert np.array_equal(gen.p @ gen.q.conj().T, mdl.perturbation.data)
+        assert gen.hs() == pytest.approx(mdl.perturbation.hs(), rel=1e-15)
+
     def test_split_constants_published_values(self):
         c0 = kernel_split_constants(0)
         assert c0["b21_norm"] == pytest.approx(1 / (2 * np.pi))

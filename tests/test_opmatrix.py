@@ -15,6 +15,7 @@ from simspec.errors import (
 from simspec.models import kernel_model
 from simspec.opmatrix import (
     BlockMatrix,
+    LowRank,
     Partition,
     Spectrum,
     gap_inverse_square_sum,
@@ -90,6 +91,19 @@ class TestSpectrum:
     def test_rejects_equal_values_anywhere(self, values):
         with pytest.raises(InvalidInputError, match="pairwise distinct"):
             Spectrum(np.arange(len(values)), np.array(values))
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]).flatmap(
+        lambda re: st.sampled_from([0.0, -0.0, 1.0, 3.0]).map(lambda im: complex(re, im))),
+        min_size=1, max_size=8))
+    def test_distinct_check_matches_pairwise_comparison(self, values):
+        # -0.0 equals 0.0 in either part, so (-0.0, 1) repeats (0.0, 1)
+        repeated = any(a == b for i, a in enumerate(values) for b in values[:i])
+        if repeated:
+            with pytest.raises(InvalidInputError, match="pairwise distinct"):
+                Spectrum(np.arange(len(values)), np.array(values))
+        else:
+            assert Spectrum(np.arange(len(values)), np.array(values)).dim == len(values)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)])
     def test_rejects_non_finite_values(self, bad):
@@ -247,6 +261,30 @@ class TestPartition:
         rows, cols = part.block_entries()
         assert rows.size == mask.sum()
         assert np.array_equal(in_block_mask(part), mask)
+
+
+class TestLowRank:
+    def test_refuses_generators_of_unequal_shape(self):
+        with pytest.raises(InvalidInputError, match="d x r"):
+            LowRank(np.ones((3, 2)), np.ones((3, 1)))
+
+    def test_generators_are_read_only(self):
+        b = LowRank(np.ones((3, 2)), np.ones((3, 2)))
+        assert not b.p.flags.writeable and not b.q.flags.writeable
+
+    def test_cancelling_terms_give_zero_norm(self):
+        # P Q^H = 1 - 1 = 0: the Gram sum cancels exactly
+        assert LowRank(np.array([[1.0, 1.0]]), np.array([[1.0, -1.0]])).hs() == 0.0
+
+    def test_apply_and_norm_match_the_dense_product(self):
+        rng = np.random.default_rng(5)
+        p = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        q = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        vec = rng.normal(size=7) + 1j * rng.normal(size=7)
+        dense = p @ q.conj().T
+        b = LowRank(p, q)
+        assert np.allclose(b.apply(vec), dense @ vec, rtol=1e-14, atol=0.0)
+        assert b.hs() == pytest.approx(np.linalg.norm(dense), rel=1e-14)
 
 
 class TestNorms:

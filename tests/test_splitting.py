@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simspec.errors import ConditionViolationError, InvalidInputError
+from simspec.errors import ConditionViolationError, InvalidInputError, NonConvergenceError
 from simspec.models import kernel_model, kernel_split_constants
-from simspec.opmatrix import BlockMatrix, Partition, Spectrum
+from simspec.opmatrix import BlockMatrix, LowRank, Partition, Spectrum
 from simspec.splitting import (
     _SCAN_ROWS,
     certificate_from_constants,
@@ -284,13 +284,98 @@ class TestEigenpairAgainstDense:
         # a d x d complex copy is d^2 16 bytes; the live-mask pass takes d^2
         mdl = kernel_model(512)
         d = mdl.spectrum.dim
+        b = mdl.perturbation  # the dense B, built outside the trace
         tracemalloc.start()
         try:
-            split_eigenpair(mdl.spectrum, mdl.perturbation, 0)
+            split_eigenpair(mdl.spectrum, b, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < d * d * 16 / 8
+
+
+# where a generator column is nonzero: everywhere, on a random set, only
+# at the split position (as the kernel cross's e_0), or off it
+_SUPPORTS = ["full", "random", "at_pos", "off_pos"]
+
+
+@st.composite
+def generator_problems(draw):
+    """(spectrum, generators, k): B = P Q^H of rank 1 to 4 whose columns
+    vanish on drawn sets, so that some terms are zero off k on one side,
+    over spectra whose gaps grow with |n|; ||B||_F is drawn up to
+    where the certificate fails."""
+    dim = draw(st.integers(2, 24))
+    rank = draw(st.integers(1, 4))
+    idx = np.arange(dim) - dim // 2
+    growth = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    spec = Spectrum(idx, 2j * np.pi * idx * (1.0 + growth * np.abs(idx)))
+    k = int(draw(st.sampled_from(list(idx))))
+    pos = spec.positions_of(k)[0]
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    factors = []
+    for _ in range(2):
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        for i in range(rank):
+            support = draw(st.sampled_from(_SUPPORTS))
+            keep = {"full": np.ones(dim, dtype=bool),
+                    "random": rng.random(dim) < 0.5,
+                    "at_pos": np.arange(dim) == pos,
+                    "off_pos": np.arange(dim) != pos}[support]
+            g[~keep, i] = 0.0
+        factors.append(g / max(float(np.linalg.norm(g)), 1e-300))
+    size = draw(st.sampled_from([0.05, 0.5, 3.0, 12.0]))
+    return spec, LowRank(size * factors[0], factors[1]), k
+
+
+class TestGeneratorsAgainstDense:
+    @settings(deadline=None, max_examples=150)
+    @given(problem=generator_problems())
+    def test_split_matches_the_dense_product(self, problem):
+        spec, gen, k = problem
+        dense = BlockMatrix(Partition.trivial(spec), gen.p @ gen.q.conj().T)
+        op_g, op_d = split_system(spec, gen, k), split_system(spec, dense, k)
+        # the generator live set holds every coordinate the entries make live
+        assert np.all(op_g.live[op_d.live])
+        cert_g, cert_d = split_certificate(op_g), split_certificate(op_d)
+        assert abs(cert_g.m - cert_d.m) <= 1e-13 * cert_d.m
+        lhs_g, lhs_d = cert_g.certificate["lhs"], cert_d.certificate["lhs"]
+        assert abs(lhs_g - lhs_d) <= 1e-13 * lhs_d
+        # the Gram sum and the entry sum each err by a few ulps of
+        # sum |P^H P| |Q^H Q| <= (||P||_F ||Q||_F)^2
+        scale = (np.linalg.norm(gen.p) * np.linalg.norm(gen.q)) ** 2
+        assert abs(gen.hs() ** 2 - dense.hs() ** 2) <= 1e-13 * scale
+        if not cert_d.certificate["satisfied"]:
+            with pytest.raises(ConditionViolationError):
+                split_eigenpair(spec, gen, k)
+            return
+        try:
+            res_d = split_eigenpair(spec, dense, k)
+        except NonConvergenceError:
+            # a certificate near its boundary can contract too slowly
+            with pytest.raises(NonConvergenceError):
+                split_eigenpair(spec, gen, k)
+            return
+        res_g = split_eigenpair(spec, gen, k)
+        bound = 1e-13 * res_d.residual_scale
+        assert abs(res_g.lam_prime - res_d.lam_prime) <= bound
+        assert float(np.abs(res_g.eigvec - res_d.eigvec).max()) <= bound
+        assert abs(res_g.residual - res_d.residual) <= bound
+
+    def test_kernel_cross_has_no_live_coordinate(self):
+        mdl = kernel_model(64)
+        op = split_system(mdl.spectrum, mdl.generators, 0)
+        assert not op.live.any() and op.b22.shape == (0, 0)
+        dense = split_system(mdl.spectrum, mdl.perturbation, 0)
+        assert op.b1 == dense.b1
+        assert np.array_equal(op.b21, dense.b21) and np.array_equal(op.b12, dense.b12)
+
+    def test_kernel_off_zero_is_all_live(self):
+        mdl = kernel_model(16)
+        op = split_system(mdl.spectrum, mdl.generators, 3)
+        assert op.live.all()
+        dense = split_system(mdl.spectrum, mdl.perturbation, 3)
+        assert split_certificate(op).m == pytest.approx(split_certificate(dense).m, rel=1e-14)
 
 
 def test_operator_norm_condition_bounds_the_operator_norm():

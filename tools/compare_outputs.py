@@ -156,6 +156,8 @@ def run_list(repo: str) -> list:
         ("kernel N=32 mt1 max_iter=2", "analyze", cfg(kernel, 32, "mt1", tolerances={"max_iter": 2})),
         ("kernel split N=64 k=0 max_iter=2", "split",
          cfg(kernel, 64, "auto", split_k=0, tolerances={"max_iter": 2})),
+        # off index 0 every complement coordinate is live: B22 and its SVD
+        ("kernel split N=64 k=3", "split", cfg(kernel, 64, "auto", split_k=3)),
         ("kernel_sum pipeline split", "analyze", {**demo("kernel_sum.json"), "pipeline": "split"}),
         ("dirac zero N=8 pipeline split", "analyze", cfg(zero_dirac, 8, "split")),
         ("kernel theta pipeline split", "analyze", cfg({**kernel, "theta": 0.5}, 8, "split")),
