@@ -51,10 +51,12 @@ from .verify import (
 from .weighted import decay_weights
 
 _SCHEMA_VERSION = 1
+_REPORT_FORMAT = 1
 _ORACLE_GATE_DIM = 600
-# a run's traced peak is 11.6 dense d x d complex arrays (16 d^2 bytes
-# each) for gauged dirac mt4 at d = 1026, 7.6 for kernel mt1 at d = 1025;
-# a config whose one such array exceeds this is refused up front
+# a whole analyze run's traced peak is 11.5 dense d x d complex arrays
+# (16 d^2 bytes each) for gauged dirac mt4 at d = 1026, 7.5 for kernel
+# mt1 at d = 1025; a config whose one such array exceeds this is refused
+# up front
 _DENSE_ARRAY_CAP_MIB = 128
 _DEFAULT_SEED = 2026
 
@@ -395,7 +397,8 @@ def _write_json(path, payload: dict):
 def _write_report(path, command: str, cfg: dict | None, body: dict):
     """A command's report: the header every report opens with, then ``body``."""
     echo = None if cfg is None else {k: v for k, v in cfg.items() if not k.startswith("_")}
-    _write_json(path, {"command": command, "schema": _SCHEMA_VERSION, "config_echo": echo, **body})
+    _write_json(path, {"command": command, "schema": _SCHEMA_VERSION,
+                       "report_format": _REPORT_FORMAT, "config_echo": echo, **body})
 
 
 def _write_wall(out_dir, t_start: float, **extra):
@@ -406,8 +409,12 @@ def _write_wall(out_dir, t_start: float, **extra):
     print(f"wall {wall['total_seconds']:.2f}s", file=sys.stderr)
 
 
-def _oracle(model) -> np.ndarray:
-    """The reference eigenvalues of A - B, from one dense solve."""
+def _oracle(model, on: bool) -> np.ndarray | None:
+    """The reference eigenvalues of A - B, sorted by (re, im), from one
+    dense solve; None when ``on`` is false or the dimension exceeds
+    ``_ORACLE_GATE_DIM``.  The one place a command solves A - B."""
+    if not on or model.spectrum.dim > _ORACLE_GATE_DIM:
+        return None
     return oracle_eigenvalues(np.diag(model.spectrum.position_values) - model.perturbation.data)
 
 
@@ -440,25 +447,23 @@ def _gate(measured: float, threshold: float) -> dict:
     return {"measured": measured, "threshold": threshold, "satisfied": bool(measured <= threshold)}
 
 
-def invariant_gates(model, result: SimilarityResult, oracle_on: bool):
+def invariant_gates(result: SimilarityResult, oracle_vals: np.ndarray | None) -> dict:
     """Evaluate the always-on acceptance gates for a pipeline run.
 
-    The spectral gate pairs one dense solve of A - B with the run's
-    eigenvalue estimates.  Returns (gates, oracle_values); oracle_values
-    is None when the spectral comparison was skipped.
+    The spectral gate pairs the oracle's eigenvalues of A - B (see
+    :func:`_oracle`) with the run's estimates; it is skipped when
+    ``oracle_vals`` is None.
     """
     gates = {
         "similarity_residual": _gate(result.residual, 1e-9 * result.residual_scale),
         "v_block_diagonal": _gate(result.offdiag_residual, 1e-10 * max(result.v.hs(), 1e-300)),
     }
-    oracle_vals = None
-    if oracle_on and model.spectrum.dim <= _ORACLE_GATE_DIM:
-        oracle_vals = _oracle(model)
+    if oracle_vals is not None:
         estimates = [z for _, z in result.eigenvalue_estimates]
         dev = match_spectra(oracle_vals, estimates).max_abs_deviation
         # eigenvalues grow like N^2, so the solver rounding grows with max|lambda|
         gates["spectra_agree"] = _gate(dev, max(1e-8, 1e-12 * float(np.abs(oracle_vals).max())))
-    return gates, oracle_vals
+    return gates
 
 
 def _write_series(csv_dir, model, est, weights, ora, report_obj):
@@ -584,8 +589,9 @@ def cmd_analyze(cfg: dict, out_dir: str, quiet: bool) -> int:
     model = build_model(cfg)
     result = run_pipeline(model, requested, cfg["tolerances"])
     t_oracle = time.perf_counter()
-    gates, oracle_vals = invariant_gates(model, result, cfg["oracle"])
+    oracle_vals = _oracle(model, cfg["oracle"])
     t_oracle = time.perf_counter() - t_oracle
+    gates = invariant_gates(result, oracle_vals)
     spectrum = model.spectrum
     csv_dir = cfg["output"].get("csv_dir")
     svg = cfg["output"].get("svg")
@@ -671,17 +677,16 @@ def cmd_split(cfg: dict, out_dir: str, quiet: bool) -> int:
     published = None
     if model.name == "kernel":
         published = certificate_from_constants(**kernel_split_constants(k))
+    t_oracle = time.perf_counter()
+    vals = _oracle(model, cfg["oracle"])
+    t_oracle = time.perf_counter() - t_oracle
     oracle_info = None
-    t_oracle = 0.0
-    if cfg["oracle"]:
-        t_oracle = time.perf_counter()
-        vals = _oracle(model)
+    if vals is not None:
         nearest = vals[int(np.argmin(np.abs(vals - result.lam_prime)))]
         oracle_info = {
             "nearest": complex(nearest),
             "deviation": float(abs(nearest - result.lam_prime)),
         }
-        t_oracle = time.perf_counter() - t_oracle
     report_path = os.path.join(out_dir, cfg["output"]["report"])
     _write_report(report_path, "split", cfg, {
         "model": model.name,
@@ -768,7 +773,7 @@ def _check_pipeline_invariants(rng, cfg):
     else:
         model = model_lib.kernel_model(24)
         result = run_pipeline(model, "mt1", default_config()["tolerances"])
-    gates, _ = invariant_gates(model, result, True)
+    gates = invariant_gates(result, _oracle(model, True))
     bad = [k for k, g in gates.items() if not g["satisfied"]]
     if bad:
         return False, f"failed gates: {', '.join(bad)}"
@@ -779,7 +784,7 @@ def _check_split_consistency(rng, cfg):
     """Split eigenvalues against the reference spectrum."""
     model = model_lib.kernel_model(32)
     spectrum, b = model.spectrum, model.compact_perturbation
-    vals = _oracle(model)
+    vals = _oracle(model, True)
     devs = [float(np.abs(vals - split_eigenpair(spectrum, b, k).lam_prime).min()) for k in (0, 1)]
     return (all(dev <= 1e-9 for dev in devs),
             "; ".join(f"k={k}: dev {dev:.2e}" for k, dev in enumerate(devs)))

@@ -382,9 +382,9 @@ def _result(
     b: BlockMatrix,
     fp: FixedPointResult,
     *,
-    prelim: PreliminaryResult | None = None,
-    scan: list | None = None,
+    stage_one: tuple | None = None,
     frame: tuple | None = None,
+    attempts: list | None = None,
     selection: dict | None = None,
 ) -> SimilarityResult:
     """The result of a run whose last fixed point is ``fp``; the only
@@ -394,37 +394,44 @@ def _result(
     act in the frame of X*.  Each optional piece is an earlier stage,
     logged in the order the stages ran:
 
-    * ``prelim`` and its ``scan`` log: the smoothing scan and the
-      preliminary transform I + GB, whose G composes U = G + U2 + G U2;
+    * ``stage_one`` ``(g, gop, residual, scan)``: GB, its operator norm,
+      the residual of the preliminary transform I + GB, and the
+      smoothing scan's log; G composes U = G + U2 + G U2;
     * ``frame`` ``(tilde, pull, labels, info)``: the mt4 change of frame,
       which brings U2 and V2 to the frame of A, where A - V2 becomes
-      pull(diag(tilde) - V2);
+      pull(diag(tilde) - V2); ``attempts``, when an earlier frame
+      failed, lists every frame tried with its failure message;
     * ``selection``: the coarsening of stage two.
 
     The estimates and the off-diagonal residual are read from V2 in the
-    frame of X*, whose positions ``labels`` tag.
+    frame of X*, whose positions ``labels`` tag.  U2 is taken out of
+    ``fp``, so that it is freed once it is pulled back or composed.
     """
     base = b.partition
     u, v, labels = fp.u, fp.v, None
+    fp.u = None
     certificates, stages = {}, []
-    if prelim is not None:
-        smoothing = {"radius": prelim.smoother.partition.radius,
-                     "smoother_op_norm": prelim.smoother_op_norm}
+    if stage_one is not None:
+        g, gop, residual, scan = stage_one
+        smoothing = {"radius": g.partition.radius, "smoother_op_norm": gop}
         certificates["smoothing"] = smoothing
         stages += [{"name": "smoothing_scan", "scan": scan},
-                   {"name": "preliminary", **smoothing, "residual": prelim.residual}]
+                   {"name": "preliminary", **smoothing, "residual": residual}]
     if frame is not None:
         tilde, pull, labels, info = frame
         certificates["rebase"] = info
-        stages.append({"name": "rebase", **info, "new_dim": int(tilde.dim)})
+        entry = {"name": "rebase", **info, "new_dim": int(tilde.dim)}
+        if attempts is not None:
+            entry["attempts"] = attempts
+        stages.append(entry)
         u = BlockMatrix(base, pull(u.data))
         v = BlockMatrix(base, np.diag(spectrum.position_values)
                         - pull(np.diag(tilde.position_values) - v.data))
     if selection is not None:
         certificates["coarsening"] = selection
         stages.append({"name": "coarsening", **selection})
-    if prelim is not None:
-        g, u = _move(prelim.smoother, base), _move(u, base)
+    if stage_one is not None:
+        g, u = _move(g, base), _move(u, base)
         u = g + u + g @ u
     certificates["contraction"] = fp.certificate
     stages.append({"name": "fixed_point", "iterations": fp.iterations,
@@ -511,11 +518,13 @@ def _scan_smoothing_radius(spectrum: Spectrum, b: BlockMatrix):
 
 
 def _stage_one(spectrum: Spectrum, b: BlockMatrix):
-    """B on the trivial partition, the preliminary similarity I + GB at
-    the smallest smoothing radius, and the scan log."""
+    """B on the trivial partition, Q = JB + B0 from the preliminary
+    similarity I + GB at the smallest smoothing radius, and what the
+    assembly reads of stage one: ``(GB, ||GB||_op, residual, scan log)``."""
     bb = _move(b, Partition.trivial(spectrum))
     g, gop, scan = _scan_smoothing_radius(spectrum, bb)
-    return bb, preliminary_transform(_move(bb, g.partition), g, gop), scan
+    prelim = preliminary_transform(_move(bb, g.partition), g, gop)
+    return bb, prelim.q, (g, prelim.smoother_op_norm, prelim.residual, scan)
 
 
 def _stage_two(q: BlockMatrix, *, start: int, margin: float, tol: float, max_iter: int):
@@ -551,11 +560,11 @@ def pipeline_coarse(
     fixed point's own identity J X* = J(Q G X*) + J Q then reads
     V = JB + J_k(B0 (I + G_k X*)).
     """
-    bb, prelim, scan = _stage_one(spectrum, b)
-    fp, selection = _stage_two(_move(prelim.q, bb.partition),
-                               start=prelim.smoother.partition.radius,
+    bb, q, stage_one = _stage_one(spectrum, b)
+    fp, selection = _stage_two(_move(q, bb.partition), start=stage_one[0].partition.radius,
                                margin=margin, tol=tol, max_iter=max_iter)
-    return _result("mt3", spectrum, bb, fp, prelim=prelim, scan=scan, selection=selection)
+    del q  # Q is not read past stage two
+    return _result("mt3", spectrum, bb, fp, stage_one=stage_one, selection=selection)
 
 
 # -- rebase pipeline -------------------------------------------------------
@@ -662,9 +671,9 @@ def _rebase_frame(spectrum: Spectrum, d: BlockMatrix):
     return tilde, push, pull, info, perm
 
 
-def _rebased(spectrum: Spectrum, prelim: PreliminaryResult, d: BlockMatrix, *,
+def _rebased(spectrum: Spectrum, q: BlockMatrix, d: BlockMatrix, *,
              margin: float, tol: float, max_iter: int):
-    """One mt4 attempt: stage two in the eigenbasis of A - D.
+    """One mt4 attempt: stage two for Q - D in the eigenbasis of A - D.
 
     Returns the fixed point, the coarsening selection and the frame
     ``(tilde, pull, labels, info)`` that brings the fixed point back.
@@ -672,7 +681,7 @@ def _rebased(spectrum: Spectrum, prelim: PreliminaryResult, d: BlockMatrix, *,
     tilde, push, pull, info, perm = _rebase_frame(spectrum, d)
     # the pushed perturbation goes in unbound, so it is freed with stage two
     fp, selection = _stage_two(
-        BlockMatrix(Partition.trivial(tilde), push((prelim.q - d).data)),
+        BlockMatrix(Partition.trivial(tilde), push((q - d).data)),
         start=0, margin=margin, tol=tol, max_iter=max_iter)
     # tag estimates with the index each tilde slot descended from, so the
     # labels mean the same thing they do in the single-frame pipelines
@@ -700,27 +709,39 @@ def pipeline_rebase(
     Only if that attempt fails a method condition and JB is not diagonal,
     D is all of JB, built only then.  The attempts share stage one; if
     both fail the first error is raised, otherwise the result is
-    assembled once, after the attempt that certified, with no attempt's
-    D alive.
+    assembled once, after the attempt that certified, with neither D nor
+    Q alive.  After a fallback the rebase stage entry lists both
+    attempts, the first with its failure message.
     """
-    bb, prelim, scan = _stage_one(spectrum, b)
-    kw = {"margin": margin, "tol": tol, "max_iter": max_iter}
+    bb, q, stage_one = _stage_one(spectrum, b)
+    fp, selection, frame, attempts = _rebase_attempts(
+        spectrum, bb, q, margin=margin, tol=tol, max_iter=max_iter)
+    del q  # Q is not read past stage two
+    return _result("mt4", spectrum, bb, fp, stage_one=stage_one, frame=frame,
+                   attempts=attempts, selection=selection)
+
+
+def _rebase_attempts(spectrum: Spectrum, bb: BlockMatrix, q: BlockMatrix, **kw):
+    """The mt4 attempts, D = diag(JB) and then D = JB, as
+    :func:`pipeline_rebase` describes them; returns the pieces of the
+    attempt that certified and the attempt log, None if the first did.
+    Each D dies with this call."""
     try:
         # D = diag(JB) = diag(B) goes in unbound, so it is freed with its attempt
-        fp, selection, frame = _rebased(
-            spectrum, prelim, BlockMatrix(prelim.q.partition, np.diag(np.diagonal(bb.data))), **kw)
+        return (*_rebased(spectrum, q, BlockMatrix(q.partition, np.diag(np.diagonal(bb.data))),
+                          **kw), None)
     except MethodConditionError as first:
-        jb = block_diagonal(_move(bb, prelim.q.partition))
+        jb = block_diagonal(_move(bb, q.partition))
         if _is_diagonal(jb):
             raise
         # the traceback would keep the failed attempt's arrays alive
         first.__traceback__ = None
         try:
-            fp, selection, frame = _rebased(spectrum, prelim, jb, **kw)
+            pieces = _rebased(spectrum, q, jb, **kw)
         except MethodConditionError:
             raise first from None
-    return _result("mt4", spectrum, bb, fp, prelim=prelim, scan=scan, frame=frame,
-                   selection=selection)
+        return (*pieces, [{"absorbed": "diag(JB)", "failure": str(first)},
+                          {"absorbed": "JB", "failure": None}])
 
 
 PIPELINES = {

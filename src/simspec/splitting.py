@@ -212,12 +212,15 @@ def certificate_from_constants(
     """Evaluate the certificate and bounds from given norm constants.
 
     Closed-form reference constants go through here; the window route
-    computes the same quantities from the truncated matrices.
+    computes the same quantities from the truncated matrices.  The
+    certificate m + 2 sqrt(n) <= 1 is decided as computed, with no
+    tolerance: above 1 the splitting theorem gives no ball.  ``boundary``
+    only flags a left side within ``_BOUNDARY_TOL`` of 1.
     """
     n = s * b12s_norm * b21_norm
     lhs = m + 2.0 * math.sqrt(max(n, 0.0))
     boundary = abs(lhs - 1.0) <= _BOUNDARY_TOL
-    satisfied = lhs <= 1.0 + _BOUNDARY_TOL
+    satisfied = lhs <= 1.0
     if satisfied:
         disc = max((1.0 - m) ** 2 - 4.0 * n, 0.0)
         radius = 2.0 / ((1.0 - m) + math.sqrt(disc))

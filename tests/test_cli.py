@@ -30,6 +30,7 @@ from simspec.models import COORDINATES_PER_INDEX, ModelProblem
 from simspec.opmatrix import BlockMatrix, Partition, Spectrum, spectral_gap
 from simspec.similarity import IDENTITY_SLACK, PIPELINES, pipeline_coarse, pipeline_contraction
 from simspec.splitting import split_eigenpair
+from simspec.verify import oracle_eigenvalues
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -502,6 +503,15 @@ class TestSplitCommand:
         assert report["window_bounds"]["certificate"]["satisfied"]
         assert report["oracle"]["deviation"] <= 1e-9
         assert len(report["lambda_prime"]) == 2
+        # at d <= 600 the block is the one dense solve's nearest value, bit for bit
+        model = build_model(load_config(path))
+        vals = oracle_eigenvalues(np.diag(model.spectrum.position_values)
+                                  - model.perturbation.dense())
+        lam_prime = complex(*report["lambda_prime"])
+        nearest = vals[int(np.argmin(np.abs(vals - lam_prime)))]
+        assert report["oracle"] == {"nearest": [nearest.real, nearest.imag],
+                                    "deviation": float(abs(nearest - lam_prime))}
+        assert report["timings"]["oracle_spectra"] == 1
 
     def test_pipeline_split_from_analyze(self, tmp_path):
         path = write_config(tmp_path, {"truncation": {"half_width": 16},
@@ -583,7 +593,7 @@ class TestVerifyCommand:
 
 
 # every report opens with the same header; each command adds its body
-_HEADER = {"command", "schema", "config_echo"}
+_HEADER = {"command", "schema", "report_format", "config_echo"}
 _FRAMES = {
     "analyze": ("report.json", {"oracle_seconds"}, _HEADER | {
         "model", "pipeline", "pipeline_requested", "stages", "certificates",
@@ -638,6 +648,7 @@ def test_command_frame(tmp_path, capsys, command):
     report = json.loads((out / report_name).read_text())
     assert set(report) == keys
     assert report["command"] == command and report["schema"] == cli._SCHEMA_VERSION
+    assert report["report_format"] == cli._REPORT_FORMAT == 1
     wall = json.loads((out / "timings_wall.json").read_text())
     assert list(wall) == ["wall"]
     assert set(wall["wall"]) == {"total_seconds"} | wall_extra

@@ -30,8 +30,9 @@ _POTENTIALS = {
     (lambda: dirac_model(32, **_POTENTIALS, gauge=True), "mt4", 11.2),
     (lambda: kernel_model(64), "mt1", 7.0),
     (lambda: hill_model(64, 0.5, {1: 5, -1: 5}), "mt3", 9.1),
-    # the first mt4 attempt fails; it must not stay alive through the second
-    (jb_only_dirac, "mt4", 12.6),
+    # the first mt4 attempt fails; it must not stay alive through the
+    # second, nor Q and U2 through the assembly
+    (jb_only_dirac, "mt4", 11.8),
 ], ids=["dirac-gauged-N32-mt4", "kernel-N64-mt1", "hill5-N64-mt3", "dirac-jb-only-N16-mt4"])
 def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
     model = build()
@@ -49,18 +50,22 @@ def test_pipeline_peak_in_dense_arrays(build, pipeline, bound):
 
 def test_kernel_split_builds_no_dense_array(tmp_path):
     # the whole CLI run: config, model, split and report; the generators
-    # are d x 2, so one d x d array would be 20 times the bound
-    config = tmp_path / "split.json"
-    config.write_text(json.dumps({
-        "schema": 1, "model": {"family": "kernel"}, "truncation": {"half_width": 512},
-        "split_k": 0, "oracle": False, "output": {"report": "report.json"},
-    }))
+    # are d x 2, so one d x d array would be 20 times the bound.  At
+    # d > 600 the oracle, on by default, is skipped as in analyze
     d = 1025
-    tracemalloc.start()
-    try:
-        code = main(["split", "--config", str(config), "--out", str(tmp_path), "--quiet"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 0.05 * 16 * d * d
+    for oracle in ({"oracle": False}, {}):
+        config = tmp_path / "split.json"
+        config.write_text(json.dumps({
+            "schema": 1, "model": {"family": "kernel"}, "truncation": {"half_width": 512},
+            "split_k": 0, "output": {"report": "report.json"}, **oracle,
+        }))
+        tracemalloc.start()
+        try:
+            code = main(["split", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.05 * 16 * d * d, oracle
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["oracle"] is None and report["timings"]["oracle_spectra"] == 0

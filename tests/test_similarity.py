@@ -274,10 +274,10 @@ def test_rebase_frame_refuses_a_wrong_eigenbasis(monkeypatch):
 def rebase_attempts(mdl):
     """The two attempts of pipeline_rebase, D = diag(JB) and D = JB, each
     returning its fixed point, selection and frame, or raising."""
-    bb, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
-    jb = block_diagonal(_move(bb, prelim.q.partition))
+    bb, q, _ = _stage_one(mdl.spectrum, mdl.perturbation)
+    jb = block_diagonal(_move(bb, q.partition))
     diag = BlockMatrix(jb.partition, np.diag(np.diagonal(jb.data)))
-    return [lambda d=d: _rebased(mdl.spectrum, prelim, d, margin=0.9, tol=1e-12, max_iter=200)
+    return [lambda d=d: _rebased(mdl.spectrum, q, d, margin=0.9, tol=1e-12, max_iter=200)
             for d in (diag, jb)]
 
 
@@ -298,13 +298,21 @@ class TestRebaseRule:
             rebase_attempts(mdl)[1]()
         res = pipeline_rebase(mdl.spectrum, mdl.perturbation)
         assert res.certificates["rebase"] == {"kind": "permutation"}
+        # the first frame certified: the stage entry logs no attempts
+        assert "attempts" not in next(s for s in res.stages if s["name"] == "rebase")
 
     def test_falls_back_to_the_whole_blocks(self):
         mdl = jb_only_dirac()
-        with pytest.raises(MethodConditionError):
+        with pytest.raises(MethodConditionError) as first:
             rebase_attempts(mdl)[0]()
         res = pipeline_rebase(mdl.spectrum, mdl.perturbation)
         assert res.certificates["rebase"]["kind"] == "eigenbasis"
+        # the stage entry names the failed diag(JB) frame and why it failed
+        entry = next(s for s in res.stages if s["name"] == "rebase")
+        assert entry["attempts"] == [{"absorbed": "diag(JB)", "failure": str(first.value)},
+                                     {"absorbed": "JB", "failure": None}]
+        assert "best product 0.906" in entry["attempts"][0]["failure"]
+        assert "attempts" not in res.certificates["rebase"]
         assert res.residual <= 1e-9 * res.residual_scale
 
     def test_raises_the_first_error_when_both_attempts_fail(self):
@@ -561,16 +569,15 @@ def test_coarse_fixed_point_keeps_the_stage_one_diagonal(build):
     # J_k(JB_m G_k X*) = 0; the fixed point's own identity
     # J X* = J(Q G X*) + J Q then reads J X* = JB_m + J_k(B0 (I + G_k X*))
     mdl = build()
-    bb, prelim, _ = _stage_one(mdl.spectrum, mdl.perturbation)
-    fp, _ = _stage_two(_move(prelim.q, bb.partition),
-                       start=prelim.smoother.partition.radius,
+    bb, q, (g, _, _, _) = _stage_one(mdl.spectrum, mdl.perturbation)
+    fp, _ = _stage_two(_move(q, bb.partition), start=g.partition.radius,
                        margin=0.9, tol=1e-12, max_iter=200)
     part = fp.u.partition
     eye = BlockMatrix(part, np.eye(mdl.spectrum.dim))
-    jb = block_diagonal(_move(bb, prelim.q.partition))
-    b0 = prelim.q - jb
+    jb = block_diagonal(_move(bb, q.partition))
+    b0 = q - jb
     v_ref = _move(jb, part) + block_diagonal(_move(b0, part) @ (eye + fp.u))
-    assert part.radius >= prelim.smoother.partition.radius
+    assert part.radius >= g.partition.radius
     assert (fp.v - v_ref).hs() <= 1e-12 * max(1.0, fp.v.hs())
 
 

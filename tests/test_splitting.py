@@ -57,6 +57,16 @@ class TestCertificate:
         assert sb.certificate["boundary"]
         assert sb.certificate["satisfied"]
 
+    def test_left_side_ulps_above_one_is_refused(self):
+        # m + 2 sqrt(n) = 1 + 2 ulp: on the boundary, yet above 1, where
+        # the splitting theorem gives no ball
+        sb = certificate_from_constants(s=1.0, m=0.5 + 2 * 2.0**-52, b21_norm=0.0625,
+                                        b12s_norm=1.0)
+        assert sb.certificate["lhs"] == 1.0 + 2 * 2.0**-52
+        assert sb.certificate["boundary"]
+        assert not sb.certificate["satisfied"]
+        assert sb.radius == math.inf
+
     def test_failure_keeps_infinite_radius(self):
         sb = certificate_from_constants(s=1.0, m=0.9, b21_norm=1.0, b12s_norm=1.0)
         assert not sb.certificate["satisfied"]

@@ -158,6 +158,8 @@ def run_list(repo: str) -> list:
          cfg(kernel, 64, "auto", split_k=0, tolerances={"max_iter": 2})),
         # off index 0 every complement coordinate is live: B22 and its SVD
         ("kernel split N=64 k=3", "split", cfg(kernel, 64, "auto", split_k=3)),
+        # the default oracle at d = 1025, above the one oracle gate of d <= 600
+        ("kernel split N=512 oracle default", "split", cfg(kernel, 512, "auto", split_k=0)),
         ("kernel_sum pipeline split", "analyze", {**demo("kernel_sum.json"), "pipeline": "split"}),
         ("dirac zero N=8 pipeline split", "analyze", cfg(zero_dirac, 8, "split")),
         ("kernel theta pipeline split", "analyze", cfg({**kernel, "theta": 0.5}, 8, "split")),
